@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import os
 import sys
 from collections import Counter
 
@@ -43,26 +42,12 @@ from .typea import (
 )
 
 JSON_SCHEMA_VERSION = 1
-THREAD_ENV = "WONDERTORIC_THREADS"
 
 EXAMPLES = {
     "example-main": ("example_main.arrangement.json", "good_fan_3d.json"),
     "example-lines": ("example_lines.arrangement.json", "p1x4_fan.json"),
     "example-a2": ("example_a2.arrangement.json", "weyl_a3_fan.json"),
 }
-
-
-def thread_count() -> int:
-    """Worker count requested via the environment (reserved; all current
-    computations run sequentially)."""
-    raw = os.environ.get(THREAD_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREAD_ENV} must be an integer, got {raw!r}")
-    if count < 1:
-        raise ValidationError(f"{THREAD_ENV} must be positive, got {count}")
-    return count
 
 
 def _fmt(values) -> str:
@@ -747,7 +732,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        thread_count()
         return args.handler(args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -189,13 +189,8 @@ def betti_numbers(fan: Fan) -> tuple[int, ...]:
     return betti
 
 
-def pairings(fan: Fan, chi, cone) -> tuple[int, ...]:
-    """<chi, r> for each ray r of the given cone (cone = ray index tuple)."""
-    return tuple(dot(chi, fan.rays[i]) for i in cone)
-
-
 def equal_sign_holds(fan: Fan, chi) -> bool:
-    """True if on every maximal cone the pairings of chi with the cone's rays
+    """True if on every maximal cone the values <chi, r> on the cone's rays r
     are all >= 0 or all <= 0."""
     values = [dot(chi, r) for r in fan.rays]
     for cone in fan.maximal_cones:
@@ -214,7 +209,7 @@ def equal_sign_holds(fan: Fan, chi) -> bool:
 def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
     """Equal-sign integer combinations of the basis rows whose primitive
     coefficient vectors have max |entry| exactly `height` (one sign
-    representative each), with ray pairings checked incrementally."""
+    representative each), with the values on the rays checked incrementally."""
     s = len(basis)
     ray_values = [tuple(dot(row, r) for r in fan.rays) for row in basis]
     out = []

@@ -35,10 +35,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
     )
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if len(v) != len(a):
         raise ValueError("shape mismatch")

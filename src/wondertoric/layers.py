@@ -4,17 +4,20 @@ A layer is the solution set of chi(t) = e^(2 pi i phi(chi)) for chi in a split
 character sublattice Gamma and phi: Gamma -> Q/Z.  Split Gamma makes the layer
 a nonempty connected translate of a subtorus.  Intersections of layers split
 into finitely many such components; enumerating them is exact Smith-form
-arithmetic on the character data.
+arithmetic on the character data.  The poset of layers is closed under
+intersection, so it answers intersections of its elements from its
+containment matrix alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .fans import Fan, equal_sign_basis, equal_sign_holds, extend_equal_sign_basis
+from .fans import Fan, equal_sign_basis, equal_sign_holds
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -176,22 +179,50 @@ def _torsion_choices(diag, values):
 @dataclass(frozen=True)
 class LayerPoset:
     """All connected components of intersections of an arrangement's layers,
-    closed under pairwise intersection, with containment precomputed."""
+    closed under pairwise intersection, with containment precomputed.
+
+    Elements are in canonical (rank, lattice, translation) order, so the
+    torus comes first.  `components` relies on the closure: every connected
+    component of an intersection of elements is itself an element."""
 
     torus_dim: int
     elements: tuple[Layer, ...]
     contains_matrix: tuple[tuple[bool, ...], ...]
 
-    def index(self, layer: Layer) -> int:
-        return self.elements.index(layer)
-
     def contains(self, i: int, j: int) -> bool:
         """elements[i] contains elements[j] as a subvariety."""
         return self.contains_matrix[i][j]
 
-    @property
-    def torus_index(self) -> int:
-        return self.index(Layer.torus(self.torus_dim))
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per element, the bitmask of the elements it contains and the
+        bitmask of the elements containing it."""
+        rows = self.contains_matrix
+        below = tuple(sum(1 << j for j, c in enumerate(row) if c) for row in rows)
+        above = tuple(
+            sum(1 << i for i, row in enumerate(rows) if row[j])
+            for j in range(len(rows))
+        )
+        return below, above
+
+    def components(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """Connected components of the intersection of the elements at
+        `indices`, as element indices in canonical order: the maximal
+        elements among those that all of them contain.  () when the
+        intersection is empty; the torus alone for no indices."""
+        below, above = self._masks
+        common = (1 << len(self.elements)) - 1
+        for i in indices:
+            common &= below[i]
+        out = []
+        rest = common
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if above[j] & common == low:
+                out.append(j)
+            rest ^= low
+        return tuple(out)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j): elements[i] covers elements[j] under containment,
@@ -280,28 +311,3 @@ def goodness_check(
     return GoodnessReport(
         ok=not failures, bases=tuple(bases), failures=tuple(failures)
     )
-
-
-def extend_basis_equal_sign(
-    fan: Fan,
-    inner: Layer,
-    outer: Layer,
-    bound: int = 8,
-    outer_rows: IntMatrix | None = None,
-) -> IntMatrix:
-    """Equal-sign basis of the inner (smaller) layer's character lattice whose
-    first vectors are an equal-sign basis of the outer (containing) layer's."""
-    if not outer.contains(inner):
-        raise ValidationError("outer layer does not contain inner layer")
-    if outer_rows is None:
-        outer_rows = equal_sign_basis(fan, outer.gamma, bound)
-        if outer_rows is None:
-            raise ValidationError(
-                "no equal-sign basis for the outer layer within the bound"
-            )
-    rows = extend_equal_sign_basis(fan, inner.gamma, outer_rows, bound)
-    if rows is None:
-        raise ValidationError(
-            "no equal-sign extension found within the coefficient bound"
-        )
-    return rows

@@ -35,17 +35,25 @@ def _padded_add(a: GradedCount, b: GradedCount, shift: int = 0) -> GradedCount:
 @dataclass(frozen=True)
 class BuildingSet:
     """Building set inside a layer poset; members canonically ordered, so the
-    1-based member index is the stable human label."""
+    1-based member index is the stable human label.  `positions[i]` is the
+    poset index of member i."""
 
     poset: LayerPoset
     members: tuple[Layer, ...]
+    positions: tuple[int, ...]
 
     @property
     def torus_dim(self) -> int:
         return self.poset.torus_dim
 
-    def member_index(self, layer: Layer) -> int:
-        return self.members.index(layer)
+    def contains(self, i: int, j: int) -> bool:
+        """Member i contains member j as a subvariety."""
+        return self.poset.contains_matrix[self.positions[i]][self.positions[j]]
+
+    def components(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """Poset indices of the connected components of the intersection of
+        the members in `subset`, in canonical order."""
+        return self.poset.components(self.positions[i] for i in subset)
 
     def label(self, i: int) -> str:
         return f"T{i + 1}"
@@ -62,6 +70,7 @@ def build_building_set(
     out as a connected component of their intersection.
     """
     torus = Layer.torus(poset.torus_dim)
+    position = {el: k for k, el in enumerate(poset.elements)}
     if members is None:
         chosen = tuple(el for el in poset.elements if el != torus)
     else:
@@ -69,11 +78,11 @@ def build_building_set(
         for m in chosen:
             if m == torus:
                 raise ValidationError("the ambient torus cannot be a member")
-            if m not in poset.elements:
+            if m not in position:
                 raise ValidationError("building set member is not a poset element")
     if not chosen:
         raise ValidationError("building set must be nonempty")
-    building = BuildingSet(poset, chosen)
+    building = BuildingSet(poset, chosen, tuple(position[m] for m in chosen))
     if check and members is not None:
         ok, witness = _building_defect(building)
         if not ok:
@@ -82,45 +91,34 @@ def build_building_set(
 
 
 def _building_defect(building: BuildingSet):
-    member_set = set(building.members)
-    torus = Layer.torus(building.torus_dim)
-    for layer in building.poset.elements:
-        if layer == torus or layer in member_set:
+    poset = building.poset
+    member_at = set(building.positions)
+    # element 0 is the torus
+    for e in range(1, len(poset.elements)):
+        if e in member_at:
             continue
-        above = [m for m in building.members if m.contains(layer) and m != layer]
+        above = [i for i, p in enumerate(building.positions) if poset.contains(p, e)]
         minimal = [
-            m
-            for m in above
-            if not any(o != m and m.contains(o) for o in above)
+            i
+            for i in above
+            if not any(o != i and building.contains(i, o) for o in above)
         ]
-        if not minimal:
-            return False, layer
-        total = Sublattice.zero(building.torus_dim)
-        for m in minimal:
-            total = total.sum(m.gamma)
-        if total.saturation().rank != sum(m.rank for m in minimal):
-            return False, layer
-        comps = _intersection_components(tuple(minimal), building.torus_dim)
-        if layer not in comps:
-            return False, layer
+        # every component of a transversal intersection has the summed rank
+        if (
+            not minimal
+            or e not in building.components(minimal)
+            or poset.elements[e].rank != sum(building.members[i].rank for i in minimal)
+        ):
+            return False, poset.elements[e]
     return True, None
-
-
-def _intersection_components(
-    layers: tuple[Layer, ...], torus_dim: int
-) -> tuple[Layer, ...]:
-    comps: tuple[Layer, ...] = (Layer.torus(torus_dim),)
-    for layer in layers:
-        comps = tuple(
-            out for c in comps for out in intersect(c, layer)
-        )
-        if not comps:
-            return ()
-    return comps
 
 
 @dataclass(frozen=True)
 class WellConnectedness:
+    """On failure, the first failing member subset (by size, then
+    lexicographically) and its first component outside the building set, in
+    canonical poset order."""
+
     ok: bool
     witness_members: tuple[int, ...]
     missing_component: Layer | None
@@ -129,28 +127,17 @@ class WellConnectedness:
 def is_well_connected(building: BuildingSet) -> WellConnectedness:
     """Every disconnected intersection of members must contribute all of its
     components back to the building set."""
-    member_set = set(building.members)
-    cache: dict[frozenset[int], tuple[Layer, ...]] = {
-        frozenset(): (Layer.torus(building.torus_dim),)
-    }
-
-    def comps_of(indices: frozenset[int]) -> tuple[Layer, ...]:
-        if indices not in cache:
-            first = building.members[min(indices)]
-            prev = comps_of(indices - {min(indices)})
-            cache[indices] = tuple(
-                out for c in prev for out in intersect(c, first)
-            )
-        return cache[indices]
-
+    member_at = set(building.positions)
     m = len(building.members)
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
-            comps = comps_of(frozenset(subset))
+            comps = building.components(subset)
             if len(comps) >= 2:
                 for comp in comps:
-                    if comp not in member_set:
-                        return WellConnectedness(False, subset, comp)
+                    if comp not in member_at:
+                        return WellConnectedness(
+                            False, subset, building.poset.elements[comp]
+                        )
     return WellConnectedness(True, (), None)
 
 
@@ -161,29 +148,21 @@ def enumerate_nested_sets(building: BuildingSet) -> tuple[tuple[int, ...], ...]:
     connected, transversal intersection not belonging to the building set.
     """
     members = building.members
+    elements = building.poset.elements
     m = len(members)
-    member_set = set(members)
+    member_at = set(building.positions)
     comparable = [
-        [
-            members[i].contains(members[j]) or members[j].contains(members[i])
-            for j in range(m)
-        ]
+        [building.contains(i, j) or building.contains(j, i) for j in range(m)]
         for i in range(m)
     ]
-    antichain_ok_cache: dict[frozenset[int], bool] = {}
 
-    def antichain_ok(indices: frozenset[int]) -> bool:
-        if indices not in antichain_ok_cache:
-            layers = [members[i] for i in indices]
-            comps = _intersection_components(tuple(layers), building.torus_dim)
-            ok = len(comps) == 1 and comps[0] not in member_set
-            if ok:
-                total = Sublattice.zero(building.torus_dim)
-                for layer in layers:
-                    total = total.sum(layer.gamma)
-                ok = total.saturation().rank == sum(x.rank for x in layers)
-            antichain_ok_cache[indices] = ok
-        return antichain_ok_cache[indices]
+    def antichain_ok(indices: tuple[int, ...]) -> bool:
+        comps = building.components(indices)
+        return (
+            len(comps) == 1
+            and comps[0] not in member_at
+            and elements[comps[0]].rank == sum(members[i].rank for i in indices)
+        )
 
     out: list[tuple[int, ...]] = []
 
@@ -196,7 +175,7 @@ def enumerate_nested_sets(building: BuildingSet) -> tuple[tuple[int, ...], ...]:
                 for sub in combinations(incomparables, size):
                     if any(comparable[a][b] for a, b in combinations(sub, 2)):
                         continue
-                    if not antichain_ok(frozenset(sub + (nxt,))):
+                    if not antichain_ok(sub + (nxt,)):
                         fine = False
                         break
                 if not fine:
@@ -226,26 +205,20 @@ def _support_bounds(
 ) -> tuple[int, ...] | None:
     """Strict upper bound for the value at each support element, or None if
     some element cannot even take the value 1."""
-    members = building.members
+    poset = building.poset
     bounds = []
     for a in support:
-        layer = members[a]
-        supers = [
-            members[b]
-            for b in support
-            if b != a and members[b].contains(layer) and members[b] != layer
+        supers = [b for b in support if b != a and building.contains(b, a)]
+        around = [
+            c
+            for c in building.components(supers)
+            if poset.contains(c, building.positions[a])
         ]
-        if supers:
-            comps = _intersection_components(tuple(supers), building.torus_dim)
-            around = [c for c in comps if c.contains(layer)]
-            if len(around) != 1:
-                raise MathAssertionError(
-                    "nested set gave an ambiguous enclosing intersection"
-                )
-            m_rank = around[0].rank
-        else:
-            m_rank = 0
-        bound = layer.rank - m_rank
+        if len(around) != 1:
+            raise MathAssertionError(
+                "nested set gave an ambiguous enclosing intersection"
+            )
+        bound = building.members[a].rank - poset.elements[around[0]].rank
         if bound < 2:
             return None
         bounds.append(bound)
@@ -286,13 +259,14 @@ class PoincareResult:
 
 
 def support_lattice(building: BuildingSet, support: tuple[int, ...]) -> Sublattice:
-    """Character sublattice of the intersection of a nested set's members.
-
-    Supports may contain chains, so no rank additivity is assumed here."""
-    total = Sublattice.zero(building.torus_dim)
-    for i in support:
-        total = total.sum(building.members[i].gamma)
-    return total.saturation()
+    """Character sublattice of the intersection of a nested set's members,
+    which is a single poset element."""
+    comps = building.components(support)
+    if len(comps) != 1:
+        raise MathAssertionError(
+            f"support {support} does not meet in exactly one component"
+        )
+    return building.poset.elements[comps[0]].gamma
 
 
 def subfan_for_support(

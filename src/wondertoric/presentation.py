@@ -9,13 +9,11 @@ of building-set member j, both 0-based; rendering is 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import MathAssertionError, ValidationError
 from .fans import Fan, Subfan, all_cones, betti_numbers, equal_sign_basis, extend_equal_sign_basis
 from .lattice import IntMatrix, Sublattice, smith_normal_form
-from .layers import Layer, intersect
 from .models import (
     AdmissibleFunction,
     BuildingSet,
@@ -449,39 +447,34 @@ def emit_presentation(
                 ray_products.append((i, g))
 
     strictly_above = [
-        tuple(
-            h
-            for h in range(m)
-            if h != g and members[h].contains(members[g])
-        )
+        tuple(h for h in range(m) if h != g and building.contains(h, g))
         for g in range(m)
     ]
     below_or_equal = [
-        tuple(h for h in range(m) if members[g].contains(members[h]))
-        for g in range(m)
+        tuple(h for h in range(m) if building.contains(g, h)) for g in range(m)
     ]
 
+    poset = building.poset
     relations = []
-    char_cache: dict[tuple[int, Layer], IntMatrix] = {}
+    char_cache: dict[tuple[int, int], IntMatrix] = {}
     for g in range(m):
         z: Poly = {}
         for h in below_or_equal[g]:
             z = poly_add(z, poly_var(("T", h), -1))
         for size in range(len(strictly_above[g]) + 1):
             for above in combinations(strictly_above[g], size):
-                if above:
-                    comps = _member_intersection(members, above)
-                    containing = [
-                        c for c in comps if c.contains(members[g])
-                    ]
-                    if len(containing) != 1:
-                        raise MathAssertionError(
-                            "enclosing intersection component is not unique"
-                        )
-                    enclosing = containing[0]
-                else:
-                    enclosing = Layer.torus(building.torus_dim)
-                chars = char_cache.get((g, enclosing))
+                # no members above: the enclosing component is the torus
+                containing = [
+                    c
+                    for c in building.components(above)
+                    if poset.contains(c, building.positions[g])
+                ]
+                if len(containing) != 1:
+                    raise MathAssertionError(
+                        "enclosing intersection component is not unique"
+                    )
+                enclosing = poset.elements[containing[0]]
+                chars = char_cache.get((g, containing[0]))
                 if chars is None:
                     inner = basis_rows(enclosing.gamma)
                     full = extend_equal_sign_basis(
@@ -492,7 +485,7 @@ def emit_presentation(
                             "missing equal-sign extension for a member pair"
                         )
                     chars = full[len(inner):]
-                    char_cache[(g, enclosing)] = chars
+                    char_cache[(g, containing[0])] = chars
                 poly = _restriction_factors(z, chars, fan.rays, variant)
                 for h in above:
                     poly = poly_mul(poly, poly_var(("T", h)))
@@ -508,7 +501,7 @@ def emit_presentation(
     empties = []
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
-            if not _member_intersection(members, subset):
+            if not building.components(subset):
                 empties.append(subset)
 
     return PresentationIdeal(
@@ -521,14 +514,3 @@ def emit_presentation(
         empty_intersection_products=tuple(empties),
         variant=variant,
     )
-
-
-@lru_cache(maxsize=None)
-def _member_intersection(
-    members: tuple[Layer, ...], subset: tuple[int, ...]
-) -> tuple[Layer, ...]:
-    if not subset:
-        return (Layer.torus(members[0].ambient_rank),)
-    comps = _member_intersection(members, subset[:-1])
-    last = members[subset[-1]]
-    return tuple(out for c in comps for out in intersect(c, last))

@@ -289,19 +289,6 @@ def test_reproduce_unknown_example_rejected():
     assert exc.value.code == 2
 
 
-def test_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREAD_ENV, "soon")
-    code, _, err = run(capsys, ["typea", "eulerian", "2"])
-    assert code == 3
-    assert cli.THREAD_ENV in err
-    monkeypatch.setenv(cli.THREAD_ENV, "0")
-    code, _, err = run(capsys, ["typea", "eulerian", "2"])
-    assert code == 3
-    monkeypatch.setenv(cli.THREAD_ENV, "4")
-    code, _, _ = run(capsys, ["typea", "eulerian", "2"])
-    assert code == 0
-
-
 def test_json_output_is_versioned_everywhere(capsys):
     for argv in (
         ["arr", "poset", A2_ARR, "--json"],

@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from wondertoric.errors import ValidationError
-from wondertoric.fans import orthant_fan
+from wondertoric.fans import equal_sign_basis, extend_equal_sign_basis, orthant_fan
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.lattice import Sublattice
 from wondertoric.layers import (
     Layer,
-    extend_basis_equal_sign,
     goodness_check,
     intersect,
     mod1,
@@ -166,14 +165,19 @@ def test_goodness_failure():
     assert report.failures == (Sublattice.from_rows(2, [[1, 0]]),)
 
 
-def test_extend_basis_equal_sign_layers(big_fan):
+def test_extend_equal_sign_basis_layers(big_fan):
+    # the equal-sign basis of the curve l2 extends the one of the surface k1
+    # that contains it, never the other way round
     k1 = Layer.from_generators(3, [[1, 0, 2]], [0])
     l2 = Layer.from_generators(3, [[1, 0, 2], [0, 1, -1]], [0, 0])
-    rows = extend_basis_equal_sign(big_fan, inner=l2, outer=k1)
+    assert k1.contains(l2) and not l2.contains(k1)
+    k1_rows = equal_sign_basis(big_fan, k1.gamma)
+    rows = extend_equal_sign_basis(big_fan, l2.gamma, k1_rows)
     assert rows[0] == (1, 0, 2)
     assert Sublattice.from_rows(3, rows) == l2.gamma
-    with pytest.raises(ValidationError, match="does not contain"):
-        extend_basis_equal_sign(big_fan, inner=k1, outer=l2)
+    l2_rows = equal_sign_basis(big_fan, l2.gamma)
+    with pytest.raises(ValidationError, match="not in the sublattice"):
+        extend_equal_sign_basis(big_fan, k1.gamma, l2_rows)
 
 
 def test_goodness_orthant_fan():

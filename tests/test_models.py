@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from arrgen import random_cases
 from wondertoric.errors import ValidationError
 from wondertoric.files import fixture_path, load_arrangement, load_fan
-from wondertoric.layers import Layer, poset_of_layers
+from wondertoric.lattice import Sublattice
+from wondertoric.layers import Layer, intersect, poset_of_layers
 from wondertoric.models import (
     build_building_set,
     enumerate_admissible,
@@ -17,7 +19,9 @@ from wondertoric.models import (
     is_well_connected,
     poincare,
     rank_via_blowup_recursion,
+    support_lattice,
 )
+from wondertoric.typea import minimal_equal_coordinate_building
 
 HALF = Fraction(1, 2)
 
@@ -115,7 +119,16 @@ def test_well_connected(main_building, main_arr):
     report = is_well_connected(small)
     assert not report.ok
     assert report.witness_members == (0, 2)
-    assert report.missing_component.rank == 2
+    # K1 and K3 meet in two parallel curves; the witness is the first of
+    # them in canonical poset order
+    assert report.missing_component == Layer.from_generators(
+        3, [[1, 0, 2], [0, 1, -1]], [0, 0]
+    )
+    comps = small.components(report.witness_members)
+    assert [poset.elements[c] for c in comps] == [
+        report.missing_component,
+        Layer.from_generators(3, [[1, 0, 2], [0, 1, -1]], [0, HALF]),
+    ]
 
 
 def test_main_nested_sets(main_building):
@@ -219,3 +232,58 @@ def test_randomized_dual_oracle_quick():
         res = poincare(building, fan)
         oracle = rank_via_blowup_recursion(building, fan)
         assert res.total == oracle, label
+
+
+def _chained_components(building, subset, memo):
+    """Reference route: intersect the members one at a time."""
+    if subset not in memo:
+        if not subset:
+            memo[subset] = (Layer.torus(building.torus_dim),)
+        else:
+            last = building.members[subset[-1]]
+            memo[subset] = tuple(
+                out
+                for c in _chained_components(building, subset[:-1], memo)
+                for out in intersect(c, last)
+            )
+    return memo[subset]
+
+
+def _component_cases():
+    for name, fan_name in (
+        ("example_main", "good_fan_3d.json"),
+        ("example_lines", "p1x4_fan.json"),
+        ("example_a2", "weyl_a3_fan.json"),
+    ):
+        arr = load_arrangement(fixture_path(f"{name}.arrangement.json"))
+        poset = poset_of_layers(arr.torus_dim, arr.layers)
+        yield f"{name} file", build_building_set(poset, arr.building)
+        yield f"{name} poset", build_building_set(poset)
+    for n in (3, 4):
+        poset, building = minimal_equal_coordinate_building(n)
+        yield f"eqc{n} minimal", building
+        yield f"eqc{n} poset", build_building_set(poset)
+    for label, _, n, layers in random_cases(20, seed=11):
+        yield label, build_building_set(poset_of_layers(n, layers))
+
+
+def test_components_match_chained_intersections():
+    for label, building in _component_cases():
+        elements = building.poset.elements
+        m = len(building.members)
+        memo: dict = {}
+        for size in range(m + 1 if m <= 12 else 4):
+            for subset in combinations(range(m), size):
+                comps = building.components(subset)
+                assert list(comps) == sorted(set(comps)), (label, subset)
+                assert {elements[c] for c in comps} == set(
+                    _chained_components(building, subset, memo)
+                ), (label, subset)
+        for support in enumerate_nested_sets(building):
+            total = Sublattice.zero(building.torus_dim)
+            for i in support:
+                total = total.sum(building.members[i].gamma)
+            assert support_lattice(building, support) == total.saturation(), (
+                label,
+                support,
+            )
