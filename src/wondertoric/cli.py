@@ -10,12 +10,12 @@ import sys
 from collections import Counter
 
 from .errors import FileFormatError, MathAssertionError, ValidationError
-from .fans import Fan, betti_numbers, validate
-from .files import Arrangement, fixture_path, load_arrangement, load_fan
+from .fans import EqualSignBases, Fan, betti_numbers, resolve_bases, validate
+from .files import fixture_path, load_arrangement, load_fan
 from .layers import goodness_check, poset_of_layers
 from .models import (
     BuildingSet,
-    build_building_set,
+    building_set_from_arrangement,
     enumerate_admissible,
     enumerate_nested_sets,
     is_well_connected,
@@ -81,32 +81,43 @@ def _support_text(building: BuildingSet, support) -> str:
     return "{" + ", ".join(building.label(i) for i in support) + "}"
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+def _emit(args, text, as_json, *result) -> None:
+    """Print one rendering of a computed result: the payload of
+    `as_json(*result)` under --json, else the lines of `text(*result)`."""
+    if args.json:
         body = {"formatVersion": JSON_SCHEMA_VERSION}
-        body.update(payload)
+        body.update(as_json(*result))
         print(json.dumps(body, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(text(*result)))
 
 
-def _building_from(arr: Arrangement) -> tuple:
-    poset = poset_of_layers(arr.torus_dim, arr.layers)
-    building = build_building_set(poset, arr.building)
-    return poset, building
+def _model_inputs(arrfile, fanfile, bound: int = 8):
+    """The building set of an arrangement file and the run's one resolver,
+    built from the file's equal-sign bases for the fan file's fan."""
+    arr = load_arrangement(arrfile)
+    fan = load_fan(fanfile)
+    bases = resolve_bases(
+        fan, arr.torus_dim, EqualSignBases(fan, arr.equal_sign_bases, bound)
+    )
+    building = building_set_from_arrangement(arr.torus_dim, arr.layers, arr.building)
+    return building, bases
 
 
-def _check_dims(arr: Arrangement, fan: Fan) -> None:
-    if arr.torus_dim != fan.ambient_dim:
-        raise ValidationError("arrangement and fan dimensions differ")
+# per-command reports: each is computed once, then rendered as text lines or
+# as a JSON payload by two renderers taking the same arguments; `reproduce`
+# renders text only
 
 
-# per-command report builders, shared by the direct commands and `reproduce`
-
-
-def _fan_report(fan: Fan):
+def _fan_result(fan: Fan):
+    """The validation report and the Betti numbers, None unless the fan is
+    smooth and complete."""
     report = validate(fan)
     betti = betti_numbers(fan) if report.smooth and report.complete else None
+    return report, betti
+
+
+def _fan_text(fan: Fan, report, betti) -> list[str]:
     lines = [
         f"rays: {len(fan.rays)}",
         f"maximal cones: {len(fan.maximal_cones)}",
@@ -119,7 +130,11 @@ def _fan_report(fan: Fan):
         lines.append("Betti numbers: unavailable (requires a smooth complete fan)")
     else:
         lines.append(f"Betti numbers: {_fmt(betti)}")
-    payload = {
+    return lines
+
+
+def _fan_json(fan: Fan, report, betti) -> dict:
+    return {
         "rays": len(fan.rays),
         "maximalCones": len(fan.maximal_cones),
         "simplicial": report.simplicial,
@@ -128,94 +143,97 @@ def _fan_report(fan: Fan):
         "fVector": list(report.f_vector),
         "betti": None if betti is None else list(betti),
     }
-    ok = report.smooth and report.complete
-    return ok, payload, lines
 
 
-def _poset_report(arr: Arrangement):
-    poset = poset_of_layers(arr.torus_dim, arr.layers)
+def _poset_text(poset, edges) -> list[str]:
     lines = [
         f"torus dimension: {poset.torus_dim}",
         f"elements: {len(poset.elements)}",
     ]
-    elements = []
     for i, el in enumerate(poset.elements):
         phi = "[" + ", ".join(str(v) for v in el.phi) + "]"
         lines.append(
             f"L{i + 1}: codim {el.rank}, gamma {_fmt_rows(el.gamma.basis)}, phi {phi}"
         )
-        elements.append(
+    lines.append("covers (containing layer -> contained layer):")
+    for i, j in edges:
+        lines.append(f"  L{i + 1} -> L{j + 1}")
+    return lines
+
+
+def _poset_json(poset, edges) -> dict:
+    return {
+        "torusDim": poset.torus_dim,
+        "elements": [
             {
                 "codim": el.rank,
                 "gamma": [list(r) for r in el.gamma.basis],
                 "phi": [str(v) for v in el.phi],
             }
-        )
-    edges = poset.covers()
-    lines.append("covers (containing layer -> contained layer):")
-    for i, j in edges:
-        lines.append(f"  L{i + 1} -> L{j + 1}")
-    payload = {
-        "torusDim": poset.torus_dim,
-        "elements": elements,
+            for el in poset.elements
+        ],
         "covers": [[i, j] for i, j in edges],
     }
-    return payload, lines
 
 
-def _goodness_report(arr: Arrangement, fan: Fan, bound: int):
-    _check_dims(arr, fan)
-    poset = poset_of_layers(arr.torus_dim, arr.layers)
-    report = goodness_check(fan, poset, bound, arr.equal_sign_bases)
+def _goodness_text(report, bound: int) -> list[str]:
     lines = [f"character lattices checked: {len(report.bases) + len(report.failures)}"]
-    found = []
     for lat, rows in report.bases:
         lines.append(f"gamma {_fmt_rows(lat.basis)}: equal-sign basis {_fmt_rows(rows)}")
-        found.append(
-            {"gamma": [list(r) for r in lat.basis], "basis": [list(r) for r in rows]}
-        )
-    missing = []
     for lat in report.failures:
         lines.append(
             f"gamma {_fmt_rows(lat.basis)}: no equal-sign basis within bound {bound}"
         )
-        missing.append([list(r) for r in lat.basis])
     lines.append(f"good: {'yes' if report.ok else 'no'}")
-    payload = {"good": report.ok, "bases": found, "failures": missing, "bound": bound}
-    return report.ok, payload, lines
+    return lines
 
 
-def _nested_report(building: BuildingSet):
-    connect = is_well_connected(building)
-    nested = enumerate_nested_sets(building)
+def _goodness_json(report, bound: int) -> dict:
+    return {
+        "good": report.ok,
+        "bases": [
+            {"gamma": [list(r) for r in lat.basis], "basis": [list(r) for r in rows]}
+            for lat, rows in report.bases
+        ],
+        "failures": [[list(r) for r in lat.basis] for lat in report.failures],
+        "bound": bound,
+    }
+
+
+def _nested_text(building: BuildingSet, connect, nested) -> list[str]:
     lines = [
         f"building set: {len(building.members)} members",
         f"well-connected: {'yes' if connect.ok else 'no'}",
         f"nested sets: {len(nested)}",
     ]
     lines.extend(_support_text(building, s) for s in nested)
-    payload = {
+    return lines
+
+
+def _nested_json(building: BuildingSet, connect, nested) -> dict:
+    return {
         "members": len(building.members),
         "wellConnected": connect.ok,
         "nestedSets": [list(s) for s in nested],
     }
-    return payload, lines
 
 
-def _admissible_report(building: BuildingSet):
-    funcs = enumerate_admissible(building)
+def _admissible_text(building: BuildingSet, funcs) -> list[str]:
     lines = [f"admissible functions: {len(funcs)}"]
     for k, f in enumerate(funcs, start=1):
         lines.append(
             f"{k}: support {_support_text(building, f.support)}, "
             f"values {_fmt(f.values)}, degree {f.degree}"
         )
-    payload = {
+    return lines
+
+
+def _admissible_json(building: BuildingSet, funcs) -> dict:
+    return {
         "functions": [
             {"support": list(f.support), "values": list(f.values)} for f in funcs
         ]
     }
-    return payload, lines
 
 
 def _ray_product_text(monomial) -> str:
@@ -238,40 +256,37 @@ def _function_text(building: BuildingSet, func) -> str:
     return "*".join(parts)
 
 
-def _basis_report(building: BuildingSet, fan: Fan, bases, bound: int):
-    basis = monomial_basis(building, fan, bases, bound)
-    graded = basis.graded_counts(fan.ambient_dim + 1)
+def _basis_text(building: BuildingSet, basis, graded) -> list[str]:
     lines = [f"basis elements: {len(basis.elements)}"]
     ambient_seen: Counter = Counter()
-    entries = []
     for el in basis.elements:
         func = _function_text(building, el.function)
         if el.monomial is None:
             ambient_seen[(el.function, el.cohomology_degree)] += 1
             j = ambient_seen[(el.function, el.cohomology_degree)]
             lift = f"ambient class {j} of degree {el.cohomology_degree}"
-            mono = None
         else:
             lift = _ray_product_text(el.monomial)
-            mono = list(el.monomial)
         lines.append(f"deg {el.degree}: function {func}, lift {lift}")
-        entries.append(
-            {
-                "support": list(el.function.support),
-                "values": list(el.function.values),
-                "monomial": mono,
-                "cohomologyDegree": el.cohomology_degree,
-                "degree": el.degree,
-            }
-        )
     lines.append(f"graded counts: {_fmt(graded)}")
-    payload = {"elements": entries, "graded": list(graded)}
-    return payload, lines
+    return lines
 
 
-def _poincare_report(building: BuildingSet, fan: Fan, bases, bound: int):
-    result = poincare(building, fan, bases, bound)
-    oracle = rank_via_blowup_recursion(building, fan, bases, bound)
+def _basis_json(building: BuildingSet, basis, graded) -> dict:
+    entries = [
+        {
+            "support": list(el.function.support),
+            "values": list(el.function.values),
+            "monomial": None if el.monomial is None else list(el.monomial),
+            "cohomologyDegree": el.cohomology_degree,
+            "degree": el.degree,
+        }
+        for el in basis.elements
+    ]
+    return {"elements": entries, "graded": list(graded)}
+
+
+def _poincare_text(building: BuildingSet, result, oracle) -> list[str]:
     lines = []
     for row in result.rows:
         values = ", ".join(_fmt(f.values) for f in row.functions) or "-"
@@ -280,12 +295,15 @@ def _poincare_report(building: BuildingSet, fan: Fan, bases, bound: int):
             f"subfan Betti {_fmt(row.subfan_betti)} | values {values} | "
             f"contribution {_fmt(row.contribution)}"
         )
-    agree = result.total == oracle
     lines.append(f"Poincare coefficients: {_fmt(result.total)}")
     lines.append(f"polynomial: {_poly_text(result.total)}")
     lines.append(f"blowup recursion: {_fmt(oracle)}")
-    lines.append(f"oracle agreement: {'yes' if agree else 'no'}")
-    payload = {
+    lines.append(f"oracle agreement: {'yes' if result.total == oracle else 'no'}")
+    return lines
+
+
+def _poincare_json(building: BuildingSet, result, oracle) -> dict:
+    return {
         "rows": [
             {
                 "support": list(row.support),
@@ -297,15 +315,11 @@ def _poincare_report(building: BuildingSet, fan: Fan, bases, bound: int):
         ],
         "total": list(result.total),
         "blowupRecursion": list(oracle),
-        "agreement": agree,
+        "agreement": result.total == oracle,
     }
-    return agree, payload, lines
 
 
-def _presentation_report(
-    building: BuildingSet, fan: Fan, bases, bound: int, variant: str, full: bool
-):
-    ideal = emit_presentation(building, fan, bases, bound, variant)
+def _presentation_text(building: BuildingSet, ideal, full: bool) -> list[str]:
     a, b, c, d, e = ideal.class_sizes()
     lines = [
         f"variables: {ideal.variable_count} "
@@ -333,7 +347,11 @@ def _presentation_report(
         for subset in ideal.empty_intersection_products:
             prod = "*".join(building.label(i) for i in subset)
             lines.append(f"empty intersection: {prod}")
-    payload = {
+    return lines
+
+
+def _presentation_json(building: BuildingSet, ideal, full: bool) -> dict:
+    return {
         "variables": ideal.variable_count,
         "rayCount": ideal.ray_count,
         "memberCount": ideal.member_count,
@@ -356,7 +374,6 @@ def _presentation_report(
             list(s) for s in ideal.empty_intersection_products
         ],
     }
-    return payload, lines
 
 
 # forest text form: leaf label, or (q^i: child, child, ...); components by ";"
@@ -430,57 +447,56 @@ def _take_digits(text: str) -> str:
 
 
 def _cmd_fan_check(args) -> int:
-    ok, payload, lines = _fan_report(load_fan(args.fanfile))
-    _emit(args, payload, lines)
-    return 0 if ok else 3
+    fan = load_fan(args.fanfile)
+    report, betti = _fan_result(fan)
+    _emit(args, _fan_text, _fan_json, fan, report, betti)
+    return 0 if betti is not None else 3
 
 
 def _cmd_arr_poset(args) -> int:
-    payload, lines = _poset_report(load_arrangement(args.arrfile))
-    _emit(args, payload, lines)
+    arr = load_arrangement(args.arrfile)
+    poset = poset_of_layers(arr.torus_dim, arr.layers)
+    edges = poset.covers()
+    _emit(args, _poset_text, _poset_json, poset, edges)
     return 0
 
 
 def _cmd_arr_goodness(args) -> int:
-    ok, payload, lines = _goodness_report(
-        load_arrangement(args.arrfile), load_fan(args.fanfile), args.bound
-    )
-    _emit(args, payload, lines)
-    return 0 if ok else 3
-
-
-def _load_model_inputs(args):
     arr = load_arrangement(args.arrfile)
     fan = load_fan(args.fanfile)
-    _check_dims(arr, fan)
-    poset, building = _building_from(arr)
-    return arr, fan, building
+    bases = EqualSignBases(fan, arr.equal_sign_bases, args.bound)
+    report = goodness_check(fan, poset_of_layers(arr.torus_dim, arr.layers), bases)
+    _emit(args, _goodness_text, _goodness_json, report, bases.bound)
+    return 0 if report.ok else 3
 
 
 def _cmd_model(args) -> int:
-    arr, fan, building = _load_model_inputs(args)
+    # nested and admissible search for no basis and take no --bound
+    building, bases = _model_inputs(args.arrfile, args.fanfile, getattr(args, "bound", 8))
+    fan = bases.fan
     if args.what == "nested":
-        payload, lines = _nested_report(building)
+        connect = is_well_connected(building)
+        nested = enumerate_nested_sets(building)
+        _emit(args, _nested_text, _nested_json, building, connect, nested)
     elif args.what == "admissible":
-        payload, lines = _admissible_report(building)
+        funcs = enumerate_admissible(building)
+        _emit(args, _admissible_text, _admissible_json, building, funcs)
     elif args.what == "basis":
-        payload, lines = _basis_report(building, fan, arr.equal_sign_bases, args.bound)
+        basis = monomial_basis(building, fan, bases)
+        graded = basis.graded_counts(fan.ambient_dim + 1)
+        _emit(args, _basis_text, _basis_json, building, basis, graded)
     else:
-        agree, payload, lines = _poincare_report(
-            building, fan, arr.equal_sign_bases, args.bound
-        )
-        _emit(args, payload, lines)
-        return 0 if agree else 4
-    _emit(args, payload, lines)
+        result = poincare(building, fan, bases)
+        oracle = rank_via_blowup_recursion(building, fan, bases)
+        _emit(args, _poincare_text, _poincare_json, building, result, oracle)
+        return 0 if result.total == oracle else 4
     return 0
 
 
 def _cmd_model_presentation(args) -> int:
-    arr, fan, building = _load_model_inputs(args)
-    payload, lines = _presentation_report(
-        building, fan, arr.equal_sign_bases, args.bound, args.variant, args.full
-    )
-    _emit(args, payload, lines)
+    building, bases = _model_inputs(args.arrfile, args.fanfile, args.bound)
+    ideal = emit_presentation(building, bases.fan, bases, args.variant)
+    _emit(args, _presentation_text, _presentation_json, building, ideal, args.full)
     return 0
 
 
@@ -490,7 +506,7 @@ def _cmd_typea_eulerian(args) -> int:
         f"A_{args.n}(q) = {_poly_text(coeffs)}",
         f"coefficients: {_fmt(coeffs)}",
     ]
-    _emit(args, {"n": args.n, "coefficients": list(coeffs)}, lines)
+    _emit(args, lambda: lines, lambda: {"n": args.n, "coefficients": list(coeffs)})
     return 0
 
 
@@ -510,7 +526,7 @@ def _cmd_typea_lec(args) -> int:
         "hooks": [list(h) for h in fact.hooks],
         "lec": total,
     }
-    _emit(args, payload, lines)
+    _emit(args, lambda: lines, lambda: payload)
     return 0
 
 
@@ -532,7 +548,7 @@ def _cmd_typea_psi(args) -> int:
             "smallerForest": forest_to_text(small),
             "permutation": list(word),
         }
-        _emit(args, payload, lines)
+        _emit(args, lambda: lines, lambda: payload)
         return 0
     if not args.sigma:
         raise ValidationError("a permutation of the components is required")
@@ -553,7 +569,7 @@ def _cmd_typea_psi(args) -> int:
         "result": forest_to_text(grown),
         "degree": grown.degree,
     }
-    _emit(args, payload, lines)
+    _emit(args, lambda: lines, lambda: payload)
     return 0
 
 
@@ -570,7 +586,7 @@ def _cmd_typea_verify(args) -> int:
     ]
     lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in checks]
     payload = {"order": order, "checks": {name: ok for name, ok in checks}}
-    _emit(args, payload, lines)
+    _emit(args, lambda: lines, lambda: payload)
     return 0 if all(ok for _, ok in checks) else 4
 
 
@@ -581,12 +597,10 @@ def reproduction_text(example_id: str) -> str:
             f"unknown example {example_id!r}; choose from {sorted(EXAMPLES)}"
         )
     arr_name, fan_name = EXAMPLES[example_id]
-    arr = load_arrangement(fixture_path(arr_name))
-    fan = load_fan(fixture_path(fan_name))
-    _check_dims(arr, fan)
-    poset, building = _building_from(arr)
+    building, bases = _model_inputs(fixture_path(arr_name), fixture_path(fan_name))
+    fan, poset = bases.fan, building.poset
     lines = [f"example: {example_id}", "", "== fan =="]
-    lines.extend(_fan_report(fan)[2])
+    lines.extend(_fan_text(fan, *_fan_result(fan)))
     lines.extend(["", "== poset =="])
     lines.append(f"elements: {len(poset.elements)}")
     by_codim = Counter(el.rank for el in poset.elements)
@@ -595,15 +609,22 @@ def reproduction_text(example_id: str) -> str:
         + ", ".join(f"{r}: {by_codim[r]}" for r in sorted(by_codim))
     )
     lines.extend(["", "== nested sets =="])
-    lines.extend(_nested_report(building)[1])
-    lines.extend(["", "== admissible functions =="])
-    lines.extend(_admissible_report(building)[1])
-    lines.extend(["", "== poincare =="])
-    lines.extend(_poincare_report(building, fan, arr.equal_sign_bases, 8)[2])
-    lines.extend(["", "== presentation =="])
     lines.extend(
-        _presentation_report(building, fan, arr.equal_sign_bases, 8, "product", False)[1]
+        _nested_text(building, is_well_connected(building), enumerate_nested_sets(building))
     )
+    lines.extend(["", "== admissible functions =="])
+    lines.extend(_admissible_text(building, enumerate_admissible(building)))
+    lines.extend(["", "== poincare =="])
+    lines.extend(
+        _poincare_text(
+            building,
+            poincare(building, fan, bases),
+            rank_via_blowup_recursion(building, fan, bases),
+        )
+    )
+    lines.extend(["", "== presentation =="])
+    ideal = emit_presentation(building, fan, bases)
+    lines.extend(_presentation_text(building, ideal, False))
     return "\n".join(lines) + "\n"
 
 
@@ -677,7 +698,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = model_sub.add_parser(what, help=f"enumerate {what}")
         p.add_argument("arrfile")
         p.add_argument("fanfile")
-        p.add_argument("--bound", type=int, default=8, help="equal-sign search bound")
+        if what in ("basis", "poincare"):
+            p.add_argument("--bound", type=int, default=8, help="equal-sign search bound")
         _add_output_flags(p)
         p.set_defaults(handler=_cmd_model, what=what)
     pres = model_sub.add_parser("presentation", help="cohomology presentation dump")

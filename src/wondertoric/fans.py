@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
+from typing import Iterable
 
 from .errors import MathAssertionError, ValidationError
 from .lattice import (
@@ -192,7 +193,11 @@ def betti_numbers(fan: Fan) -> tuple[int, ...]:
 def equal_sign_holds(fan: Fan, chi) -> bool:
     """True if on every maximal cone the values <chi, r> on the cone's rays r
     are all >= 0 or all <= 0."""
-    values = [dot(chi, r) for r in fan.rays]
+    return _one_sign_per_cone(fan, [dot(chi, r) for r in fan.rays])
+
+
+def _one_sign_per_cone(fan: Fan, values) -> bool:
+    """True if no maximal cone has rays with values of both signs."""
     for cone in fan.maximal_cones:
         pos = neg = False
         for i in cone:
@@ -220,18 +225,7 @@ def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
             sum(coeffs[i] * ray_values[i][j] for i in range(s))
             for j in range(len(fan.rays))
         ]
-        ok = True
-        for cone in fan.maximal_cones:
-            pos = neg = False
-            for i in cone:
-                if values[i] > 0:
-                    pos = True
-                elif values[i] < 0:
-                    neg = True
-            if pos and neg:
-                ok = False
-                break
-        if ok:
+        if _one_sign_per_cone(fan, values):
             chi = tuple(
                 sum(coeffs[i] * basis[i][j] for i in range(s))
                 for j in range(len(basis[0]))
@@ -341,34 +335,14 @@ class Subfan:
     basis_used: IntMatrix
 
 
-def subfan(fan: Fan, gamma: Sublattice, equal_sign_rows: IntMatrix | None = None,
-           bound: int = 8) -> Subfan:
+def subfan(fan: Fan, gamma: Sublattice, rows: IntMatrix) -> Subfan:
     """Restrict `fan` to the faces lying in the annihilator of `gamma`.
 
-    Requires `gamma` split in Z^n and an equal-sign basis of `gamma` (faces
-    then meet the annihilator in faces).  Supply `equal_sign_rows` to skip the
-    bounded search for one.
+    `gamma` is trusted to be a split summand of Z^n, n the fan's dimension,
+    and `rows` to be an equal-sign basis of it (faces then meet the
+    annihilator in faces); `EqualSignBases.subfan` checks the first and
+    supplies the second.
     """
-    if gamma.ambient_rank != fan.ambient_dim:
-        raise ValidationError("character lattice has wrong ambient rank")
-    if not gamma.is_split_summand():
-        raise ValidationError("character lattice is not a split summand")
-    if equal_sign_rows is None:
-        rows = equal_sign_basis(fan, gamma, bound)
-        if rows is None:
-            raise ValidationError(
-                f"no equal-sign basis found within coefficient height {bound}"
-            )
-    else:
-        rows = tuple(tuple(int(x) for x in r) for r in equal_sign_rows)
-        if Sublattice.from_rows(gamma.ambient_rank, rows) != gamma:
-            raise ValidationError("supplied rows do not generate the lattice")
-        if not _extends_to_unimodular(list(rows)):
-            raise ValidationError("supplied rows are not a basis")
-        for chi in rows:
-            if not equal_sign_holds(fan, chi):
-                raise ValidationError(f"character {chi} violates the equal-sign condition")
-
     kernel = gamma.kernel_lattice()
     m = kernel.rank
     flagged = [
@@ -400,6 +374,87 @@ def subfan(fan: Fan, gamma: Sublattice, equal_sign_rows: IntMatrix | None = None
         kernel_basis=kernel.basis,
         basis_used=rows,
     )
+
+
+class EqualSignBases:
+    """Equal-sign bases of character lattices for one fan, each resolved once.
+
+    Supplied bases are verified here and nowhere else: as many rows as the
+    rank of the lattice they span, every row equal-sign on `fan`.  Other
+    lattices are searched with coefficient height up to `bound`.  Searches,
+    subfans and extensions are memoized and call this module's functions
+    through its globals, so rebinding those is seen.
+    """
+
+    def __init__(self, fan: Fan, supplied: Iterable[IntMatrix] = (), bound: int = 8):
+        if bound < 1:
+            raise ValidationError(f"equal-sign search bound {bound} is below 1")
+        self.fan, self.bound = fan, bound
+        self._found: dict[Sublattice, IntMatrix | None] = {}
+        self._subfans: dict[Sublattice, Subfan] = {}
+        self._extensions: dict[tuple[Sublattice, Sublattice], IntMatrix] = {}
+        for rows in supplied:
+            frozen = tuple(tuple(int(x) for x in r) for r in rows)
+            lat = Sublattice.from_rows(fan.ambient_dim, frozen)
+            if len(frozen) != lat.rank:
+                raise ValidationError("supplied equal-sign rows are not a basis")
+            for chi in frozen:
+                if not equal_sign_holds(fan, chi):
+                    raise ValidationError(
+                        f"supplied basis row {chi} violates the equal-sign condition"
+                    )
+            self._found[lat] = frozen
+
+    def find(self, lat: Sublattice) -> IntMatrix | None:
+        """Equal-sign basis of `lat`; None if the search finds none."""
+        if lat not in self._found:
+            self._found[lat] = equal_sign_basis(self.fan, lat, self.bound)
+        return self._found[lat]
+
+    def rows(self, lat: Sublattice) -> IntMatrix:
+        """`find`, with a missing basis raised as a ValidationError."""
+        rows = self.find(lat)
+        if rows is None:
+            raise ValidationError(
+                f"no equal-sign basis found within coefficient height {self.bound}"
+            )
+        return rows
+
+    def subfan(self, gamma: Sublattice) -> Subfan:
+        """`subfan` along `gamma`, once `gamma` is checked to be split."""
+        if gamma not in self._subfans:
+            if gamma.ambient_rank != self.fan.ambient_dim:
+                raise ValidationError("character lattice has wrong ambient rank")
+            if not gamma.is_split_summand():
+                raise ValidationError("character lattice is not a split summand")
+            self._subfans[gamma] = subfan(self.fan, gamma, self.rows(gamma))
+        return self._subfans[gamma]
+
+    def extension(self, outer: Sublattice, inner: Sublattice) -> IntMatrix:
+        """Equal-sign characters completing the basis of `inner`, a split
+        sublattice of `outer`, to an equal-sign basis of `outer`."""
+        key = (outer, inner)
+        if key not in self._extensions:
+            inner_rows = self.rows(inner)
+            full = extend_equal_sign_basis(self.fan, outer, inner_rows, self.bound)
+            if full is None:
+                raise ValidationError("missing equal-sign extension for a lattice pair")
+            self._extensions[key] = full[len(inner_rows):]
+        return self._extensions[key]
+
+
+def resolve_bases(
+    fan: Fan, torus_dim: int, bases: EqualSignBases | None = None
+) -> EqualSignBases:
+    """`bases`, or a fresh resolver for `fan`, for an arrangement in a torus
+    of dimension `torus_dim`: the one check that the dimensions agree."""
+    if fan.ambient_dim != torus_dim:
+        raise ValidationError("fan and arrangement dimensions differ")
+    if bases is None:
+        return EqualSignBases(fan)
+    if bases.fan != fan:
+        raise ValidationError("equal-sign bases were resolved for another fan")
+    return bases
 
 
 def weyl_fan_A(n: int) -> Fan:

@@ -110,7 +110,7 @@ def _layer_to_dict(layer: Layer) -> dict:
 @dataclass(frozen=True)
 class Arrangement:
     """Parsed arrangement input: defining layers, optional explicit building
-    set, optional pre-verified equal-sign bases."""
+    set, optional equal-sign bases, verified when the resolver is built."""
 
     torus_dim: int
     layers: tuple[Layer, ...]

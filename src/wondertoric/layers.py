@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .fans import Fan, equal_sign_basis, equal_sign_holds
+from .fans import EqualSignBases, Fan, resolve_bases
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -272,42 +272,23 @@ class GoodnessReport:
 
 
 def goodness_check(
-    fan: Fan,
-    poset: LayerPoset,
-    bound: int = 8,
-    supplied_bases: Sequence[IntMatrix] = (),
+    fan: Fan, poset: LayerPoset, bases: EqualSignBases | None = None
 ) -> GoodnessReport:
     """Check the fan is good for the arrangement: every layer's character
-    lattice has an equal-sign basis.  Supplied bases are verified and used
-    before searching."""
-    if fan.ambient_dim != poset.torus_dim:
-        raise ValidationError("fan and arrangement dimensions differ")
-    supplied: dict[Sublattice, IntMatrix] = {}
-    for rows in supplied_bases:
-        frozen = tuple(tuple(int(x) for x in r) for r in rows)
-        lat = Sublattice.from_rows(fan.ambient_dim, frozen)
-        if len(frozen) != lat.rank:
-            raise ValidationError("supplied equal-sign rows are not a basis")
-        bad = [chi for chi in frozen if not equal_sign_holds(fan, chi)]
-        if bad:
-            raise ValidationError(
-                f"supplied basis row {bad[0]} violates the equal-sign condition"
-            )
-        supplied[lat] = frozen
-    bases = []
+    lattice has an equal-sign basis, supplied to `bases` or found by it."""
+    bases = resolve_bases(fan, poset.torus_dim, bases)
+    found = []
     failures = []
     for lat in sorted(
         {el.gamma for el in poset.elements}, key=lambda g: (g.rank, g.basis)
     ):
         if lat.rank == 0:
             continue
-        rows = supplied.get(lat)
-        if rows is None:
-            rows = equal_sign_basis(fan, lat, bound)
+        rows = bases.find(lat)
         if rows is None:
             failures.append(lat)
         else:
-            bases.append((lat, rows))
+            found.append((lat, rows))
     return GoodnessReport(
-        ok=not failures, bases=tuple(bases), failures=tuple(failures)
+        ok=not failures, bases=tuple(found), failures=tuple(failures)
     )

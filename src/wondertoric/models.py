@@ -14,8 +14,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .fans import Fan, Subfan, betti_numbers, subfan
-from .lattice import IntMatrix, Sublattice
+from .fans import EqualSignBases, Fan, betti_numbers, resolve_bases
+from .lattice import Sublattice
 from .layers import Layer, LayerPoset, intersect, poset_of_layers
 
 GradedCount = tuple[int, ...]
@@ -269,40 +269,13 @@ def support_lattice(building: BuildingSet, support: tuple[int, ...]) -> Sublatti
     return building.poset.elements[comps[0]].gamma
 
 
-def subfan_for_support(
-    building: BuildingSet,
-    fan: Fan,
-    support: tuple[int, ...],
-    bases: dict[Sublattice, IntMatrix] | None = None,
-    bound: int = 8,
-) -> Subfan:
-    gamma = support_lattice(building, support)
-    rows = (bases or {}).get(gamma)
-    return subfan(fan, gamma, rows, bound)
-
-
-def bases_by_lattice(
-    supplied: Iterable[IntMatrix], torus_dim: int
-) -> dict[Sublattice, IntMatrix]:
-    out: dict[Sublattice, IntMatrix] = {}
-    for rows in supplied:
-        frozen = tuple(tuple(int(x) for x in r) for r in rows)
-        out[Sublattice.from_rows(torus_dim, frozen)] = frozen
-    return out
-
-
 def poincare(
-    building: BuildingSet,
-    fan: Fan,
-    supplied_bases: Iterable[IntMatrix] = (),
-    bound: int = 8,
+    building: BuildingSet, fan: Fan, bases: EqualSignBases | None = None
 ) -> PoincareResult:
     """Graded ranks of the model: over each admissible function, the Betti
     vector of the support's subfan shifted by the function's degree."""
-    if fan.ambient_dim != building.torus_dim:
-        raise ValidationError("fan and arrangement dimensions differ")
+    bases = resolve_bases(fan, building.torus_dim, bases)
     n = fan.ambient_dim
-    bases = bases_by_lattice(supplied_bases, building.torus_dim)
     funcs = enumerate_admissible(building)
     by_support: dict[tuple[int, ...], list[AdmissibleFunction]] = {}
     for f in funcs:
@@ -310,7 +283,7 @@ def poincare(
     rows = []
     total: GradedCount = (0,) * (n + 1)
     for support in sorted(by_support, key=lambda s: (len(s), s)):
-        sub = subfan_for_support(building, fan, support, bases, bound)
+        sub = bases.subfan(support_lattice(building, support))
         betti = betti_numbers(sub.fan)
         contribution: GradedCount = (0,) * (n + 1)
         for f in by_support[support]:
@@ -327,23 +300,16 @@ def poincare(
 
 
 def rank_via_blowup_recursion(
-    building: BuildingSet,
-    fan: Fan,
-    supplied_bases: Iterable[IntMatrix] = (),
-    bound: int = 8,
+    building: BuildingSet, fan: Fan, bases: EqualSignBases | None = None
 ) -> GradedCount:
     """Independent oracle: peel blowup centers off in an order refining
     inclusion (deepest first) and apply the graded rank bookkeeping of a
     single smooth blowup at each step."""
-    if fan.ambient_dim != building.torus_dim:
-        raise ValidationError("fan and arrangement dimensions differ")
-    bases = bases_by_lattice(supplied_bases, building.torus_dim)
+    bases = resolve_bases(fan, building.torus_dim, bases)
 
     def ranks_of(ambient: Layer, centers: tuple[Layer, ...]) -> GradedCount:
         if not centers:
-            rows = bases.get(ambient.gamma)
-            sub = subfan(fan, ambient.gamma, rows, bound)
-            return betti_numbers(sub.fan)
+            return betti_numbers(bases.subfan(ambient.gamma).fan)
         z = centers[-1]
         rest = centers[:-1]
         total = ranks_of(ambient, rest)

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MathAssertionError, ValidationError
-from .fans import Fan, Subfan, all_cones, betti_numbers, equal_sign_basis, extend_equal_sign_basis
-from .lattice import IntMatrix, Sublattice, smith_normal_form
-from .models import (
-    AdmissibleFunction,
-    BuildingSet,
-    bases_by_lattice,
-    enumerate_admissible,
-    subfan_for_support,
-)
+from .fans import EqualSignBases, Fan, Subfan, all_cones, betti_numbers, resolve_bases
+from .lattice import IntMatrix, smith_normal_form
+from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
 Monomial = tuple[tuple[Var, int], ...]
@@ -302,8 +296,7 @@ class ModelBasis:
 def monomial_basis(
     building: BuildingSet,
     fan: Fan,
-    supplied_bases=(),
-    bound: int = 8,
+    bases: EqualSignBases | None = None,
     expand_ambient: bool = False,
 ) -> ModelBasis:
     """Explicit graded basis: every admissible function paired with every
@@ -312,7 +305,7 @@ def monomial_basis(
     The empty support contributes one element per ambient cohomology class;
     those stay symbolic unless `expand_ambient` forces an explicit monomial
     basis of the whole fan (feasible for small fans only)."""
-    bases = bases_by_lattice(supplied_bases, building.torus_dim)
+    bases = resolve_bases(fan, building.torus_dim, bases)
     lift_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...] | None, ...]] = {}
     elements = []
     for f in enumerate_admissible(building):
@@ -322,7 +315,7 @@ def monomial_basis(
                     (None,) * count for count in betti_numbers(fan)
                 )
             else:
-                sub = subfan_for_support(building, fan, f.support, bases, bound)
+                sub = bases.subfan(support_lattice(building, f.support))
                 lift_cache[f.support] = subfan_basis_in_parent_labels(sub)
         for deg, level in enumerate(lift_cache[f.support]):
             for mono in level:
@@ -407,8 +400,7 @@ def _restriction_factors(
 def emit_presentation(
     building: BuildingSet,
     fan: Fan,
-    supplied_bases=(),
-    bound: int = 8,
+    bases: EqualSignBases | None = None,
     variant: str = "product",
 ) -> PresentationIdeal:
     """All generator classes of the cohomology presentation.
@@ -419,21 +411,9 @@ def emit_presentation(
     product expanded over an equal-sign basis extension, (e) products over
     member sets with empty total intersection.
     """
-    if fan.ambient_dim != building.torus_dim:
-        raise ValidationError("fan and arrangement dimensions differ")
+    bases = resolve_bases(fan, building.torus_dim, bases)
     members = building.members
     m = len(members)
-    bases = bases_by_lattice(supplied_bases, building.torus_dim)
-
-    def basis_rows(lat: Sublattice) -> IntMatrix:
-        if lat not in bases:
-            rows = equal_sign_basis(fan, lat, bound)
-            if rows is None:
-                raise ValidationError(
-                    "missing equal-sign basis for a member lattice"
-                )
-            bases[lat] = rows
-        return bases[lat]
 
     nonfaces = minimal_nonfaces(fan)
     linear = character_linear_forms(fan)
@@ -456,7 +436,6 @@ def emit_presentation(
 
     poset = building.poset
     relations = []
-    char_cache: dict[tuple[int, int], IntMatrix] = {}
     for g in range(m):
         z: Poly = {}
         for h in below_or_equal[g]:
@@ -474,18 +453,7 @@ def emit_presentation(
                         "enclosing intersection component is not unique"
                     )
                 enclosing = poset.elements[containing[0]]
-                chars = char_cache.get((g, containing[0]))
-                if chars is None:
-                    inner = basis_rows(enclosing.gamma)
-                    full = extend_equal_sign_basis(
-                        fan, members[g].gamma, inner, bound
-                    )
-                    if full is None:
-                        raise ValidationError(
-                            "missing equal-sign extension for a member pair"
-                        )
-                    chars = full[len(inner):]
-                    char_cache[(g, containing[0])] = chars
+                chars = bases.extension(members[g].gamma, enclosing.gamma)
                 poly = _restriction_factors(z, chars, fan.rays, variant)
                 for h in above:
                     poly = poly_mul(poly, poly_var(("T", h)))

@@ -11,6 +11,7 @@ from arrgen import random_cases
 from hilbert import presentation_hilbert_function
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
+    EqualSignBases,
     betti_numbers,
     f_vector,
     orthant_fan,
@@ -147,7 +148,7 @@ def test_criterion_02_curves_and_points_example():
     assert len(funcs) == 11
     assert [(f.support, f.values) for f in funcs] == MAIN_ADMISSIBLE
 
-    res = poincare(building, fan, arr.equal_sign_bases)
+    res = poincare(building, fan, EqualSignBases(fan, arr.equal_sign_bases))
     assert res.total == (1, 75, 75, 1)
     assert len(res.rows) == len(MAIN_ROWS)
     for row in res.rows:
@@ -158,7 +159,9 @@ def test_criterion_02_curves_and_points_example():
 
     # each curve support lifts through cohomology degrees (0, 1), the
     # degree-1 representative being the class of ray 7 (0-based index 6)
-    basis = monomial_basis(building, fan, arr.equal_sign_bases)
+    basis = monomial_basis(
+        building, fan, EqualSignBases(fan, arr.equal_sign_bases)
+    )
     curve_lifts: dict = {}
     for el in basis.elements:
         if el.function.support in ((L2,), (L3,)):
@@ -221,8 +224,10 @@ def test_criterion_03_divisor_example_end_to_end():
     computed: dict = {}
     for f in enumerate_admissible(building):
         computed.setdefault(f.support, []).append(f.values)
-    res = poincare(building, fan, arr.equal_sign_bases)
-    oracle = rank_via_blowup_recursion(building, fan, arr.equal_sign_bases)
+    res = poincare(building, fan, EqualSignBases(fan, arr.equal_sign_bases))
+    oracle = rank_via_blowup_recursion(
+        building, fan, EqualSignBases(fan, arr.equal_sign_bases)
+    )
     rows_by_support = {row.support: row for row in res.rows}
     elapsed = time.perf_counter() - start
 
@@ -261,7 +266,7 @@ def test_criterion_03_divisor_example_end_to_end():
     # independent of nested sets: the graded ranks of the emitted presentation
     for variant in ("product", "power"):
         ideal = emit_presentation(
-            building, fan, arr.equal_sign_bases, variant=variant
+            building, fan, EqualSignBases(fan, arr.equal_sign_bases), variant=variant
         )
         hilbert = presentation_hilbert_function(ideal, 5)
         if hilbert != LINES_EXPECTED_TOTAL + (0,):
@@ -279,7 +284,9 @@ def test_criterion_03_divisor_example_end_to_end():
     else:
         problems.append("members without member 2 accepted as building")
     other = build_building_set(poset, members[:3] + members[4:])
-    other_total = poincare(other, fan, arr.equal_sign_bases).total
+    other_total = poincare(
+        other, fan, EqualSignBases(fan, arr.equal_sign_bases)
+    ).total
     if other_total != (1, 8, 14, 8, 1):
         problems.append(f"members without member 3 give {other_total}")
     assert not problems, "; ".join(problems)
@@ -288,8 +295,10 @@ def test_criterion_03_divisor_example_end_to_end():
 def test_criterion_04_dual_oracle_identity():
     for arr_path, fan_path in BUNDLED:
         arr, fan, poset, building = load_model(arr_path, fan_path)
-        res = poincare(building, fan, arr.equal_sign_bases)
-        oracle = rank_via_blowup_recursion(building, fan, arr.equal_sign_bases)
+        res = poincare(building, fan, EqualSignBases(fan, arr.equal_sign_bases))
+        oracle = rank_via_blowup_recursion(
+        building, fan, EqualSignBases(fan, arr.equal_sign_bases)
+    )
         assert res.total == oracle, arr_path.name
     for label, fan, n, layers in random_cases(20):
         poset = poset_of_layers(n, layers)
@@ -347,7 +356,7 @@ def test_criterion_08_weyl_fan_integration():
 def _poincare_totals_corpus():
     for arr_path, fan_path in BUNDLED:
         arr, fan, poset, building = load_model(arr_path, fan_path)
-        yield poincare(building, fan, arr.equal_sign_bases).total
+        yield poincare(building, fan, EqualSignBases(fan, arr.equal_sign_bases)).total
     for label, fan, n, layers in random_cases(10, seed=51):
         poset = poset_of_layers(n, layers)
         building = build_building_set(poset)
@@ -359,7 +368,7 @@ def _poincare_totals_corpus():
 
 def _check_presentation_counts(arr_path, fan_path):
     arr, fan, poset, building = load_model(arr_path, fan_path)
-    ideal = emit_presentation(building, fan, arr.equal_sign_bases)
+    ideal = emit_presentation(building, fan, EqualSignBases(fan, arr.equal_sign_bases))
     members = building.members
     a, b, c, d, e = ideal.class_sizes()
 

@@ -141,6 +141,68 @@ def test_arr_goodness(capsys):
     assert "good: yes" in out
 
 
+# supplied equal-sign bases that every command searching for bases rejects:
+# (new bases of the file, expected error)
+BAD_BASES = {
+    # the lattice of the bundled fourth basis, but (1, -1, 3) is not equal-sign
+    "main-mixed-signs": (
+        MAIN_ARR,
+        GOOD_FAN,
+        lambda bases: bases[:3] + [[[1, 0, 2], [1, -1, 3]]] + bases[4:],
+        "supplied basis row (1, -1, 3) violates the equal-sign condition",
+    ),
+    "a2-mixed-signs": (
+        A2_ARR,
+        A2_FAN,
+        lambda bases: [[[1, 1]]],
+        "supplied basis row (1, 1) violates the equal-sign condition",
+    ),
+    "a2-dependent-rows": (
+        A2_ARR,
+        A2_FAN,
+        lambda bases: [[[1, 0], [2, 0]]],
+        "supplied equal-sign rows are not a basis",
+    ),
+}
+BASIS_COMMANDS = {
+    "goodness": ["arr", "goodness"],
+    "basis": ["model", "basis"],
+    "poincare": ["model", "poincare"],
+    "presentation": ["model", "presentation"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BASIS_COMMANDS))
+@pytest.mark.parametrize("case", sorted(BAD_BASES))
+def test_bad_supplied_bases_exit_3_everywhere(tmp_path, capsys, command, case):
+    arr_path, fan_path, rewrite, message = BAD_BASES[case]
+    data = json.loads(open(arr_path).read())
+    data["equalSignBases"] = rewrite(data.get("equalSignBases", []))
+    path = tmp_path / "arrangement.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, BASIS_COMMANDS[command] + [str(path), fan_path])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["goodness", "poincare", "presentation"])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_bound_below_one_exits_3(capsys, command, bound):
+    argv = BASIS_COMMANDS[command] + [A2_ARR, A2_FAN, "--bound", bound]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: equal-sign search bound {bound} is below 1\n"
+
+
+@pytest.mark.parametrize("what", ["nested", "admissible"])
+def test_enumerations_take_no_bound(what):
+    with pytest.raises(SystemExit) as exc:
+        main(["model", what, A2_ARR, A2_FAN, "--bound", "8"])
+    assert exc.value.code == 2
+
+
 def test_model_nested_counts(capsys):
     code, out, _ = run(capsys, ["model", "nested", MAIN_ARR, GOOD_FAN])
     assert code == 0

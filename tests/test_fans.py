@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wondertoric import fans
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
+    EqualSignBases,
     Fan,
     all_cones,
     betti_numbers,
@@ -16,7 +20,6 @@ from wondertoric.fans import (
     extend_equal_sign_basis,
     f_vector,
     orthant_fan,
-    subfan,
     validate,
     weyl_fan_A,
 )
@@ -120,19 +123,58 @@ def test_extend_equal_sign_basis(big_fan):
     assert all(equal_sign_holds(big_fan, chi) for chi in rows)
 
 
+def test_equal_sign_bases_resolve_once_through_module_globals(big_fan, monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(fans, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fans, name, wrapper)
+
+    for name in ("equal_sign_basis", "extend_equal_sign_basis", "subfan"):
+        counting(name)
+    bases = EqualSignBases(big_fan, [[(1, 0, 2)]])
+    surface = Sublattice.from_rows(3, [(1, 0, 2)])
+    curve = Sublattice.from_rows(3, [(1, 0, 2), (0, 1, -1)])
+    for _ in range(2):
+        assert bases.rows(surface) == ((1, 0, 2),)
+        assert Sublattice.from_rows(3, bases.rows(curve)) == curve
+        assert bases.subfan(curve).parent_rays == (6, 14)
+        chars = bases.extension(curve, surface)
+        assert Sublattice.from_rows(3, ((1, 0, 2),) + chars) == curve
+    # the supplied basis is never searched for; everything else once
+    assert calls == {"equal_sign_basis": 1, "extend_equal_sign_basis": 1, "subfan": 1}
+
+
+def test_equal_sign_bases_verify_supplied_rows_and_bound(big_fan):
+    with pytest.raises(ValidationError, match=r"\(1, -1, 3\) violates the equal-sign"):
+        EqualSignBases(big_fan, [[(1, 0, 2), (1, -1, 3)]])
+    with pytest.raises(ValidationError, match="not a basis"):
+        EqualSignBases(big_fan, [[(1, 0, 2), (2, 0, 4)]])
+    with pytest.raises(ValidationError, match="bound 0 is below 1"):
+        EqualSignBases(big_fan, bound=0)
+    assert EqualSignBases(P2, bound=1).find(Sublattice.from_rows(2, [(1, 0)])) is None
+
+
 def test_subfan_line_in_big_fan(big_fan):
-    sub = subfan(big_fan, Sublattice.from_rows(3, [(1, 0, 2), (0, 1, -1)]))
+    sub = EqualSignBases(big_fan).subfan(
+        Sublattice.from_rows(3, [(1, 0, 2), (0, 1, -1)])
+    )
     assert sub.parent_rays == (6, 14)
     assert sub.fan.ambient_dim == 1
     assert betti_numbers(sub.fan) == (1, 1)
 
 
 def test_subfan_degenerate_cases(big_fan):
-    full = subfan(big_fan, Sublattice.full(3))
+    full = EqualSignBases(big_fan).subfan(Sublattice.full(3))
     assert full.fan.ambient_dim == 0
     assert full.fan.maximal_cones == ((),)
     assert betti_numbers(full.fan) == (1,)
-    zero = subfan(big_fan, Sublattice.zero(3))
+    zero = EqualSignBases(big_fan).subfan(Sublattice.zero(3))
     assert zero.fan.rays == big_fan.rays
     assert set(zero.fan.maximal_cones) == set(big_fan.maximal_cones)
     assert zero.parent_rays == tuple(range(72))
@@ -140,17 +182,19 @@ def test_subfan_degenerate_cases(big_fan):
 
 def test_subfan_requires_equal_sign():
     with pytest.raises(ValidationError, match="equal-sign"):
-        subfan(P2, Sublattice.from_rows(2, [(1, 0)]))
+        EqualSignBases(P2).subfan(Sublattice.from_rows(2, [(1, 0)]))
 
 
 def test_subfan_rejects_nonsplit(big_fan):
     with pytest.raises(ValidationError, match="split"):
-        subfan(big_fan, Sublattice.from_rows(3, [(2, 0, 0)]))
+        EqualSignBases(big_fan).subfan(Sublattice.from_rows(3, [(2, 0, 0)]))
 
 
 def test_subfan_of_orthant_fan():
     fan = orthant_fan(3)
-    sub = subfan(fan, Sublattice.from_rows(3, [(0, 1, 0), (0, 0, 1)]))
+    sub = EqualSignBases(fan).subfan(
+        Sublattice.from_rows(3, [(0, 1, 0), (0, 0, 1)])
+    )
     assert sub.fan.ambient_dim == 1
     assert betti_numbers(sub.fan) == (1, 1)
     assert sub.parent_rays == (0, 1)

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from wondertoric.errors import ValidationError
-from wondertoric.fans import equal_sign_basis, extend_equal_sign_basis, orthant_fan
+from wondertoric.fans import (
+    EqualSignBases,
+    equal_sign_basis,
+    extend_equal_sign_basis,
+    orthant_fan,
+)
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.lattice import Sublattice
 from wondertoric.layers import (
@@ -145,7 +150,9 @@ def test_poset_main_example(main_arr, big_fan):
 
 def test_goodness_main_example(main_arr, big_fan):
     poset = poset_of_layers(main_arr.torus_dim, main_arr.layers)
-    report = goodness_check(big_fan, poset, supplied_bases=main_arr.equal_sign_bases)
+    report = goodness_check(
+        big_fan, poset, EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    )
     assert report.ok
     assert not report.failures
     # and without any supplied bases the bounded search still succeeds

@@ -9,6 +9,7 @@ import pytest
 
 from arrgen import random_cases
 from wondertoric.errors import ValidationError
+from wondertoric.fans import EqualSignBases, weyl_fan_A
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.lattice import Sublattice
 from wondertoric.layers import Layer, intersect, poset_of_layers
@@ -143,7 +144,9 @@ def test_main_admissible(main_building):
 
 
 def test_main_poincare_rows(main_building, big_fan, main_arr):
-    res = poincare(main_building, big_fan, main_arr.equal_sign_bases)
+    res = poincare(
+        main_building, big_fan, EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    )
     assert res.total == (1, 75, 75, 1)
     by_support = {row.support: row for row in res.rows}
     assert by_support[()].subfan_betti == (1, 69, 69, 1)
@@ -162,7 +165,9 @@ def test_main_poincare_rows(main_building, big_fan, main_arr):
 
 
 def test_main_blowup_oracle(main_building, big_fan, main_arr):
-    oracle = rank_via_blowup_recursion(main_building, big_fan, main_arr.equal_sign_bases)
+    oracle = rank_via_blowup_recursion(
+        main_building, big_fan, EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    )
     assert oracle == (1, 75, 75, 1)
 
 
@@ -210,6 +215,16 @@ def test_lines_admissible_and_poincare(lines_building, lines_fan):
 
 def test_lines_blowup_oracle(lines_building, lines_fan):
     assert rank_via_blowup_recursion(lines_building, lines_fan) == (1, 9, 17, 9, 1)
+
+
+def test_resolver_must_fit_fan_and_arrangement(lines_building, lines_fan):
+    other = weyl_fan_A(5)
+    assert other.ambient_dim == lines_fan.ambient_dim and other != lines_fan
+    for compute in (poincare, rank_via_blowup_recursion):
+        with pytest.raises(ValidationError, match="resolved for another fan"):
+            compute(lines_building, lines_fan, EqualSignBases(other))
+        with pytest.raises(ValidationError, match="dimensions differ"):
+            compute(lines_building, weyl_fan_A(3))
 
 
 def test_a2_example():

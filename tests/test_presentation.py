@@ -6,15 +6,10 @@ import pytest
 
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
-from wondertoric.fans import Fan, orthant_fan
+from wondertoric.fans import EqualSignBases, Fan, orthant_fan
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import poset_of_layers
-from wondertoric.models import (
-    bases_by_lattice,
-    build_building_set,
-    poincare,
-    subfan_for_support,
-)
+from wondertoric.models import build_building_set, poincare, support_lattice
 from wondertoric.presentation import (
     cohomology_basis_monomials,
     character_linear_forms,
@@ -51,7 +46,9 @@ def main_building(main_arr):
 
 @pytest.fixture(scope="module")
 def main_presentation(main_building, big_fan, main_arr):
-    return emit_presentation(main_building, big_fan, main_arr.equal_sign_bases)
+    return emit_presentation(
+        main_building, big_fan, EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    )
 
 
 def test_poly_arithmetic_and_render():
@@ -92,14 +89,16 @@ def test_cohomology_basis_product_of_lines():
 
 
 def test_curve_subfan_lift_prefers_low_parent_label(main_building, big_fan, main_arr):
-    bases = bases_by_lattice(main_arr.equal_sign_bases, 3)
-    sub = subfan_for_support(main_building, big_fan, (3,), bases)
+    bases = EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    sub = bases.subfan(support_lattice(main_building, (3,)))
     assert sub.parent_rays == (6, 14)
     assert subfan_basis_in_parent_labels(sub) == (((),), ((6,),))
 
 
 def test_monomial_basis_main(main_building, big_fan, main_arr):
-    mb = monomial_basis(main_building, big_fan, main_arr.equal_sign_bases)
+    mb = monomial_basis(
+        main_building, big_fan, EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    )
     assert mb.graded_counts(4) == (1, 75, 75, 1)
     curve_elements = [
         el for el in mb.elements if el.function.support == (3,)
@@ -158,7 +157,10 @@ def test_relation_t_and_c_content(main_presentation):
 
 def test_power_variant_same_shape(main_building, big_fan, main_arr):
     pres = emit_presentation(
-        main_building, big_fan, main_arr.equal_sign_bases, variant="power"
+        main_building,
+        big_fan,
+        EqualSignBases(big_fan, main_arr.equal_sign_bases),
+        variant="power",
     )
     assert pres.class_sizes() == (2346, 3, 606, 75, 424)
     assert pres.variant == "power"
