@@ -22,7 +22,12 @@ from .models import (
     poincare,
     rank_via_blowup_recursion,
 )
-from .presentation import emit_presentation, monomial_basis, render_terms
+from .presentation import (
+    emit_presentation,
+    monomial_basis,
+    render_monomial,
+    render_terms,
+)
 from .series import (
     eulerian_series,
     lec_series,
@@ -237,30 +242,21 @@ def _admissible_json(building: BuildingSet, funcs) -> dict:
 
 
 def _ray_product_text(monomial) -> str:
-    if not monomial:
-        return "1"
-    counts = Counter(monomial)
-    parts = []
-    for ray in sorted(counts):
-        exp = counts[ray]
-        parts.append(f"C{ray + 1}" + (f"^{exp}" if exp > 1 else ""))
-    return "*".join(parts)
+    counts = Counter(("C", ray) for ray in monomial)
+    return render_monomial(tuple(sorted(counts.items())))
 
 
-def _function_text(building: BuildingSet, func) -> str:
-    if not func.support:
-        return "1"
-    parts = []
-    for member, value in zip(func.support, func.values):
-        parts.append(building.label(member) + (f"^{value}" if value > 1 else ""))
-    return "*".join(parts)
+def _function_text(func) -> str:
+    return render_monomial(
+        tuple((("T", m), v) for m, v in zip(func.support, func.values))
+    )
 
 
 def _basis_text(building: BuildingSet, basis, graded) -> list[str]:
     lines = [f"basis elements: {len(basis.elements)}"]
     ambient_seen: Counter = Counter()
     for el in basis.elements:
-        func = _function_text(building, el.function)
+        func = _function_text(el.function)
         if el.monomial is None:
             ambient_seen[(el.function, el.cohomology_degree)] += 1
             j = ambient_seen[(el.function, el.cohomology_degree)]

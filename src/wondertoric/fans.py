@@ -22,6 +22,7 @@ from .lattice import (
     express_in_rows,
     is_primitive,
     smith_normal_form,
+    split_rank,
     vector_gcd,
 )
 
@@ -92,13 +93,10 @@ def _simplicial(fan: Fan) -> bool:
 
 @lru_cache(maxsize=None)
 def _smooth(fan: Fan) -> bool:
-    for cone in fan.maximal_cones:
-        rows = [fan.rays[i] for i in cone]
-        if rows:
-            snf = smith_normal_form(rows)
-            if snf.rank != len(cone) or any(d != 1 for d in snf.diagonal[: len(cone)]):
-                return False
-    return True
+    return all(
+        split_rank([fan.rays[i] for i in cone]) == len(cone)
+        for cone in fan.maximal_cones
+    )
 
 
 @lru_cache(maxsize=None)
@@ -255,11 +253,6 @@ def _coeff_vectors(s: int, height: int):
     yield from rec([], False, False)
 
 
-def _extends_to_unimodular(rows: list[tuple[int, ...]]) -> bool:
-    snf = smith_normal_form(rows)
-    return snf.rank == len(rows) and all(d == 1 for d in snf.diagonal[: len(rows)])
-
-
 def extend_equal_sign_basis(
     fan: Fan,
     outer: Sublattice,
@@ -277,7 +270,7 @@ def extend_equal_sign_basis(
     """
     s = outer.rank
     coeff_rows = [outer.coordinates_of(v) for v in inner_rows]
-    if coeff_rows and not _extends_to_unimodular(coeff_rows):
+    if split_rank(coeff_rows) != len(coeff_rows):
         raise ValidationError("inner vectors do not split off in the outer lattice")
 
     pool: list = []
@@ -287,10 +280,9 @@ def extend_equal_sign_basis(
             return tuple(chosen)
         for idx in range(start, len(pool)):
             coeffs, chi = pool[idx]
-            if _extends_to_unimodular(chosen_coeffs + [coeffs]):
-                found = search(
-                    idx + 1, chosen_coeffs + [coeffs], chosen + [chi]
-                )
+            grown = chosen_coeffs + [coeffs]
+            if split_rank(grown) == len(grown):
+                found = search(idx + 1, grown, chosen + [chi])
                 if found is not None:
                     return found
         return None
@@ -314,7 +306,7 @@ def equal_sign_basis(fan: Fan, lat: Sublattice, bound: int = 8) -> IntMatrix | N
     if lat.rank == 0:
         return ()
     # cheap path: the canonical basis often works as-is
-    if _extends_to_unimodular(list(lat.basis)) and all(
+    if split_rank(lat.basis) == lat.rank and all(
         equal_sign_holds(fan, row) for row in lat.basis
     ):
         return lat.basis

@@ -210,6 +210,15 @@ def _smith_of(frozen: IntMatrix, width: int) -> SmithForm:
     return smith_normal_form(frozen)
 
 
+def split_rank(rows: Sequence[Sequence[int]]) -> int | None:
+    """Rank of the row lattice when it is a split summand of Z^n (every
+    nonzero Smith invariant is 1), else None; 0 for no rows."""
+    if not rows:
+        return 0
+    snf = smith_normal_form(rows)
+    return snf.rank if all(d <= 1 for d in snf.diagonal) else None
+
+
 def express_in_rows(
     rows: IntMatrix, width: int, v: Sequence[int]
 ) -> tuple[int, ...] | None:
@@ -235,8 +244,8 @@ def express_in_rows(
 
 @dataclass(frozen=True)
 class Sublattice:
-    """Sublattice of Z^n in canonical form: basis is the Hermite form of the
-    generators, so equal lattices compare equal."""
+    """Sublattice of Z^n in canonical form: the constructor replaces the
+    given generators by their Hermite form, so equal lattices compare equal."""
 
     ambient_rank: int
     basis: IntMatrix
@@ -247,15 +256,11 @@ class Sublattice:
         for row in self.basis:
             if len(row) != self.ambient_rank:
                 raise ValidationError("generator length differs from ambient rank")
-        if self.basis != hermite_form(self.basis, self.ambient_rank):
-            raise ValidationError("basis rows are not in Hermite normal form")
+        object.__setattr__(self, "basis", hermite_form(self.basis, self.ambient_rank))
 
     @classmethod
     def from_rows(cls, ambient_rank: int, rows: Sequence[Sequence[int]]) -> Sublattice:
-        for row in rows:
-            if len(row) != ambient_rank:
-                raise ValidationError("generator length differs from ambient rank")
-        return cls(ambient_rank, hermite_form(rows, ambient_rank))
+        return cls(ambient_rank, rows)
 
     @classmethod
     def zero(cls, ambient_rank: int) -> Sublattice:
@@ -314,4 +319,6 @@ class Sublattice:
 
     def saturation(self) -> Sublattice:
         """Smallest split summand of Z^n containing this lattice."""
+        if self.is_split_summand():
+            return self
         return self.kernel_lattice().kernel_lattice()

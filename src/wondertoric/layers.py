@@ -2,11 +2,13 @@
 
 A layer is the solution set of chi(t) = e^(2 pi i phi(chi)) for chi in a split
 character sublattice Gamma and phi: Gamma -> Q/Z.  Split Gamma makes the layer
-a nonempty connected translate of a subtorus.  Intersections of layers split
-into finitely many such components; enumerating them is exact Smith-form
-arithmetic on the character data.  The poset of layers is closed under
-intersection, so it answers intersections of its elements from its
-containment matrix alone.
+a nonempty connected translate of a subtorus.  The solution set of any
+finite family of character equations splits into finitely many such
+components; one solver enumerates them by exact Smith-form arithmetic, for
+a layer given by arbitrary generators and for an intersection of layers
+alike.  The poset of layers is closed under intersection and stores its
+containment once, as bitmasks, so it answers intersections of its elements
+from those bits alone.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
 from .fans import EqualSignBases, Fan, resolve_bases
-from .lattice import (
-    IntMatrix,
-    Sublattice,
-    express_in_rows,
-    smith_normal_form,
-)
+from .lattice import IntMatrix, Sublattice, smith_normal_form
 
 
 def mod1(x: Fraction | int) -> Fraction:
@@ -61,21 +58,19 @@ class Layer:
         """Layer from arbitrary generators with their character values.
 
         The values must be consistent on every integer relation among the
-        generators; the stored phi is re-expressed on the canonical basis.
+        generators, and the generators must span a split summand; phi is
+        stored on the canonical basis.
         """
         if len(rows) != len(values):
             raise ValidationError("one character value per generator required")
-        vals = [mod1(Fraction(v)) for v in values]
-        gamma = Sublattice.from_rows(ambient_rank, rows)
-        frozen = tuple(tuple(int(x) for x in r) for r in rows)
-        _check_consistency(frozen, vals)
-        phi = []
-        for b in gamma.basis:
-            coeffs = express_in_rows(frozen, ambient_rank, b)
-            if coeffs is None:
-                raise MathAssertionError("basis row escaped the generator lattice")
-            phi.append(mod1(sum(Fraction(c) * v for c, v in zip(coeffs, vals))))
-        return cls(gamma, tuple(phi))
+        components = _solve(ambient_rank, rows, [Fraction(v) for v in values])
+        if not components:
+            raise ValidationError(
+                "character values are inconsistent on a relation among generators"
+            )
+        if len(components) > 1:
+            raise ValidationError("layer character lattice must be a split summand")
+        return components[0]
 
     @classmethod
     def torus(cls, ambient_rank: int) -> Layer:
@@ -88,10 +83,6 @@ class Layer:
     @property
     def rank(self) -> int:
         return self.gamma.rank
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_rank - self.rank
 
     def value_on(self, v: Sequence[int]) -> Fraction:
         """phi at a vector of Gamma."""
@@ -112,36 +103,26 @@ class Layer:
         return (self.rank, self.gamma.basis, self.phi)
 
 
-def _check_consistency(rows: IntMatrix, vals: list[Fraction]) -> None:
-    """Every integer relation among the rows must kill the values mod 1."""
-    if not rows:
-        return
-    snf = smith_normal_form(rows)
-    for i in range(snf.rank, len(rows)):
-        rel = snf.left[i]
-        if mod1(sum(Fraction(c) * v for c, v in zip(rel, vals))) != 0:
-            raise ValidationError(
-                "character values are inconsistent on a relation among generators"
-            )
-
-
 def intersect(a: Layer, b: Layer) -> tuple[Layer, ...]:
     """Connected components of the intersection of two layers, canonically
     ordered; () when the intersection is empty."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    n = a.ambient_rank
-    rows = a.gamma.basis + b.gamma.basis
-    vals = list(a.phi) + list(b.phi)
-    joined = Sublattice.from_rows(n, rows)
-    sat = joined.saturation()
-    # express each generator in the saturation's basis
-    coeff_rows = tuple(sat.coordinates_of(r) for r in rows)
-    if not coeff_rows:
+    return _solve(a.ambient_rank, a.gamma.basis + b.gamma.basis, a.phi + b.phi)
+
+
+def _solve(
+    n: int, rows: Sequence[Sequence[int]], values: Sequence[Fraction]
+) -> tuple[Layer, ...]:
+    """Connected components of {t : chi(t) = e^(2 pi i v)} over the pairs
+    (chi, v) of `rows` and `values`, canonically ordered; () when empty."""
+    if not rows:
         return (Layer.torus(n),)
-    snf = smith_normal_form(coeff_rows)
+    sat = Sublattice.from_rows(n, rows).saturation()
+    # express each generator in the saturation's basis
+    snf = smith_normal_form(tuple(sat.coordinates_of(r) for r in rows))
     lv = [
-        mod1(sum(Fraction(c) * v for c, v in zip(snf.left[i], vals)))
+        mod1(sum(Fraction(c) * v for c, v in zip(snf.left[i], values)))
         for i in range(len(rows))
     ]
     r = sat.rank
@@ -182,38 +163,35 @@ class LayerPoset:
     closed under pairwise intersection, with containment precomputed.
 
     Elements are in canonical (rank, lattice, translation) order, so the
-    torus comes first.  `components` relies on the closure: every connected
+    torus comes first.  Bit j of `below[i]` is set when elements[i] contains
+    elements[j].  `components` relies on the closure: every connected
     component of an intersection of elements is itself an element."""
 
     torus_dim: int
     elements: tuple[Layer, ...]
-    contains_matrix: tuple[tuple[bool, ...], ...]
+    below: tuple[int, ...]
+
+    @cached_property
+    def above(self) -> tuple[int, ...]:
+        """Per element, the bitmask of the elements containing it."""
+        return tuple(
+            sum(1 << i for i, mask in enumerate(self.below) if mask >> j & 1)
+            for j in range(len(self.below))
+        )
 
     def contains(self, i: int, j: int) -> bool:
         """elements[i] contains elements[j] as a subvariety."""
-        return self.contains_matrix[i][j]
-
-    @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per element, the bitmask of the elements it contains and the
-        bitmask of the elements containing it."""
-        rows = self.contains_matrix
-        below = tuple(sum(1 << j for j, c in enumerate(row) if c) for row in rows)
-        above = tuple(
-            sum(1 << i for i, row in enumerate(rows) if row[j])
-            for j in range(len(rows))
-        )
-        return below, above
+        return bool(self.below[i] >> j & 1)
 
     def components(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Connected components of the intersection of the elements at
         `indices`, as element indices in canonical order: the maximal
         elements among those that all of them contain.  () when the
         intersection is empty; the torus alone for no indices."""
-        below, above = self._masks
+        above = self.above
         common = (1 << len(self.elements)) - 1
         for i in indices:
-            common &= below[i]
+            common &= self.below[i]
         out = []
         rest = common
         while rest:
@@ -227,19 +205,13 @@ class LayerPoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j): elements[i] covers elements[j] under containment,
         i.e. i properly contains j with nothing strictly between."""
-        out = []
         m = len(self.elements)
-        for i in range(m):
-            for j in range(m):
-                if i == j or not self.contains(i, j):
-                    continue
-                if any(
-                    k not in (i, j) and self.contains(i, k) and self.contains(k, j)
-                    for k in range(m)
-                ):
-                    continue
-                out.append((i, j))
-        return tuple(out)
+        return tuple(
+            (i, j)
+            for i in range(m)
+            for j in range(m)
+            if i != j and self.below[i] & self.above[j] == (1 << i) | (1 << j)
+        )
 
 
 def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
@@ -258,10 +230,10 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
                     elements.add(comp)
                     frontier.append(comp)
     ordered = tuple(sorted(elements, key=Layer.sort_key))
-    matrix = tuple(
-        tuple(x.contains(y) for y in ordered) for x in ordered
+    below = tuple(
+        sum(1 << j for j, y in enumerate(ordered) if x.contains(y)) for x in ordered
     )
-    return LayerPoset(torus_dim, ordered, matrix)
+    return LayerPoset(torus_dim, ordered, below)
 
 
 @dataclass(frozen=True)

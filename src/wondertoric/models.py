@@ -48,26 +48,39 @@ class BuildingSet:
 
     def contains(self, i: int, j: int) -> bool:
         """Member i contains member j as a subvariety."""
-        return self.poset.contains_matrix[self.positions[i]][self.positions[j]]
+        return self.poset.contains(self.positions[i], self.positions[j])
 
     def components(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Poset indices of the connected components of the intersection of
         the members in `subset`, in canonical order."""
         return self.poset.components(self.positions[i] for i in subset)
 
+    def enclosing(self, member: int, above: Iterable[int]) -> int:
+        """Poset index of the single component of the intersection of the
+        members `above` that contains member `member`; the torus for no
+        members above."""
+        position = self.positions[member]
+        around = [
+            c for c in self.components(above) if self.poset.contains(c, position)
+        ]
+        if len(around) != 1:
+            raise MathAssertionError("enclosing intersection component is not unique")
+        return around[0]
+
     def label(self, i: int) -> str:
         return f"T{i + 1}"
 
 
 def build_building_set(
-    poset: LayerPoset, members: Sequence[Layer] | None = None, check: bool = True
+    poset: LayerPoset, members: Sequence[Layer] | None = None
 ) -> BuildingSet:
-    """Assemble (and by default verify) a building set from poset elements.
+    """Assemble a building set from poset elements.
 
     With members None the whole poset minus the torus is used, which is always
-    building.  The check verifies the defining property: for every layer
-    outside the set, the minimal members above it are transversal and cut it
-    out as a connected component of their intersection.
+    building.  Explicit members are verified against the defining property:
+    for every layer outside the set, the minimal members above it are
+    transversal and cut it out as a connected component of their
+    intersection.
     """
     torus = Layer.torus(poset.torus_dim)
     position = {el: k for k, el in enumerate(poset.elements)}
@@ -83,7 +96,7 @@ def build_building_set(
     if not chosen:
         raise ValidationError("building set must be nonempty")
     building = BuildingSet(poset, chosen, tuple(position[m] for m in chosen))
-    if check and members is not None:
+    if members is not None:
         ok, witness = _building_defect(building)
         if not ok:
             raise ValidationError(f"not a building set: fails at layer {witness}")
@@ -205,20 +218,12 @@ def _support_bounds(
 ) -> tuple[int, ...] | None:
     """Strict upper bound for the value at each support element, or None if
     some element cannot even take the value 1."""
-    poset = building.poset
+    elements = building.poset.elements
     bounds = []
     for a in support:
         supers = [b for b in support if b != a and building.contains(b, a)]
-        around = [
-            c
-            for c in building.components(supers)
-            if poset.contains(c, building.positions[a])
-        ]
-        if len(around) != 1:
-            raise MathAssertionError(
-                "nested set gave an ambiguous enclosing intersection"
-            )
-        bound = building.members[a].rank - poset.elements[around[0]].rank
+        enclosing = elements[building.enclosing(a, supers)]
+        bound = building.members[a].rank - enclosing.rank
         if bound < 2:
             return None
         bounds.append(bound)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import MathAssertionError, ValidationError
 from .fans import EqualSignBases, Fan, Subfan, all_cones, betti_numbers, resolve_bases
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import IntMatrix, smith_normal_form, split_rank
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
@@ -196,13 +196,6 @@ def _relation_rows(
     return rows
 
 
-def _stack_is_split(rows: list[tuple[int, ...]], expected_rank: int) -> bool:
-    if not rows:
-        return expected_rank == 0
-    sf = smith_normal_form(tuple(rows))
-    return sf.rank == expected_rank and all(d == 1 for d in sf.diagonal if d)
-
-
 def cohomology_basis_monomials(
     fan: Fan,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -234,7 +227,7 @@ def cohomology_basis_monomials(
                 1 if i == cols[mono] else 0 for i in range(len(cols))
             )
             stack = relations + chosen_rows + [indicator]
-            if _stack_is_split(stack, base_rank + len(chosen) + 1):
+            if split_rank(stack) == base_rank + len(chosen) + 1:
                 chosen.append(mono)
                 chosen_rows.append(indicator)
         if len(chosen) != rank_needed:
@@ -270,8 +263,9 @@ class BasisElement:
     """One graded basis element: an admissible function together with a
     lifted subfan monomial.
 
-    `monomial` is None for classes of the ambient fan left unexpanded (the
-    empty support); `cohomology_degree` always records the lift degree."""
+    `monomial` is None for the classes of the ambient fan, which the empty
+    support contributes symbolically; `cohomology_degree` always records the
+    lift degree."""
 
     function: AdmissibleFunction
     monomial: tuple[int, ...] | None
@@ -297,20 +291,18 @@ def monomial_basis(
     building: BuildingSet,
     fan: Fan,
     bases: EqualSignBases | None = None,
-    expand_ambient: bool = False,
 ) -> ModelBasis:
     """Explicit graded basis: every admissible function paired with every
     lifted basis monomial of its support's subfan.
 
-    The empty support contributes one element per ambient cohomology class;
-    those stay symbolic unless `expand_ambient` forces an explicit monomial
-    basis of the whole fan (feasible for small fans only)."""
+    The empty support contributes one symbolic element per ambient
+    cohomology class."""
     bases = resolve_bases(fan, building.torus_dim, bases)
     lift_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...] | None, ...]] = {}
     elements = []
     for f in enumerate_admissible(building):
         if f.support not in lift_cache:
-            if f.support == () and not expand_ambient:
+            if f.support == ():
                 lift_cache[()] = tuple(
                     (None,) * count for count in betti_numbers(fan)
                 )
@@ -442,17 +434,7 @@ def emit_presentation(
             z = poly_add(z, poly_var(("T", h), -1))
         for size in range(len(strictly_above[g]) + 1):
             for above in combinations(strictly_above[g], size):
-                # no members above: the enclosing component is the torus
-                containing = [
-                    c
-                    for c in building.components(above)
-                    if poset.contains(c, building.positions[g])
-                ]
-                if len(containing) != 1:
-                    raise MathAssertionError(
-                        "enclosing intersection component is not unique"
-                    )
-                enclosing = poset.elements[containing[0]]
+                enclosing = poset.elements[building.enclosing(g, above)]
                 chars = bases.extension(members[g].gamma, enclosing.gamma)
                 poly = _restriction_factors(z, chars, fan.rays, variant)
                 for h in above:

@@ -333,8 +333,9 @@ def test_forest_from_text_rejects_garbage():
         forest_from_text("1 2")
 
 
-def test_reproduce_matches_golden(capsys):
-    code, out, _ = run(capsys, ["reproduce", "example-a2"])
+@pytest.mark.parametrize("example", ["example-main", "example-lines", "example-a2"])
+def test_reproduce_matches_golden(capsys, example):
+    code, out, _ = run(capsys, ["reproduce", example])
     assert code == 0
     assert "reproduction matches the recorded output" in out
 

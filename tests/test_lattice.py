@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wondertoric.lattice
 from wondertoric.errors import ValidationError
 from wondertoric.lattice import (
     Sublattice,
@@ -16,6 +17,7 @@ from wondertoric.lattice import (
     identity_matrix,
     mat_mul,
     smith_normal_form,
+    split_rank,
 )
 
 
@@ -103,6 +105,34 @@ def test_hermite_canonical():
 def test_hermite_zero_rows_dropped():
     assert hermite_form([[0, 0, 0]], 3) == ()
     assert hermite_form([], 2) == ()
+
+
+def test_constructor_canonicalizes_generators():
+    rows = [[2, 4], [2, 1], [4, 5]]
+    lat = Sublattice(2, rows)
+    assert lat == Sublattice.from_rows(2, rows)
+    assert lat.basis == ((2, 1), (0, 3))
+
+
+def test_from_rows_computes_one_hermite_form(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hermite_form(*args, **kwargs)
+
+    monkeypatch.setattr(wondertoric.lattice, "hermite_form", counted)
+    Sublattice.from_rows(3, [[1, 0, 2], [2, 2, 2], [0, 2, -2]])
+    assert len(calls) == 1
+
+
+def test_split_rank():
+    assert split_rank([[1, 0, 2], [0, 1, -1]]) == 2
+    assert split_rank([[2, 0]]) is None
+    assert split_rank([[1, 1], [2, 2], [0, 0]]) == 1
+    assert split_rank([[1, 1], [3, 3]]) == 1
+    assert split_rank([[1, 0], [1, 2]]) is None
+    assert split_rank([]) == 0
 
 
 def test_saturation_frozen_example():

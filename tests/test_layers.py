@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from arrgen import random_cases
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
     EqualSignBases,
@@ -22,6 +23,7 @@ from wondertoric.layers import (
     mod1,
     poset_of_layers,
 )
+from wondertoric.typea import minimal_equal_coordinate_building
 
 HALF = Fraction(1, 2)
 
@@ -55,8 +57,13 @@ def test_from_generators_reexpresses_phi():
 
 
 def test_inconsistent_values_rejected():
-    with pytest.raises(ValidationError, match="inconsistent"):
-        Layer.from_generators(2, [[1, 0], [2, 0]], [0, Fraction(1, 3)])
+    # the second input also spans a non-split lattice: inconsistency wins
+    for n, rows, values in (
+        (2, [[1, 0], [2, 0]], [0, Fraction(1, 3)]),
+        (1, [[2], [4]], [HALF, HALF]),
+    ):
+        with pytest.raises(ValidationError, match="inconsistent"):
+            Layer.from_generators(n, rows, values)
 
 
 def test_nonsplit_gamma_rejected():
@@ -113,6 +120,38 @@ def test_poset_a2():
     for el in poset.elements:
         if el.rank == 1:
             assert el.contains(point)
+
+
+def _brute_force_covers(poset):
+    m = len(poset.elements)
+    c = poset.contains
+    return tuple(
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if i != j
+        and c(i, j)
+        and not any(k not in (i, j) and c(i, k) and c(k, j) for k in range(m))
+    )
+
+
+def _cover_cases():
+    for name in ("main", "lines", "a2"):
+        arr = load_arrangement(fixture_path(f"example_{name}.arrangement.json"))
+        yield name, poset_of_layers(arr.torus_dim, arr.layers)
+    for n in (3, 4):
+        yield f"eqc{n}", minimal_equal_coordinate_building(n)[0]
+    for label, _, n, layers in random_cases(20, seed=11):
+        yield label, poset_of_layers(n, layers)
+
+
+def test_covers_match_brute_force():
+    for label, poset in _cover_cases():
+        elements = poset.elements
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                assert poset.contains(i, j) == a.contains(b), (label, i, j)
+        assert poset.covers() == _brute_force_covers(poset), label
 
 
 def test_poset_main_example(main_arr, big_fan):
