@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 
 from .errors import FileFormatError, MathAssertionError, ValidationError
-from .fans import EqualSignBases, Fan, betti_numbers, resolve_bases, validate
+from .fans import EqualSignBases, Fan, betti_numbers, complete_bases, validate
 from .files import fixture_path, load_arrangement, load_fan
 from .layers import goodness_check, poset_of_layers
 from .models import (
@@ -102,7 +102,7 @@ def _model_inputs(arrfile, fanfile, bound: int = 8):
     built from the file's equal-sign bases for the fan file's fan."""
     arr = load_arrangement(arrfile)
     fan = load_fan(fanfile)
-    bases = resolve_bases(
+    bases = complete_bases(
         fan, arr.torus_dim, EqualSignBases(fan, arr.equal_sign_bases, bound)
     )
     building = building_set_from_arrangement(arr.torus_dim, arr.layers, arr.building)
@@ -571,6 +571,8 @@ def _cmd_typea_psi(args) -> int:
 
 def _cmd_typea_verify(args) -> int:
     order = args.order
+    if order < 1:
+        raise ValidationError(f"series order {order} is below 1")
     recurrence = verify_lambda_recurrence(order)
     identity = verify_main_identity(order)
     stat_order = min(order, 8)

@@ -330,10 +330,12 @@ class Subfan:
 def subfan(fan: Fan, gamma: Sublattice, rows: IntMatrix) -> Subfan:
     """Restrict `fan` to the faces lying in the annihilator of `gamma`.
 
-    `gamma` is trusted to be a split summand of Z^n, n the fan's dimension,
-    and `rows` to be an equal-sign basis of it (faces then meet the
-    annihilator in faces); `EqualSignBases.subfan` checks the first and
-    supplies the second.
+    `fan` is trusted to be complete, `gamma` to be a split summand of Z^n, n
+    the fan's dimension, and `rows` to be an equal-sign basis of it (faces
+    then meet the annihilator in faces).  The restriction is then a complete
+    simplicial fan, so it is pure: its maximal cones are the restricted
+    cones of full dimension.  `complete_bases` checks the first,
+    `EqualSignBases.subfan` the second, and it supplies the third.
     """
     kernel = gamma.kernel_lattice()
     m = kernel.rank
@@ -342,7 +344,6 @@ def subfan(fan: Fan, gamma: Sublattice, rows: IntMatrix) -> Subfan:
         for i, ray in enumerate(fan.rays)
         if all(dot(g, ray) == 0 for g in gamma.basis)
     ]
-    flag_set = set(flagged)
     new_rays = []
     for i in flagged:
         coords = express_in_rows(kernel.basis, fan.ambient_dim, fan.rays[i])
@@ -352,14 +353,10 @@ def subfan(fan: Fan, gamma: Sublattice, rows: IntMatrix) -> Subfan:
             raise MathAssertionError("restricted ray lost primitivity")
         new_rays.append(coords)
     reindex = {old: new for new, old in enumerate(flagged)}
-    kept = set()
-    for cone in fan.maximal_cones:
-        kept.add(tuple(i for i in cone if i in flag_set))
-    maximal = [
-        c for c in kept if not any(c != d and set(c) <= set(d) for d in kept)
-    ]
-    new_cones = [tuple(reindex[i] for i in c) for c in maximal]
-    sub = Fan.make(m, new_rays, new_cones)
+    restricted = (
+        tuple(reindex[i] for i in cone if i in reindex) for cone in fan.maximal_cones
+    )
+    sub = Fan.make(m, new_rays, [c for c in restricted if len(c) == m])
     return Subfan(
         fan=sub,
         parent_rays=tuple(flagged),
@@ -446,6 +443,17 @@ def resolve_bases(
         return EqualSignBases(fan)
     if bases.fan != fan:
         raise ValidationError("equal-sign bases were resolved for another fan")
+    return bases
+
+
+def complete_bases(
+    fan: Fan, torus_dim: int, bases: EqualSignBases | None = None
+) -> EqualSignBases:
+    """`resolve_bases` for a wonderful model, which also needs `fan` to be
+    complete: the one completeness check of the model computations."""
+    bases = resolve_bases(fan, torus_dim, bases)
+    if not _complete(fan):
+        raise ValidationError("wonderful models require a complete fan")
     return bases
 
 

@@ -6,9 +6,11 @@ a nonempty connected translate of a subtorus.  The solution set of any
 finite family of character equations splits into finitely many such
 components; one solver enumerates them by exact Smith-form arithmetic, for
 a layer given by arbitrary generators and for an intersection of layers
-alike.  The poset of layers is closed under intersection and stores its
-containment once, as bitmasks, so it answers intersections of its elements
-from those bits alone.
+alike.  The poset of layers is closed by intersecting each new element with
+the input layers only, and its containment is read off the edges of that
+closure: each component of cur & a lies in cur.  It stores the containment
+once, as bitmasks, so it answers intersections of its elements from those
+bits alone.
 """
 
 from __future__ import annotations
@@ -160,11 +162,13 @@ def _torsion_choices(diag, values):
 @dataclass(frozen=True)
 class LayerPoset:
     """All connected components of intersections of an arrangement's layers,
-    closed under pairwise intersection, with containment precomputed.
+    with containment precomputed.
 
     Elements are in canonical (rank, lattice, translation) order, so the
-    torus comes first.  Bit j of `below[i]` is set when elements[i] contains
-    elements[j].  `components` relies on the closure: every connected
+    torus comes first and an element comes after every element containing
+    it.  Bit j of `below[i]` is set when elements[i] contains elements[j];
+    `poset_of_layers` builds these masks from its closure's edges, without
+    a containment test.  `components` relies on the closure: every connected
     component of an intersection of elements is itself an element."""
 
     torus_dim: int
@@ -187,19 +191,18 @@ class LayerPoset:
         """Connected components of the intersection of the elements at
         `indices`, as element indices in canonical order: the maximal
         elements among those that all of them contain.  () when the
-        intersection is empty; the torus alone for no indices."""
-        above = self.above
+        intersection is empty; the torus alone for no indices.
+
+        The lowest remaining index is maximal, since elements are in rank
+        order; it is recorded and everything it contains is dropped."""
         common = (1 << len(self.elements)) - 1
         for i in indices:
             common &= self.below[i]
         out = []
-        rest = common
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            if above[j] & common == low:
-                out.append(j)
-            rest ^= low
+        while common:
+            j = (common & -common).bit_length() - 1
+            out.append(j)
+            common &= ~self.below[j]
         return tuple(out)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -215,25 +218,51 @@ class LayerPoset:
 
 
 def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
-    """Close the arrangement under pairwise component-wise intersection."""
+    """Close the arrangement under component-wise intersection.
+
+    Each element is intersected with the input layers (the atoms) only, and
+    not with an atom already known to contain it: every component of
+    L1 & ... & Lk is a component of C & Lk for a component C of
+    L1 & ... & L(k-1).  Each component of cur & a is recorded as lying in
+    cur, and containment is the transitive closure of those edges.  That is
+    complete: if y lies strictly inside x, some atom a contains y but not x,
+    so x & a was computed and its component containing y lies strictly
+    between them; induction on the rank finishes."""
     for layer in layers:
         if layer.ambient_rank != torus_dim:
             raise ValidationError("layer ambient rank differs from torus dimension")
-    elements: set[Layer] = {Layer.torus(torus_dim)}
-    elements.update(layers)
-    frontier = list(elements)
-    while frontier:
-        cur = frontier.pop()
-        for other in list(elements):
-            for comp in intersect(cur, other):
-                if comp not in elements:
-                    elements.add(comp)
-                    frontier.append(comp)
-    ordered = tuple(sorted(elements, key=Layer.sort_key))
-    below = tuple(
-        sum(1 << j for j, y in enumerate(ordered) if x.contains(y)) for x in ordered
-    )
-    return LayerPoset(torus_dim, ordered, below)
+    torus = Layer.torus(torus_dim)
+    atoms = [a for a in dict.fromkeys(layers) if a != torus]
+    # elements in discovery order, the torus first; per element, the bitmask
+    # of the atoms known to contain it and the elements found inside it
+    found = [torus, *atoms]
+    index = {el: k for k, el in enumerate(found)}
+    over = [0] + [1 << bit for bit in range(len(atoms))]
+    inside = [set(range(1, len(found)))] + [set() for _ in atoms]
+    k = 1
+    while k < len(found):
+        for bit, a in enumerate(atoms):
+            if over[k] >> bit & 1:
+                continue
+            for comp in intersect(found[k], a):
+                if comp not in index:
+                    index[comp] = len(found)
+                    found.append(comp)
+                    over.append(0)
+                    inside.append(set())
+                c = index[comp]
+                over[c] |= over[k] | 1 << bit
+                inside[k].add(c)
+        k += 1
+    order = sorted(range(len(found)), key=lambda f: found[f].sort_key())
+    position = {f: i for i, f in enumerate(order)}
+    below = [0] * len(order)
+    # an element comes after everything containing it, so fill from the end
+    for i in reversed(range(len(order))):
+        below[i] = 1 << i
+        for c in inside[order[i]]:
+            below[i] |= below[position[c]]
+    return LayerPoset(torus_dim, tuple(found[f] for f in order), tuple(below))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .fans import EqualSignBases, Fan, betti_numbers, resolve_bases
+from .fans import EqualSignBases, Fan, betti_numbers, complete_bases
 from .lattice import Sublattice
 from .layers import Layer, LayerPoset, intersect, poset_of_layers
 
@@ -279,7 +279,7 @@ def poincare(
 ) -> PoincareResult:
     """Graded ranks of the model: over each admissible function, the Betti
     vector of the support's subfan shifted by the function's degree."""
-    bases = resolve_bases(fan, building.torus_dim, bases)
+    bases = complete_bases(fan, building.torus_dim, bases)
     n = fan.ambient_dim
     funcs = enumerate_admissible(building)
     by_support: dict[tuple[int, ...], list[AdmissibleFunction]] = {}
@@ -310,7 +310,7 @@ def rank_via_blowup_recursion(
     """Independent oracle: peel blowup centers off in an order refining
     inclusion (deepest first) and apply the graded rank bookkeeping of a
     single smooth blowup at each step."""
-    bases = resolve_bases(fan, building.torus_dim, bases)
+    bases = complete_bases(fan, building.torus_dim, bases)
 
     def ranks_of(ambient: Layer, centers: tuple[Layer, ...]) -> GradedCount:
         if not centers:

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MathAssertionError, ValidationError
-from .fans import EqualSignBases, Fan, Subfan, all_cones, betti_numbers, resolve_bases
+from .fans import (
+    EqualSignBases,
+    Fan,
+    Subfan,
+    all_cones,
+    betti_numbers,
+    complete_bases,
+)
 from .lattice import IntMatrix, smith_normal_form, split_rank
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
@@ -297,7 +304,7 @@ def monomial_basis(
 
     The empty support contributes one symbolic element per ambient
     cohomology class."""
-    bases = resolve_bases(fan, building.torus_dim, bases)
+    bases = complete_bases(fan, building.torus_dim, bases)
     lift_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...] | None, ...]] = {}
     elements = []
     for f in enumerate_admissible(building):
@@ -403,7 +410,7 @@ def emit_presentation(
     product expanded over an equal-sign basis extension, (e) products over
     member sets with empty total intersection.
     """
-    bases = resolve_bases(fan, building.torus_dim, bases)
+    bases = complete_bases(fan, building.torus_dim, bases)
     members = building.members
     m = len(members)
 

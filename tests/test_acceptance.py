@@ -344,8 +344,8 @@ def test_criterion_07_series_identities():
 
 
 def test_criterion_08_weyl_fan_integration():
-    series = toric_poincare_series(4)
-    for n in (2, 3, 4):
+    series = toric_poincare_series(6)
+    for n in (2, 3, 4, 5, 6):
         poset, building = minimal_equal_coordinate_building(n)
         res = poincare(building, weyl_fan_A(n))
         assert qpoly(res.total) == series.coefficient(n), n

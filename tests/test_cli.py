@@ -9,6 +9,7 @@ import pytest
 from wondertoric import cli
 from wondertoric.cli import forest_from_text, forest_to_text, main
 from wondertoric.errors import FileFormatError, MathAssertionError
+from wondertoric.fans import Fan
 from wondertoric.files import (
     arrangement_from_dict,
     arrangement_to_dict,
@@ -112,6 +113,54 @@ def test_incomplete_fan_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, ["fan", "check", str(path)])
     assert code == 3
     assert "complete: no" in out
+
+
+def _incomplete_model_files(tmp_path):
+    """(arrangement, fan) file pairs whose fans are not complete: the A2 fan
+    minus one cone, and the orthant fan of Z^2 plus a stray 1-dimensional
+    maximal cone through (1, 1), under the point {x = y = 1}."""
+    weyl = load_fan(A2_FAN)
+    minus = tmp_path / "weyl_minus_cone.json"
+    minus.write_text(
+        json.dumps(fan_to_dict(Fan.make(2, weyl.rays, weyl.maximal_cones[:-1])))
+    )
+    stray = tmp_path / "orthant_stray.json"
+    stray.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "ambientDim": 2,
+                "rays": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                "maximalCones": [[0, 2], [0, 3], [1, 2], [1, 3], [4]],
+            }
+        )
+    )
+    point = tmp_path / "point.json"
+    point.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "torusDim": 2,
+                "layers": [{"gamma": [[1, 0], [0, 1]], "phi": ["0", "0"]}],
+            }
+        )
+    )
+    return ((A2_ARR, str(minus)), (str(point), str(stray)))
+
+
+def test_model_commands_reject_incomplete_fans(tmp_path, capsys):
+    for arr, fan in _incomplete_model_files(tmp_path):
+        for what in ("nested", "admissible", "basis", "poincare", "presentation"):
+            code, out, err = run(capsys, ["model", what, arr, fan])
+            assert code == 3, (fan, what)
+            assert out == ""
+            assert "require a complete fan" in err
+        # the fan and goodness reports still accept an incomplete fan
+        code, out, _ = run(capsys, ["fan", "check", fan])
+        assert code == 3
+        assert "complete: no" in out
+        code, _, _ = run(capsys, ["arr", "goodness", arr, fan])
+        assert code == 0
 
 
 def test_fan_round_trip():
@@ -315,6 +364,14 @@ def test_typea_verify(capsys):
     assert "tree-series recurrence through t^4: pass" in out
     assert "statistic composite identity through t^4: pass" in out
     assert "hook/descent equidistribution through t^4: pass" in out
+
+
+def test_typea_verify_rejects_order_below_1(capsys):
+    for order in ("0", "-1"):
+        code, out, err = run(capsys, ["typea", "verify", "--order", order])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: series order {order} is below 1\n"
 
 
 def test_forest_text_round_trip():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,10 @@ from wondertoric.layers import (
     mod1,
     poset_of_layers,
 )
-from wondertoric.typea import minimal_equal_coordinate_building
+from wondertoric.typea import (
+    equal_coordinate_arrangement,
+    minimal_equal_coordinate_building,
+)
 
 HALF = Fraction(1, 2)
 
@@ -152,6 +156,76 @@ def test_covers_match_brute_force():
             for j, b in enumerate(elements):
                 assert poset.contains(i, j) == a.contains(b), (label, i, j)
         assert poset.covers() == _brute_force_covers(poset), label
+
+
+def _all_pairs_closure(torus_dim, layers):
+    """Reference closure: intersect every new element with every element
+    found so far, then test containment on every pair of elements."""
+    elements = {Layer.torus(torus_dim), *layers}
+    frontier = list(elements)
+    while frontier:
+        cur = frontier.pop()
+        for other in list(elements):
+            for comp in intersect(cur, other):
+                if comp not in elements:
+                    elements.add(comp)
+                    frontier.append(comp)
+    ordered = tuple(sorted(elements, key=Layer.sort_key))
+    below = tuple(
+        sum(1 << j for j, y in enumerate(ordered) if x.contains(y)) for x in ordered
+    )
+    return ordered, below
+
+
+def _closure_cases():
+    for name in ("main", "lines", "a2"):
+        arr = load_arrangement(fixture_path(f"example_{name}.arrangement.json"))
+        yield name, arr.torus_dim, arr.layers
+    for n in (3, 4, 5):
+        yield f"eqc{n}", n - 1, equal_coordinate_arrangement(n)
+    for label, _, n, layers in random_cases(40, seed=7):
+        yield label, n, layers
+    k1 = Layer.from_generators(3, [[1, 0, 2]], [0])
+    k3 = Layer.from_generators(3, [[1, 2, 0]], [0])
+    k2 = Layer.from_generators(3, [[1, 1, -1]], [0])
+    yield "duplicates", 3, (k1, k3, k1, k2, k3)
+    # one component of k1 & k3 and the point k1 & k2 & k3, given as inputs,
+    # and the torus itself
+    point = Layer.from_generators(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+    yield "intersections", 3, (intersect(k1, k3)[1], k1, point, Layer.torus(3), k3, k2)
+
+
+def test_closure_matches_all_pairs_reference():
+    for label, torus_dim, layers in _closure_cases():
+        poset = poset_of_layers(torus_dim, layers)
+        elements, below = _all_pairs_closure(torus_dim, layers)
+        assert poset.elements == elements, label
+        assert poset.below == below, label
+
+
+def _components_visit_every_bit(poset, indices):
+    """Reference: every element all of `indices` contain, kept when no other
+    such element contains it."""
+    above = poset.above
+    common = (1 << len(poset.elements)) - 1
+    for i in indices:
+        common &= poset.below[i]
+    return tuple(
+        j
+        for j in range(len(poset.elements))
+        if common >> j & 1 and above[j] & common == 1 << j
+    )
+
+
+def test_components_walk_matches_every_bit_reference():
+    poset, building = minimal_equal_coordinate_building(6)
+    rng = random.Random(6)
+    positions = building.positions
+    for _ in range(1000):
+        subset = rng.sample(positions, rng.randint(0, 6))
+        assert poset.components(subset) == _components_visit_every_bit(
+            poset, subset
+        ), subset
 
 
 def test_poset_main_example(main_arr, big_fan):

@@ -9,12 +9,13 @@ import pytest
 
 from arrgen import random_cases
 from wondertoric.errors import ValidationError
-from wondertoric.fans import EqualSignBases, weyl_fan_A
+from wondertoric.fans import EqualSignBases, Fan, orthant_fan, weyl_fan_A
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.lattice import Sublattice
-from wondertoric.layers import Layer, intersect, poset_of_layers
+from wondertoric.layers import Layer, goodness_check, intersect, poset_of_layers
 from wondertoric.models import (
     build_building_set,
+    building_set_from_arrangement,
     enumerate_admissible,
     enumerate_nested_sets,
     is_well_connected,
@@ -22,6 +23,7 @@ from wondertoric.models import (
     rank_via_blowup_recursion,
     support_lattice,
 )
+from wondertoric.presentation import emit_presentation, monomial_basis
 from wondertoric.typea import minimal_equal_coordinate_building
 
 HALF = Fraction(1, 2)
@@ -302,3 +304,28 @@ def test_components_match_chained_intersections():
                 label,
                 support,
             )
+
+
+def _incomplete_models():
+    a2 = load_arrangement(fixture_path("example_a2.arrangement.json"))
+    weyl = load_fan(fixture_path("weyl_a3_fan.json"))
+    yield Fan.make(2, weyl.rays, weyl.maximal_cones[:-1]), a2.layers
+    # a stray 1-dimensional maximal cone: restricted to its full-dimensional
+    # cones this is the orthant fan, whose blowup at the point has (1, 3, 1)
+    orthant = orthant_fan(2)
+    stray = Fan.make(2, orthant.rays + ((1, 1),), orthant.maximal_cones + ((4,),))
+    yield stray, (Layer.from_generators(2, [[1, 0], [0, 1]], [0, 0]),)
+
+
+def test_model_computations_reject_incomplete_fans():
+    for fan, layers in _incomplete_models():
+        building = building_set_from_arrangement(2, layers)
+        for compute in (
+            poincare,
+            rank_via_blowup_recursion,
+            monomial_basis,
+            emit_presentation,
+        ):
+            with pytest.raises(ValidationError, match="require a complete fan"):
+                compute(building, fan)
+        assert goodness_check(fan, building.poset).ok
