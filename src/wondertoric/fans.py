@@ -450,10 +450,12 @@ def complete_bases(
     fan: Fan, torus_dim: int, bases: EqualSignBases | None = None
 ) -> EqualSignBases:
     """`resolve_bases` for a wonderful model, which also needs `fan` to be
-    complete: the one completeness check of the model computations."""
+    complete and smooth: the one such check of the model computations."""
     bases = resolve_bases(fan, torus_dim, bases)
     if not _complete(fan):
         raise ValidationError("wonderful models require a complete fan")
+    if not _smooth(fan):
+        raise ValidationError("wonderful models require a smooth fan")
     return bases
 
 

@@ -1,5 +1,13 @@
 """Exact truncated exponential generating series over polynomials in the
-grading variable q, plus the tree/permutation series they connect."""
+grading variable q, plus the tree/permutation series they connect.
+
+The tree series and the hook-statistic series are solved from their
+functional equations, coefficient by coefficient; nothing is enumerated to
+build them.  The enumerations they replace, `typea.admissible_trees` and
+the sum of `typea.lec` over permutations (`lec_series`), stay as
+independent oracles: the tests compare both routes, and `typea verify`
+keeps an enumerative equidistribution check through t^8.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .typea import admissible_trees, lec
+from .typea import lec
 
 QPoly = tuple[Fraction, ...]
 
@@ -112,8 +120,8 @@ class TruncatedSeries:
         for n in range(a.order + 1):
             acc: QPoly = ()
             for k in range(n + 1):
-                term = _qp_mul(a.coefficients[k], b.coefficients[n - k])
-                acc = _qp_add(acc, qpoly(comb(n, k) * c for c in term))
+                x, y = a.coefficients[k], b.coefficients[n - k]
+                acc = _qp_add(acc, _binomial_term(n, k, x, y))
             out.append(acc)
         return TruncatedSeries(a.order, tuple(out))
 
@@ -129,43 +137,55 @@ class TruncatedSeries:
         for n in range(1, self.order + 1):
             acc: QPoly = ()
             for k in range(n):
-                term = _qp_mul(self.coefficients[k + 1], coeffs[n - 1 - k])
-                acc = _qp_add(acc, qpoly(comb(n - 1, k) * c for c in term))
+                a, b = self.coefficients[k + 1], coeffs[n - 1 - k]
+                acc = _qp_add(acc, _binomial_term(n - 1, k, a, b))
             coeffs.append(acc)
         return TruncatedSeries(self.order, tuple(coeffs))
 
     def compose_in_t(self, inner: TruncatedSeries) -> TruncatedSeries:
+        """self(inner(t)): coefficient n is the sum over k of coefficient k
+        of self times coefficient n of inner^k/k!."""
         if inner.coefficients[0]:
             raise ValidationError("composition needs a zero inner constant term")
         order = min(self.order, inner.order)
-        f_ord = [
-            tuple(c / _factorial(n) for c in self.coefficients[n])
-            for n in range(order + 1)
-        ]
-        g_ord = [
-            tuple(c / _factorial(n) for c in inner.coefficients[n])
-            for n in range(order + 1)
-        ]
-        acc: list[QPoly] = [f_ord[order]] + [()] * order
-        for k in range(order - 1, -1, -1):
-            nxt: list[QPoly] = []
-            for i in range(order + 1):
-                total: QPoly = ()
-                for j in range(i + 1):
-                    total = _qp_add(total, _qp_mul(acc[j], g_ord[i - j]))
-                nxt.append(total)
-            nxt[0] = _qp_add(nxt[0], f_ord[k])
-            acc = nxt
-        return TruncatedSeries(
-            order, tuple(qpoly(c * _factorial(n) for c in acc[n]) for n in range(order + 1))
-        )
+        powers = _power_table(list(inner.coefficients[: order + 1]))
+        out: list[QPoly] = []
+        for n in range(order + 1):
+            _power_column(powers, n)
+            acc: QPoly = ()
+            for k in range(n + 1):
+                acc = _qp_add(acc, _qp_mul(self.coefficients[k], powers[k][n]))
+            out.append(acc)
+        return TruncatedSeries(order, tuple(out))
 
 
-def _factorial(n: int) -> Fraction:
-    out = Fraction(1)
+def _binomial_term(n: int, k: int, a: QPoly, b: QPoly) -> QPoly:
+    """comb(n, k) * a * b."""
+    return qpoly(comb(n, k) * c for c in _qp_mul(a, b))
+
+
+def _power_table(g: list[QPoly]) -> list[list[QPoly]]:
+    """Rows k = 0..order of coefficients 0..order of g^k/k!, filled for
+    k <= 1 only; row 1 is the list `g` itself, not a copy."""
+    order = len(g) - 1
+    rest = [[()] * (order + 1) for _ in range(order - 1)]
+    return [[qpoly(1)] + [()] * order, g] + rest
+
+
+def _power_column(powers: list[list[QPoly]], n: int) -> None:
+    """Fill coefficient n of g^k/k! for k = 2..n, g = powers[1].
+
+    The sum runs over the part of g holding the least of the n labels, so it
+    reads only coefficients below n of every row: columns can be filled in
+    increasing n while g itself is still being solved for.
+    """
+    g = powers[1]
     for k in range(2, n + 1):
-        out *= k
-    return out
+        acc: QPoly = ()
+        for j in range(1, n - k + 2):
+            term = _binomial_term(n - 1, j - 1, g[j], powers[k - 1][n - j])
+            acc = _qp_add(acc, term)
+        powers[k][n] = acc
 
 
 def _common(a: TruncatedSeries, b: TruncatedSeries):
@@ -185,14 +205,28 @@ def series_one(order: int) -> TruncatedSeries:
     return make_series(order, [(1,)])
 
 
+def _q_sum(m: int) -> QPoly:
+    """q + q^2 + ... + q^m."""
+    return qpoly((0,) + (1,) * m)
+
+
 def tree_series(order: int) -> TruncatedSeries:
-    """Leaf-count series of admissible trees graded by total exponent."""
-    polys: list[QPoly] = [()]
+    """Leaf-count series of admissible trees graded by total exponent.
+
+    It solves lambda = t + sum_{k>=3} (q + ... + q^(k-2)) lambda^k/k!: the
+    root of a tree on three or more leaves has k >= 3 subtrees, on a set
+    partition of the leaves, and an exponent in 1..k-2.  Coefficient n of
+    lambda^k/k! reads only coefficients below n of lambda, so one pass over
+    n solves the equation.
+    """
+    lam: list[QPoly] = [()] * (order + 1)
+    powers = _power_table(lam)  # lam is solved in place, as row 1
     for n in range(1, order + 1):
-        counts = Counter(t.degree for t in admissible_trees(tuple(range(1, n + 1))))
-        top = max(counts, default=0)
-        polys.append(qpoly(counts.get(d, 0) for d in range(top + 1)))
-    return make_series(order, polys)
+        _power_column(powers, n)
+        lam[n] = qpoly(1) if n == 1 else ()
+        for k in range(3, n + 1):
+            lam[n] = _qp_add(lam[n], _qp_mul(_q_sum(k - 2), powers[k][n]))
+    return TruncatedSeries(order, tuple(lam))
 
 
 def forest_series(order: int) -> TruncatedSeries:
@@ -200,8 +234,28 @@ def forest_series(order: int) -> TruncatedSeries:
     return tree_series(order).exp().sub(series_one(order))
 
 
+def hook_series(order: int) -> TruncatedSeries:
+    """Hook-inversion statistic by permutation size, as e^t / (1 - H) with
+    H = sum_{k>=2} (q + ... + q^(k-1)) t^k/k!.
+
+    A permutation factors uniquely as an increasing word followed by hooks
+    (`typea.hook_factorize`), and the hooks on a k-letter set have one each
+    of the inversion counts 1..k-1.  Coefficient 0 is left empty, as in
+    `lec_series`, which sums the statistic over the permutations instead.
+    """
+    # f = e^t + H f, and every coefficient of e^t is 1
+    f: list[QPoly] = [qpoly(1)]
+    for n in range(1, order + 1):
+        acc = qpoly(1)
+        for k in range(2, n + 1):
+            acc = _qp_add(acc, _binomial_term(n, k, _q_sum(k - 1), f[n - k]))
+        f.append(acc)
+    return TruncatedSeries(order, ((),) + tuple(f[1:]))
+
+
 def lec_series(order: int) -> TruncatedSeries:
-    """Hook-inversion statistic summed over every permutation, by size."""
+    """Hook-inversion statistic summed over every permutation, by size: the
+    enumerative route to `hook_series`."""
     polys: list[QPoly] = [()]
     for n in range(1, order + 1):
         counts = Counter(lec(p) for p in permutations(range(1, n + 1)))
@@ -222,8 +276,7 @@ def eulerian_series(order: int) -> TruncatedSeries:
     for n in range(1, order + 1):
         acc: QPoly = ()
         for k in range(n):
-            term = _qp_mul(s[k], d[n - k])
-            acc = _qp_add(acc, qpoly(comb(n, k) * c for c in term))
+            acc = _qp_add(acc, _binomial_term(n, k, s[k], d[n - k]))
         s.append(_qp_divexact(qpoly(-c for c in acc), one_minus_q))
     polys = [()] + [_qp_shift_down(p) for p in s[1:]]
     return make_series(order, polys)
@@ -261,7 +314,9 @@ def verify_main_identity(order: int) -> bool:
     """Check that hook-statistic, descent, and forest-derivative series all
     agree after substituting the tree series."""
     lam = tree_series(order + 1)
-    direct = forest_series(order + 1).derivative_t().sub(series_one(order))
-    left = lec_series(order).compose_in_t(lam.truncate(order))
-    right = eulerian_series(order).compose_in_t(lam.truncate(order))
+    # the forest series is e^lambda - 1, whose constant vanishes under d/dt
+    direct = lam.exp().derivative_t().sub(series_one(order))
+    lam = lam.truncate(order)
+    left = hook_series(order).compose_in_t(lam)
+    right = eulerian_series(order).compose_in_t(lam)
     return left == direct == right

@@ -163,6 +163,38 @@ def test_model_commands_reject_incomplete_fans(tmp_path, capsys):
         assert code == 0
 
 
+def test_model_commands_reject_non_smooth_fans(tmp_path, capsys):
+    fan = tmp_path / "index_two.json"
+    fan.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "ambientDim": 2,
+                "rays": [[1, 0], [1, 2], [-1, 0], [0, -1]],
+                "maximalCones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+            }
+        )
+    )
+    line = tmp_path / "line.json"
+    line.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "torusDim": 2,
+                "layers": [{"gamma": [[0, 1]], "phi": ["0"]}],
+            }
+        )
+    )
+    for what in ("nested", "admissible", "basis", "poincare", "presentation"):
+        code, out, err = run(capsys, ["model", what, str(line), str(fan)])
+        assert code == 3, what
+        assert out == ""
+        assert "require a smooth fan" in err
+    code, out, _ = run(capsys, ["fan", "check", str(fan)])
+    assert code == 3
+    assert "smooth: no" in out and "complete: yes" in out
+
+
 def test_fan_round_trip():
     fan = load_fan(GOOD_FAN)
     assert fan_from_dict(fan_to_dict(fan)) == fan
@@ -364,6 +396,17 @@ def test_typea_verify(capsys):
     assert "tree-series recurrence through t^4: pass" in out
     assert "statistic composite identity through t^4: pass" in out
     assert "hook/descent equidistribution through t^4: pass" in out
+
+
+def test_typea_verify_beyond_the_enumerated_orders(capsys):
+    code, out, err = run(capsys, ["typea", "verify", "--order", "12", "--json"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["checks"] == {
+        "tree-series recurrence through t^12": True,
+        "statistic composite identity through t^12": True,
+        "hook/descent equidistribution through t^8": True,
+    }
 
 
 def test_typea_verify_rejects_order_below_1(capsys):

@@ -329,3 +329,22 @@ def test_model_computations_reject_incomplete_fans():
             with pytest.raises(ValidationError, match="require a complete fan"):
                 compute(building, fan)
         assert goodness_check(fan, building.poset).ok
+
+
+def test_model_computations_reject_non_smooth_fans():
+    # complete, but the cone on (1, 0), (1, 2) has index 2
+    fan = Fan.make(
+        2, ((1, 0), (1, 2), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
+    )
+    building = building_set_from_arrangement(
+        2, (Layer.from_generators(2, [[0, 1]], [0]),)
+    )
+    for compute in (
+        poincare,
+        rank_via_blowup_recursion,
+        monomial_basis,
+        emit_presentation,
+    ):
+        with pytest.raises(ValidationError, match="require a smooth fan"):
+            compute(building, fan)
+    assert goodness_check(fan, building.poset).ok

@@ -11,6 +11,7 @@ from wondertoric.errors import MathAssertionError, ValidationError
 from wondertoric.series import (
     eulerian_series,
     forest_series,
+    hook_series,
     lec_series,
     make_series,
     qpoly,
@@ -20,7 +21,7 @@ from wondertoric.series import (
     verify_lambda_recurrence,
     verify_main_identity,
 )
-from wondertoric.typea import enumerate_forests, eulerian
+from wondertoric.typea import admissible_trees, enumerate_forests, eulerian
 
 
 def test_qpoly_normalizes():
@@ -73,12 +74,30 @@ def test_tree_series_prefix():
     assert lam.coefficients == ((), (1,), (), (0, 1), (0, 1, 1))
 
 
+def _degree_counts(degrees) -> tuple[int, ...]:
+    counts = Counter(degrees)
+    return tuple(counts.get(d, 0) for d in range(max(counts, default=-1) + 1))
+
+
+def test_tree_series_matches_enumerated_trees():
+    lam = tree_series(8)
+    for n in range(1, 9):
+        trees = admissible_trees(tuple(range(1, n + 1)))
+        assert lam.integer_coefficient(n) == _degree_counts(t.degree for t in trees)
+
+
+def test_tree_series_enumerates_no_trees():
+    before = admissible_trees.cache_info()
+    tree_series(10)
+    after = admissible_trees.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_forest_series_matches_enumeration():
     phi = forest_series(6)
     for n in range(1, 7):
-        counts = Counter(f.degree for f in enumerate_forests(n))
-        expected = tuple(counts.get(d, 0) for d in range(max(counts) + 1))
-        assert phi.integer_coefficient(n) == expected
+        degrees = (f.degree for f in enumerate_forests(n))
+        assert phi.integer_coefficient(n) == _degree_counts(degrees)
 
 
 def test_eulerian_series_matches_descent_triangle():
@@ -92,6 +111,11 @@ def test_lec_series_small():
     ell = lec_series(5)
     for n in range(1, 6):
         assert ell.integer_coefficient(n) == tuple(eulerian(n)[1:])
+
+
+def test_hook_series_matches_permutation_sum():
+    assert hook_series(8) == lec_series(8)
+    assert hook_series(0) == lec_series(0)
 
 
 def test_toric_poincare_series_small_ranks():
