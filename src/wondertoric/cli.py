@@ -24,6 +24,7 @@ from .models import (
 )
 from .presentation import (
     emit_presentation,
+    mono_powers,
     monomial_basis,
     render_monomial,
     render_terms,
@@ -242,13 +243,12 @@ def _admissible_json(building: BuildingSet, funcs) -> dict:
 
 
 def _ray_product_text(monomial) -> str:
-    counts = Counter(("C", ray) for ray in monomial)
-    return render_monomial(tuple(sorted(counts.items())))
+    return render_monomial(tuple(("C", ray) for ray in monomial))
 
 
 def _function_text(func) -> str:
     return render_monomial(
-        tuple((("T", m), v) for m, v in zip(func.support, func.values))
+        tuple(("T", m) for m, v in zip(func.support, func.values) for _ in range(v))
     )
 
 
@@ -346,6 +346,13 @@ def _presentation_text(building: BuildingSet, ideal, full: bool) -> list[str]:
     return lines
 
 
+def _terms_json(terms) -> list:
+    """Terms as [[[[kind, index], exponent], ...], coefficient], ordered by
+    their (variable, exponent) lists."""
+    powers = sorted((mono_powers(mono), coeff) for mono, coeff in terms)
+    return [[[[list(v), e] for v, e in mono], coeff] for mono, coeff in powers]
+
+
 def _presentation_json(building: BuildingSet, ideal, full: bool) -> dict:
     return {
         "variables": ideal.variable_count,
@@ -353,16 +360,13 @@ def _presentation_json(building: BuildingSet, ideal, full: bool) -> dict:
         "memberCount": ideal.member_count,
         "variant": ideal.variant,
         "nonfaceMonomials": [list(m) for m in ideal.nonface_monomials],
-        "linearForms": [
-            [[list(map(list, mono)), coeff] for mono, coeff in form]
-            for form in ideal.linear_forms
-        ],
+        "linearForms": [_terms_json(form) for form in ideal.linear_forms],
         "rayMemberProducts": [list(p) for p in ideal.ray_member_products],
         "memberRelations": [
             {
                 "member": rel.member,
                 "above": list(rel.above),
-                "terms": [[list(map(list, mono)), coeff] for mono, coeff in rel.terms],
+                "terms": _terms_json(rel.terms),
             }
             for rel in ideal.member_relations
         ],

@@ -317,25 +317,23 @@ def equal_sign_basis(fan: Fan, lat: Sublattice, bound: int = 8) -> IntMatrix | N
 class Subfan:
     """Fan induced on the subspace orthogonal to a character sublattice.
 
-    `fan` lives in coordinates of `kernel_basis` (rows, in parent
-    coordinates); `parent_rays[i]` is the parent index of ray i.
+    `fan` lives in the coordinates of the canonical basis of the kernel
+    lattice; `parent_rays[i]` is the parent index of ray i, increasing in i.
     """
 
     fan: Fan
     parent_rays: tuple[int, ...]
-    kernel_basis: IntMatrix
-    basis_used: IntMatrix
 
 
-def subfan(fan: Fan, gamma: Sublattice, rows: IntMatrix) -> Subfan:
+def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
     """Restrict `fan` to the faces lying in the annihilator of `gamma`.
 
-    `fan` is trusted to be complete, `gamma` to be a split summand of Z^n, n
-    the fan's dimension, and `rows` to be an equal-sign basis of it (faces
-    then meet the annihilator in faces).  The restriction is then a complete
+    `fan` is trusted to be complete, and `gamma` to be a split summand of
+    Z^n, n the fan's dimension, with an equal-sign basis (faces then meet
+    the annihilator in faces).  The restriction is then a complete
     simplicial fan, so it is pure: its maximal cones are the restricted
-    cones of full dimension.  `complete_bases` checks the first,
-    `EqualSignBases.subfan` the second, and it supplies the third.
+    cones of full dimension.  `complete_bases` checks the first, and
+    `EqualSignBases.subfan` the other two.
     """
     kernel = gamma.kernel_lattice()
     m = kernel.rank
@@ -357,12 +355,7 @@ def subfan(fan: Fan, gamma: Sublattice, rows: IntMatrix) -> Subfan:
         tuple(reindex[i] for i in cone if i in reindex) for cone in fan.maximal_cones
     )
     sub = Fan.make(m, new_rays, [c for c in restricted if len(c) == m])
-    return Subfan(
-        fan=sub,
-        parent_rays=tuple(flagged),
-        kernel_basis=kernel.basis,
-        basis_used=rows,
-    )
+    return Subfan(fan=sub, parent_rays=tuple(flagged))
 
 
 class EqualSignBases:
@@ -410,13 +403,15 @@ class EqualSignBases:
         return rows
 
     def subfan(self, gamma: Sublattice) -> Subfan:
-        """`subfan` along `gamma`, once `gamma` is checked to be split."""
+        """`subfan` along `gamma`, once `gamma` is checked to be split and
+        to have an equal-sign basis."""
         if gamma not in self._subfans:
             if gamma.ambient_rank != self.fan.ambient_dim:
                 raise ValidationError("character lattice has wrong ambient rank")
             if not gamma.is_split_summand():
                 raise ValidationError("character lattice is not a split summand")
-            self._subfans[gamma] = subfan(self.fan, gamma, self.rows(gamma))
+            self.rows(gamma)
+            self._subfans[gamma] = subfan(self.fan, gamma)
         return self._subfans[gamma]
 
     def extension(self, outer: Sublattice, inner: Sublattice) -> IntMatrix:

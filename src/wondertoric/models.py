@@ -10,7 +10,7 @@ codimension bookkeeping of each center.  They must agree coefficient-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
@@ -281,23 +281,17 @@ def poincare(
     vector of the support's subfan shifted by the function's degree."""
     bases = complete_bases(fan, building.torus_dim, bases)
     n = fan.ambient_dim
-    funcs = enumerate_admissible(building)
-    by_support: dict[tuple[int, ...], list[AdmissibleFunction]] = {}
-    for f in funcs:
-        by_support.setdefault(f.support, []).append(f)
     rows = []
     total: GradedCount = (0,) * (n + 1)
-    for support in sorted(by_support, key=lambda s: (len(s), s)):
-        sub = bases.subfan(support_lattice(building, support))
-        betti = betti_numbers(sub.fan)
+    for support, group in groupby(enumerate_admissible(building), lambda f: f.support):
+        funcs = tuple(group)
+        betti = betti_numbers(bases.subfan(support_lattice(building, support)).fan)
         contribution: GradedCount = (0,) * (n + 1)
-        for f in by_support[support]:
+        for f in funcs:
             contribution = _padded_add(contribution, betti, shift=f.degree)
         if len(contribution) > n + 1:
             raise MathAssertionError("contribution exceeds the ambient dimension")
-        rows.append(
-            SupportRow(support, betti, tuple(by_support[support]), contribution)
-        )
+        rows.append(SupportRow(support, betti, funcs, contribution))
         total = _padded_add(total, contribution)
     if total != total[::-1]:
         raise MathAssertionError(f"graded ranks {total} are not palindromic")

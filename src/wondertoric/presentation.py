@@ -1,15 +1,19 @@
 """Cohomology presentation of a model: ray and member variables, generator
 classes, and explicit monomial bases lifted from subfans.
 
-Polynomials here are sparse integer maps from monomials to coefficients.  A
-variable is ("C", i) for the divisor class of ray i or ("T", j) for the class
-of building-set member j, both 0-based; rendering is 1-based.
+A variable is ("C", i) for the divisor class of ray i or ("T", j) for the class
+of building-set member j, both 0-based; rendering is 1-based.  A monomial is
+the sorted tuple of its variables with repetition, so C1^2*T4 is
+(("C", 0), ("C", 0), ("T", 3)); monomials in the ray variables alone are
+sorted tuples of ray indices, such as (0, 0, 3).  Polynomials are sparse
+integer maps from monomials to coefficients.  `mono_powers` is the one place
+that groups a monomial into (variable, exponent) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, groupby
 
 from .errors import MathAssertionError, ValidationError
 from .fans import (
@@ -20,11 +24,11 @@ from .fans import (
     betti_numbers,
     complete_bases,
 )
-from .lattice import IntMatrix, smith_normal_form, split_rank
+from .lattice import IntMatrix, dot, smith_normal_form, split_rank
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
-Monomial = tuple[tuple[Var, int], ...]
+Monomial = tuple[Var, ...]
 PolyTerms = tuple[tuple[Monomial, int], ...]
 Poly = dict[Monomial, int]
 
@@ -34,7 +38,7 @@ def poly_freeze(p: Poly) -> PolyTerms:
 
 
 def poly_var(v: Var, coeff: int = 1) -> Poly:
-    return {((v, 1),): coeff} if coeff else {}
+    return {(v,): coeff} if coeff else {}
 
 
 def poly_const(c: int) -> Poly:
@@ -57,10 +61,7 @@ def poly_neg(a: Poly) -> Poly:
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict[Var, int] = {}
-    for v, e in m1 + m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    return tuple(sorted(m1 + m2))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -77,34 +78,32 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 
 def mono_degree(m: Monomial, kind: str | None = None) -> int:
-    return sum(e for v, e in m if kind is None or v[0] == kind)
+    return len(m) if kind is None else sum(v[0] == kind for v in m)
 
 
 def poly_degree(p: Poly, kind: str | None = None) -> int:
     return max((mono_degree(m, kind) for m in p), default=0)
 
 
-def _var_label(v: Var) -> str:
-    return f"{v[0]}{v[1] + 1}"
+def mono_powers(m: Monomial) -> tuple[tuple[Var, int], ...]:
+    """The (variable, exponent) pairs of a monomial, in variable order."""
+    return tuple((v, len(list(run))) for v, run in groupby(m))
 
 
 def render_monomial(m: Monomial) -> str:
     if not m:
         return "1"
     return "*".join(
-        _var_label(v) + (f"^{e}" if e > 1 else "") for v, e in m
+        f"{v[0]}{v[1] + 1}" + (f"^{e}" if e > 1 else "")
+        for v, e in mono_powers(m)
     )
-
-
-def _mono_flat(m: Monomial) -> tuple[Var, ...]:
-    return tuple(v for v, e in m for _ in range(e))
 
 
 def render_terms(terms: PolyTerms) -> str:
     """Deterministic human form, highest total degree first."""
     if not terms:
         return "0"
-    ordered = sorted(terms, key=lambda mc: (-mono_degree(mc[0]), _mono_flat(mc[0])))
+    ordered = sorted(terms, key=lambda mc: (-len(mc[0]), mc[0]))
     pieces = []
     for m, c in ordered:
         mag = abs(c)
@@ -160,45 +159,29 @@ def character_linear_forms(fan: Fan) -> tuple[PolyTerms, ...]:
 def _face_monomials(fan: Fan, degree: int) -> tuple[tuple[int, ...], ...]:
     """Degree-k monomials in ray variables whose support spans a cone, as
     sorted ray-index tuples with repetition."""
-    if degree == 0:
-        return ((),)
-    faces = sorted(
-        {cone for cone in all_cones(fan) if 1 <= len(cone) <= degree}
-    )
-    out = []
-    for face in faces:
-        slots = len(face)
-        for split in combinations(range(degree - 1), slots - 1):
-            counts = []
-            prev = -1
-            for s in split + (degree - 1,):
-                counts.append(s - prev)
-                prev = s
-            mono = []
-            for ray, count in zip(face, counts):
-                mono.extend([ray] * count)
-            out.append(tuple(mono))
-    return tuple(sorted(out))
+    monos = {
+        mono
+        for cone in fan.maximal_cones
+        for mono in combinations_with_replacement(cone, degree)
+    }
+    return tuple(sorted(monos))
 
 
 def _relation_rows(
     fan: Fan, degree: int, cols: dict[tuple[int, ...], int]
 ) -> list[tuple[int, ...]]:
-    faces = {frozenset(c) for c in all_cones(fan)}
+    """Each face monomial of degree `degree` - 1 times each linear form, as a
+    row over the face monomials `cols` of degree `degree`; products whose
+    support spans no cone vanish."""
     rows = []
     for mono in _face_monomials(fan, degree - 1):
-        support = frozenset(mono)
         for j in range(fan.ambient_dim):
             row = [0] * len(cols)
-            nonzero = False
             for i, ray in enumerate(fan.rays):
-                c = ray[j]
-                if not c or support | {i} not in faces:
-                    continue
-                key = tuple(sorted(mono + (i,)))
-                row[cols[key]] += c
-                nonzero = True
-            if nonzero:
+                col = cols.get(tuple(sorted(mono + (i,)))) if ray[j] else None
+                if col is not None:
+                    row[col] = ray[j]
+            if any(row):
                 rows.append(tuple(row))
     return rows
 
@@ -249,19 +232,11 @@ def subfan_basis_in_parent_labels(
     sub: Subfan,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Monomial basis of the subfan cohomology, each monomial a sorted tuple
-    of parent ray indices with repetition."""
-    order = sorted(range(len(sub.fan.rays)), key=lambda i: sub.parent_rays[i])
-    rays = tuple(sub.fan.rays[i] for i in order)
-    back = {old: new for new, old in enumerate(order)}
-    cones = tuple(
-        tuple(sorted(back[i] for i in cone)) for cone in sub.fan.maximal_cones
-    )
-    relabeled = Fan.make(sub.fan.ambient_dim, rays, cones)
-    parents = tuple(sub.parent_rays[i] for i in order)
-    basis = cohomology_basis_monomials(relabeled)
+    of parent ray indices with repetition (`parent_rays` is increasing, so
+    relabelling keeps the monomials sorted)."""
     return tuple(
-        tuple(tuple(parents[i] for i in mono) for mono in level)
-        for level in basis
+        tuple(tuple(sub.parent_rays[i] for i in mono) for mono in level)
+        for level in cohomology_basis_monomials(sub.fan)
     )
 
 
@@ -305,20 +280,17 @@ def monomial_basis(
     The empty support contributes one symbolic element per ambient
     cohomology class."""
     bases = complete_bases(fan, building.torus_dim, bases)
-    lift_cache: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...] | None, ...]] = {}
     elements = []
-    for f in enumerate_admissible(building):
-        if f.support not in lift_cache:
-            if f.support == ():
-                lift_cache[()] = tuple(
-                    (None,) * count for count in betti_numbers(fan)
-                )
-            else:
-                sub = bases.subfan(support_lattice(building, f.support))
-                lift_cache[f.support] = subfan_basis_in_parent_labels(sub)
-        for deg, level in enumerate(lift_cache[f.support]):
-            for mono in level:
-                elements.append(BasisElement(f, mono, deg))
+    for support, funcs in groupby(enumerate_admissible(building), lambda f: f.support):
+        if support == ():
+            lifts = tuple((None,) * count for count in betti_numbers(fan))
+        else:
+            sub = bases.subfan(support_lattice(building, support))
+            lifts = subfan_basis_in_parent_labels(sub)
+        for f in funcs:
+            for deg, level in enumerate(lifts):
+                for mono in level:
+                    elements.append(BasisElement(f, mono, deg))
     elements.sort(
         key=lambda el: (
             el.degree,
@@ -371,7 +343,7 @@ def _direction_form(chi, rays) -> Poly:
     """Sum of min(0, pairing) C_r over all rays, for one character."""
     form: Poly = {}
     for i, ray in enumerate(rays):
-        val = sum(c * x for c, x in zip(chi, ray))
+        val = dot(chi, ray)
         if val < 0:
             form = poly_add(form, poly_var(("C", i), val))
     return form
@@ -420,9 +392,7 @@ def emit_presentation(
     ray_products = []
     for g, layer in enumerate(members):
         for i, ray in enumerate(fan.rays):
-            if any(
-                sum(c * x for c, x in zip(chi, ray)) for chi in layer.gamma.basis
-            ):
+            if any(dot(chi, ray) for chi in layer.gamma.basis):
                 ray_products.append((i, g))
 
     strictly_above = [

@@ -32,29 +32,30 @@ def _mul(a: ModPoly, b: ModPoly, p: int) -> ModPoly:
     return {m: c for m, c in out.items() if c}
 
 
-def _generators(ideal) -> list[dict[int, tuple[int, int]]]:
+def _generators(ideal) -> list[list[tuple[int, dict[int, int]]]]:
     """Every nonlinear generator as a list of (coefficient, {variable index:
-    exponent}) terms; C_i is variable i and T_j is variable ray_count + j."""
+    exponent}) terms; C_i is variable i and T_j is variable ray_count + j.
+    A monomial of the presentation is the sorted tuple of its variables."""
     rays = ideal.ray_count
 
     def index(var) -> int:
         kind, i = var
         return i if kind == "C" else rays + i
 
-    def from_terms(terms):
-        return [(c, {index(v): e for v, e in mono}) for mono, c in terms]
-
-    def product(indices):
+    def term(coeff, indices):
         exps: dict[int, int] = {}
         for i in indices:
             exps[i] = exps.get(i, 0) + 1
-        return [(1, exps)]
+        return (coeff, exps)
 
-    gens = [product(mono) for mono in ideal.nonface_monomials]
-    gens += [product((r, rays + g)) for r, g in ideal.ray_member_products]
-    gens += [from_terms(rel.terms) for rel in ideal.member_relations]
+    gens = [[term(1, mono)] for mono in ideal.nonface_monomials]
+    gens += [[term(1, (r, rays + g))] for r, g in ideal.ray_member_products]
     gens += [
-        product(rays + g for g in subset)
+        [term(c, map(index, mono)) for mono, c in rel.terms]
+        for rel in ideal.member_relations
+    ]
+    gens += [
+        [term(1, (rays + g for g in subset))]
         for subset in ideal.empty_intersection_products
     ]
     return gens
@@ -70,8 +71,8 @@ def _solve_linear_forms(ideal, p: int):
     for terms in ideal.linear_forms:
         row = [0] * nvars
         for mono, c in terms:
-            ((kind, i), e), = mono
-            assert e == 1, "linear form with a nonlinear term"
+            assert len(mono) == 1, "linear form with a nonlinear term"
+            (kind, i), = mono
             row[i if kind == "C" else rays + i] = c % p
         rows.append(row)
     pivots: list[int] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -342,6 +343,42 @@ def test_model_presentation_full_listing(capsys):
     assert out.count("linear: ") == 2
     assert out.count("product: ") == 18
     assert out.count("relation ") == 11
+
+
+LINES_ARR = str(fixture_path("example_lines.arrangement.json"))
+LINES_FAN = str(fixture_path("p1x4_fan.json"))
+
+# sha256 of the full basis and presentation listings; the JSON terms are
+# ordered by their (variable, exponent) lists, not as sorted variable tuples
+LISTING_DIGESTS = {
+    ("a2", "basis", "--table"): "6f875c1b7a013cd45e53ec12255fd7bc3d30ecdfbfcfcf9c735621463c07fc19",
+    ("a2", "basis", "--json"): "a5afafbf5fff2d93d2353e161c365b2c0d7f37b169030257f7e0e8fb2ba634d2",
+    ("a2", "product", "--table"): "e30939be3f8eb1b46eeae5e9f31fb21fc60d7e2c848395ef4069b5461c599545",
+    ("a2", "product", "--json"): "42f40e23b5ae5527cf66dc529db8a1fb236258d7c07a681afaa995988024cf84",
+    ("a2", "power", "--table"): "08683e5cb1c5e94f58f9f06a1092862b245b21ac16553022fb43e79d78cbb51c",
+    ("a2", "power", "--json"): "39906c28e23e09e3311b082c7f6f1c260c277f49040129d8685a4cb1d33a383b",
+    ("lines", "basis", "--table"): "95c81e8f7e05f04f7380acc4801bd83cea6036cf72b668ab59ce112de50397b4",
+    ("lines", "basis", "--json"): "e4ab0a8c8c8ad8ca5c20ae8a70ce488bc50ccec3f9b15650332d58662bdd3cac",
+    ("lines", "product", "--table"): "a68bcf3cc171e0f8f9259b16593c4c6d2d87ee5a96ba83faf1937c50682c8ba0",
+    ("lines", "product", "--json"): "d065f8066448fd57fc9dce4ea5097bf8723c7185b451c502d83ee92e99e5b051",
+    ("lines", "power", "--table"): "8074f226e8cbda6fcc76c7dccddd2cde55541bb51990dbe4c0a350636dfdeedc",
+    ("lines", "power", "--json"): "3c556dcec230fba2a691993647750bc74fc770a724a21fd0beb54f7e80918eb7",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(LISTING_DIGESTS), ids=lambda key: "-".join(key).replace("--", "")
+)
+def test_model_basis_and_presentation_listings_byte_for_byte(capsys, key):
+    example, what, flag = key
+    files = {"a2": [A2_ARR, A2_FAN], "lines": [LINES_ARR, LINES_FAN]}[example]
+    if what == "basis":
+        argv = ["model", "basis", *files, flag]
+    else:
+        argv = ["model", "presentation", *files, "--full", "--variant", what, flag]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[key]
 
 
 def test_typea_eulerian(capsys):

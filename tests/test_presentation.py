@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
-from wondertoric.fans import EqualSignBases, Fan, orthant_fan
+from wondertoric.fans import EqualSignBases, Fan, f_vector, orthant_fan, weyl_fan_A
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import poset_of_layers
 from wondertoric.models import build_building_set, poincare, support_lattice
@@ -14,13 +16,17 @@ from wondertoric.presentation import (
     cohomology_basis_monomials,
     character_linear_forms,
     emit_presentation,
+    _face_monomials,
     minimal_nonfaces,
+    mono_degree,
     mono_mul,
+    mono_powers,
     monomial_basis,
     poly_add,
     poly_freeze,
     poly_mul,
     poly_var,
+    render_monomial,
     render_terms,
     subfan_basis_in_parent_labels,
 )
@@ -57,8 +63,38 @@ def test_poly_arithmetic_and_render():
     prod = poly_mul(poly_add(c1, t1), poly_add(c1, t1))
     # (C1 - T1)^2 = C1^2 - 2 C1 T1 + T1^2
     assert render_terms(poly_freeze(prod)) == "C1^2 - 2*C1*T1 + T1^2"
-    assert mono_mul(((("C", 0), 1),), ((("C", 0), 2),)) == ((("C", 0), 3),)
+    assert mono_mul((("C", 0),), (("C", 0), ("C", 0))) == (("C", 0),) * 3
     assert render_terms(()) == "0"
+
+
+def test_monomials_are_sorted_variable_tuples():
+    t4, t5 = ("T", 3), ("T", 4)
+    assert mono_mul((t5,), (("C", 2), t4)) == (("C", 2), t4, t5)
+    assert mono_powers((("C", 2), t4, t4, t5)) == ((("C", 2), 1), (t4, 2), (t5, 1))
+    assert render_monomial((("C", 2), t4, t4, t5)) == "C3*T4^2*T5"
+    assert mono_degree((("C", 2), t4, t4), "T") == 2
+    # squares sort before mixed products here, but after them as
+    # (variable, exponent) lists, the order of the JSON output
+    assert (t4, t4) < (t4, t5)
+    assert mono_powers((t4, t4)) > mono_powers((t4, t5))
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [
+        load_fan(fixture_path(name))
+        for name in ("good_fan_3d.json", "p1x4_fan.json", "weyl_a3_fan.json")
+    ]
+    + [weyl_fan_A(n) for n in (2, 3, 4)]
+    + [orthant_fan(n) for n in (1, 2, 3)],
+)
+def test_face_monomial_counts_match_f_vector(fan):
+    # a degree-d monomial on a k-dimensional face puts d - k further factors
+    # on its k rays
+    f = f_vector(fan)
+    for d in range(1, fan.ambient_dim + 2):
+        expected = sum(f[k] * comb(d - 1, k - 1) for k in range(1, len(f)))
+        assert len(_face_monomials(fan, d)) == expected
 
 
 def test_minimal_nonfaces_projective_plane():
@@ -139,9 +175,7 @@ def test_relation_with_full_chain_has_trivial_cofactor(main_presentation):
         for r in main_presentation.member_relations
         if r.member == 5 and r.above == (0, 1, 2, 3)
     )
-    assert rel.terms == (
-        (((("T", 0), 1), (("T", 1), 1), (("T", 2), 1), (("T", 3), 1)), 1),
-    )
+    assert rel.terms == (((("T", 0), ("T", 1), ("T", 2), ("T", 3)), 1),)
 
 
 def test_relation_t_and_c_content(main_presentation):
@@ -150,9 +184,9 @@ def test_relation_t_and_c_content(main_presentation):
     )
     terms = dict(rel.terms)
     # ray 0 pairs to -2 against the member character, so C1 gets +2
-    assert terms[((("C", 0), 1),)] == 2
+    assert terms[(("C", 0),)] == 2
     # the member variable itself enters through the summed class
-    assert terms[((("T", 0), 1),)] == -1
+    assert terms[(("T", 0),)] == -1
 
 
 def test_power_variant_same_shape(main_building, big_fan, main_arr):
