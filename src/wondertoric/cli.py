@@ -10,7 +10,14 @@ import sys
 from collections import Counter
 
 from .errors import FileFormatError, MathAssertionError, ValidationError
-from .fans import EqualSignBases, Fan, betti_numbers, complete_bases, validate
+from .fans import (
+    EQUAL_SIGN_BOUND,
+    EqualSignBases,
+    Fan,
+    betti_numbers,
+    complete_bases,
+    validate,
+)
 from .files import fixture_path, load_arrangement, load_fan
 from .layers import goodness_check, poset_of_layers
 from .models import (
@@ -98,7 +105,7 @@ def _emit(args, text, as_json, *result) -> None:
         print("\n".join(text(*result)))
 
 
-def _model_inputs(arrfile, fanfile, bound: int = 8):
+def _model_inputs(arrfile, fanfile, bound: int = EQUAL_SIGN_BOUND):
     """The building set of an arrangement file and the run's one resolver,
     built from the file's equal-sign bases for the fan file's fan."""
     arr = load_arrangement(arrfile)
@@ -472,7 +479,8 @@ def _cmd_arr_goodness(args) -> int:
 
 def _cmd_model(args) -> int:
     # nested and admissible search for no basis and take no --bound
-    building, bases = _model_inputs(args.arrfile, args.fanfile, getattr(args, "bound", 8))
+    bound = getattr(args, "bound", EQUAL_SIGN_BOUND)
+    building, bases = _model_inputs(args.arrfile, args.fanfile, bound)
     fan = bases.fan
     if args.what == "nested":
         connect = is_well_connected(building)
@@ -653,6 +661,12 @@ def _cmd_reproduce(args) -> int:
     return 1
 
 
+def _add_bound_flag(parser) -> None:
+    parser.add_argument(
+        "--bound", type=int, default=EQUAL_SIGN_BOUND, help="equal-sign search bound"
+    )
+
+
 def _add_output_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="machine-readable output")
@@ -690,7 +704,7 @@ def _build_parser() -> argparse.ArgumentParser:
     good = arr.add_parser("goodness", help="equal-sign bases for every layer")
     good.add_argument("arrfile")
     good.add_argument("fanfile")
-    good.add_argument("--bound", type=int, default=8, help="search bound")
+    _add_bound_flag(good)
     _add_output_flags(good)
     good.set_defaults(handler=_cmd_arr_goodness)
 
@@ -701,13 +715,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("arrfile")
         p.add_argument("fanfile")
         if what in ("basis", "poincare"):
-            p.add_argument("--bound", type=int, default=8, help="equal-sign search bound")
+            _add_bound_flag(p)
         _add_output_flags(p)
         p.set_defaults(handler=_cmd_model, what=what)
     pres = model_sub.add_parser("presentation", help="cohomology presentation dump")
     pres.add_argument("arrfile")
     pres.add_argument("fanfile")
-    pres.add_argument("--bound", type=int, default=8, help="equal-sign search bound")
+    _add_bound_flag(pres)
     pres.add_argument(
         "--variant",
         choices=("product", "power"),

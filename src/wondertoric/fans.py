@@ -26,6 +26,8 @@ from .lattice import (
     vector_gcd,
 )
 
+EQUAL_SIGN_BOUND = 8  # default coefficient height of the equal-sign basis search
+
 
 @dataclass(frozen=True)
 class Fan:
@@ -257,7 +259,7 @@ def extend_equal_sign_basis(
     fan: Fan,
     outer: Sublattice,
     inner_rows: IntMatrix = (),
-    bound: int = 8,
+    bound: int = EQUAL_SIGN_BOUND,
 ) -> IntMatrix | None:
     """Ordered basis of `outer` whose first vectors are `inner_rows` and whose
     members all satisfy the equal-sign condition on `fan`.
@@ -300,7 +302,9 @@ def extend_equal_sign_basis(
     return None
 
 
-def equal_sign_basis(fan: Fan, lat: Sublattice, bound: int = 8) -> IntMatrix | None:
+def equal_sign_basis(
+    fan: Fan, lat: Sublattice, bound: int = EQUAL_SIGN_BOUND
+) -> IntMatrix | None:
     """Basis of `lat` all of whose members are equal-sign on `fan`, found by
     bounded search; None if none exists within the bound."""
     if lat.rank == 0:
@@ -368,7 +372,9 @@ class EqualSignBases:
     through its globals, so rebinding those is seen.
     """
 
-    def __init__(self, fan: Fan, supplied: Iterable[IntMatrix] = (), bound: int = 8):
+    def __init__(
+        self, fan: Fan, supplied: Iterable[IntMatrix] = (), bound: int = EQUAL_SIGN_BOUND
+    ):
         if bound < 1:
             raise ValidationError(f"equal-sign search bound {bound} is below 1")
         self.fan, self.bound = fan, bound

@@ -7,12 +7,14 @@ the sorted tuple of its variables with repetition, so C1^2*T4 is
 (("C", 0), ("C", 0), ("T", 3)); monomials in the ray variables alone are
 sorted tuples of ray indices, such as (0, 0, 3).  Polynomials are sparse
 integer maps from monomials to coefficients.  `mono_powers` is the one place
-that groups a monomial into (variable, exponent) pairs.
+that groups a monomial into (variable, exponent) pairs.  Class (d) relations
+are stored by their factors and multiplied out when their terms are first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby
 
 from .errors import MathAssertionError, ValidationError
@@ -24,7 +26,7 @@ from .fans import (
     betti_numbers,
     complete_bases,
 )
-from .lattice import IntMatrix, dot, smith_normal_form, split_rank
+from .lattice import dot, smith_normal_form, split_rank
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
@@ -56,10 +58,6 @@ def poly_add(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def poly_neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2))
 
@@ -75,14 +73,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             else:
                 out.pop(m, None)
     return out
-
-
-def mono_degree(m: Monomial, kind: str | None = None) -> int:
-    return len(m) if kind is None else sum(v[0] == kind for v in m)
-
-
-def poly_degree(p: Poly, kind: str | None = None) -> int:
-    return max((mono_degree(m, kind) for m in p), default=0)
 
 
 def mono_powers(m: Monomial) -> tuple[tuple[Var, int], ...]:
@@ -146,14 +136,10 @@ def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
 def character_linear_forms(fan: Fan) -> tuple[PolyTerms, ...]:
     """One linear relation per ambient coordinate: its pairing against every
     ray, as a form in the C variables."""
-    out = []
-    for j in range(fan.ambient_dim):
-        form: Poly = {}
-        for i, ray in enumerate(fan.rays):
-            if ray[j]:
-                form = poly_add(form, poly_var(("C", i), ray[j]))
-        out.append(poly_freeze(form))
-    return tuple(out)
+    return tuple(
+        tuple(((("C", i),), ray[j]) for i, ray in enumerate(fan.rays) if ray[j])
+        for j in range(fan.ambient_dim)
+    )
 
 
 def _face_monomials(fan: Fan, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -305,11 +291,31 @@ def monomial_basis(
 
 @dataclass(frozen=True)
 class MemberRelation:
-    """Generator tied to a member and a set of strictly larger members."""
+    """Class (d) generator tied to member g and a set `above` of strictly
+    larger members, stored by its factors: `z` = -sum T_h over the members h at
+    or below g, and one direction form d per character extending an equal-sign
+    basis of the enclosing layer to one of g.  It is prod (z + d) ("product")
+    or z^k + prod d ("power"; 1 for k = 0) over the k forms d, times T_h for h
+    in `above`; `terms` multiplies it out on first read."""
 
     member: int
     above: tuple[int, ...]
-    terms: PolyTerms
+    z: PolyTerms
+    directions: tuple[PolyTerms, ...]
+    variant: str
+
+    @cached_property
+    def terms(self) -> PolyTerms:
+        z, poly = dict(self.z), poly_const(1)
+        if self.variant == "product":
+            for d in self.directions:
+                poly = poly_mul(poly, poly_add(z, dict(d)))
+        elif self.directions:
+            prod = poly_const(1)
+            for d in self.directions:
+                poly, prod = poly_mul(poly, z), poly_mul(prod, dict(d))
+            poly = poly_add(poly, prod)
+        return poly_freeze(poly_mul(poly, {tuple(("T", h) for h in self.above): 1}))
 
 
 @dataclass(frozen=True)
@@ -339,33 +345,11 @@ class PresentationIdeal:
         )
 
 
-def _direction_form(chi, rays) -> Poly:
-    """Sum of min(0, pairing) C_r over all rays, for one character."""
-    form: Poly = {}
-    for i, ray in enumerate(rays):
-        val = dot(chi, ray)
-        if val < 0:
-            form = poly_add(form, poly_var(("C", i), val))
-    return form
-
-
-def _restriction_factors(
-    z: Poly, chars: IntMatrix, rays, variant: str
-) -> Poly:
-    if variant == "product":
-        acc = poly_const(1)
-        for chi in chars:
-            acc = poly_mul(acc, poly_add(z, poly_neg(_direction_form(chi, rays))))
-        return acc
-    if variant == "power":
-        power = poly_const(1)
-        for _ in chars:
-            power = poly_mul(power, z)
-        prod = poly_const(1)
-        for chi in chars:
-            prod = poly_mul(prod, poly_neg(_direction_form(chi, rays)))
-        return poly_add(power, prod) if chars else poly_const(1)
-    raise ValidationError(f"unknown restriction variant {variant!r}")
+def _direction_form(chi, rays) -> PolyTerms:
+    """Sum of max(0, -pairing) C_r over all rays, for one character."""
+    return tuple(
+        ((("C", i),), -val) for i, ray in enumerate(rays) if (val := dot(chi, ray)) < 0
+    )
 
 
 def emit_presentation(
@@ -378,10 +362,13 @@ def emit_presentation(
 
     Class list: (a) square-free non-face monomials, (b) one linear form per
     ambient coordinate, (c) C_r T_G for rays outside the member's span,
-    (d) one relation per (member, set of strictly larger members), with the
-    product expanded over an equal-sign basis extension, (e) products over
-    member sets with empty total intersection.
+    (d) one relation per (member, set of strictly larger members), stored by
+    its restriction factors over an equal-sign basis extension and expanded
+    only when its `terms` are read, (e) products over member sets with empty
+    total intersection.
     """
+    if variant not in ("product", "power"):
+        raise ValidationError(f"unknown restriction variant {variant!r}")
     bases = complete_bases(fan, building.torus_dim, bases)
     members = building.members
     m = len(members)
@@ -399,31 +386,23 @@ def emit_presentation(
         tuple(h for h in range(m) if h != g and building.contains(h, g))
         for g in range(m)
     ]
-    below_or_equal = [
-        tuple(h for h in range(m) if building.contains(g, h)) for g in range(m)
-    ]
 
     poset = building.poset
     relations = []
     for g in range(m):
-        z: Poly = {}
-        for h in below_or_equal[g]:
-            z = poly_add(z, poly_var(("T", h), -1))
+        z = tuple(((("T", h),), -1) for h in range(m) if building.contains(g, h))
         for size in range(len(strictly_above[g]) + 1):
             for above in combinations(strictly_above[g], size):
                 enclosing = poset.elements[building.enclosing(g, above)]
                 chars = bases.extension(members[g].gamma, enclosing.gamma)
-                poly = _restriction_factors(z, chars, fan.rays, variant)
-                for h in above:
-                    poly = poly_mul(poly, poly_var(("T", h)))
-                expected = (members[g].rank - enclosing.rank) + len(above)
-                if poly_degree(poly, "T") != expected:
-                    raise MathAssertionError(
-                        "member relation has unexpected degree"
-                    )
-                relations.append(
-                    MemberRelation(g, above, poly_freeze(poly))
-                )
+                # the expanded relation has T-degree len(chars) + len(above):
+                # z != 0 has T-degree 1 and the direction forms T-degree 0, so
+                # its top T-degree part is z^len(chars) times the T_h, nonzero
+                # as Z[C, T] is a domain; checking len(chars) checks it
+                if len(chars) != members[g].rank - enclosing.rank:
+                    raise MathAssertionError("member relation has unexpected degree")
+                directions = tuple(_direction_form(chi, fan.rays) for chi in chars)
+                relations.append(MemberRelation(g, above, z, directions, variant))
 
     empties = []
     for size in range(2, m + 1):

@@ -363,6 +363,9 @@ LISTING_DIGESTS = {
     ("lines", "product", "--json"): "d065f8066448fd57fc9dce4ea5097bf8723c7185b451c502d83ee92e99e5b051",
     ("lines", "power", "--table"): "8074f226e8cbda6fcc76c7dccddd2cde55541bb51990dbe4c0a350636dfdeedc",
     ("lines", "power", "--json"): "3c556dcec230fba2a691993647750bc74fc770a724a21fd0beb54f7e80918eb7",
+    # the only example with large class (d) relations
+    ("main", "product", "--table"): "c145cf765af1c982af0c31139d082e94a23099b9db323e9cca6661ffc7374286",
+    ("main", "power", "--table"): "d966a299e4cb693f74af2329be296519f0770513f590217867c884dc73961d67",
 }
 
 
@@ -371,7 +374,11 @@ LISTING_DIGESTS = {
 )
 def test_model_basis_and_presentation_listings_byte_for_byte(capsys, key):
     example, what, flag = key
-    files = {"a2": [A2_ARR, A2_FAN], "lines": [LINES_ARR, LINES_FAN]}[example]
+    files = {
+        "a2": [A2_ARR, A2_FAN],
+        "lines": [LINES_ARR, LINES_FAN],
+        "main": [MAIN_ARR, GOOD_FAN],
+    }[example]
     if what == "basis":
         argv = ["model", "basis", *files, flag]
     else:

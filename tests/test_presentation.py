@@ -8,6 +8,9 @@ import pytest
 
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
+from wondertoric import presentation
+from wondertoric.cli import EXAMPLES, _model_inputs, reproduction_text
+from wondertoric.errors import ValidationError
 from wondertoric.fans import EqualSignBases, Fan, f_vector, orthant_fan, weyl_fan_A
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import poset_of_layers
@@ -18,7 +21,6 @@ from wondertoric.presentation import (
     emit_presentation,
     _face_monomials,
     minimal_nonfaces,
-    mono_degree,
     mono_mul,
     mono_powers,
     monomial_basis,
@@ -72,7 +74,6 @@ def test_monomials_are_sorted_variable_tuples():
     assert mono_mul((t5,), (("C", 2), t4)) == (("C", 2), t4, t5)
     assert mono_powers((("C", 2), t4, t4, t5)) == ((("C", 2), 1), (t4, 2), (t5, 1))
     assert render_monomial((("C", 2), t4, t4, t5)) == "C3*T4^2*T5"
-    assert mono_degree((("C", 2), t4, t4), "T") == 2
     # squares sort before mixed products here, but after them as
     # (variable, exponent) lists, the order of the JSON output
     assert (t4, t4) < (t4, t5)
@@ -224,3 +225,45 @@ def test_hilbert_function_of_presentation_matches_poincare():
                 label,
                 variant,
             )
+
+
+def _example_inputs(example):
+    arr_name, fan_name = EXAMPLES[example]
+    return _model_inputs(fixture_path(arr_name), fixture_path(fan_name))
+
+
+def test_expanded_relations_have_the_checked_t_degree():
+    # emit_presentation checks the degree on the factors only; expanding every
+    # relation checks the largest T-count over all of its terms
+    cases = [(ex, *_example_inputs(ex)) for ex in sorted(EXAMPLES)]
+    cases += [
+        (label, build_building_set(poset_of_layers(n, layers)), EqualSignBases(fan))
+        for label, fan, n, layers in random_cases(20)
+    ]
+    for label, building, bases in cases:
+        for variant in ("product", "power"):
+            pres = emit_presentation(building, bases.fan, bases, variant)
+            for rel in pres.member_relations:
+                g, above = rel.member, rel.above
+                enclosing = building.poset.elements[building.enclosing(g, above)]
+                expected = building.members[g].rank - enclosing.rank + len(above)
+                t_count = max(sum(v[0] == "T" for v in mono) for mono, _ in rel.terms)
+                assert t_count == expected, (label, variant, g, above)
+
+
+def _refuse_poly_mul(a, b):
+    raise AssertionError("a class (d) relation was multiplied out")
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_reproduction_multiplies_out_no_relation(monkeypatch, example):
+    # reproduce prints only the class sizes of the presentation
+    monkeypatch.setattr(presentation, "poly_mul", _refuse_poly_mul)
+    assert "class (d) member relations:" in reproduction_text(example)
+
+
+def test_unknown_variant_is_refused_before_any_terms_are_read(monkeypatch):
+    building, bases = _example_inputs("example-a2")
+    monkeypatch.setattr(presentation, "poly_mul", _refuse_poly_mul)
+    with pytest.raises(ValidationError, match="unknown restriction variant 'cube'"):
+        emit_presentation(building, bases.fan, bases, variant="cube")
