@@ -1,0 +1,60 @@
+"""Equal-coordinate model at n = 7, end to end, checked against the series.
+
+    PYTHONPATH=src python3 scripts/check_eqc7.py
+
+Builds the poset of the equal-coordinate arrangement of order 7 and its
+building set of single-block layers, then checks that the poset has 877
+elements and that `poincare`, the blowup-recursion oracle and coefficient 7
+of `toric_poincare_series(7)` all equal (1, 219, 3292, 7723, 3292, 219, 1),
+on the Weyl fan of A6.  Prints each stage's wall time; exits 1 on any
+mismatch.  It takes about 16 s (Python 3.11, a shared 2-core host), too
+long for the tier-1 tests, which stop at n = 6.
+"""
+
+from __future__ import annotations
+
+import sys
+from time import perf_counter
+
+from wondertoric import (
+    poincare,
+    rank_via_blowup_recursion,
+    toric_poincare_series,
+    weyl_fan_A,
+)
+from wondertoric.typea import minimal_equal_coordinate_building
+
+N = 7
+ELEMENTS = 877
+TOTAL = (1, 219, 3292, 7723, 3292, 219, 1)
+
+
+def main() -> int:
+    failures = []
+
+    def expect(what, got, want):
+        print(f"{what}: {got}")
+        if got != want:
+            failures.append(f"{what}: got {got!r}, expected {want!r}")
+
+    start = perf_counter()
+    poset, building = minimal_equal_coordinate_building(N)
+    fan = weyl_fan_A(N)
+    print(f"poset and building set: {perf_counter() - start:.1f} s")
+    start = perf_counter()
+    total = poincare(building, fan).total
+    print(f"poincare: {perf_counter() - start:.1f} s")
+    start = perf_counter()
+    oracle = rank_via_blowup_recursion(building, fan)
+    print(f"blowup oracle: {perf_counter() - start:.1f} s")
+    expect("poset elements", len(poset.elements), ELEMENTS)
+    expect("poincare", total, TOTAL)
+    expect("blowup oracle", oracle, TOTAL)
+    expect("series coefficient 7", toric_poincare_series(N).integer_coefficient(N), TOTAL)
+    for failure in failures:
+        print(f"MISMATCH {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

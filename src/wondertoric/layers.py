@@ -6,23 +6,29 @@ a nonempty connected translate of a subtorus.  The solution set of any
 finite family of character equations splits into finitely many such
 components; one solver enumerates them by exact Smith-form arithmetic, for
 a layer given by arbitrary generators and for an intersection of layers
-alike.  The poset of layers is closed by intersecting each new element with
-the input layers only, and its containment is read off the edges of that
-closure: each component of cur & a lies in cur.  It stores the containment
-once, as bitmasks, so it answers intersections of its elements from those
-bits alone.
+alike.  Its lattice half (the saturation of the generators and the Smith
+form of their coordinates in it) depends on the generator rows alone, so
+it is computed once per rows and shared by the poset closure, the blowup
+oracle and `Layer.from_generators`; its value half works in integer
+numerators over the values' common denominator.  The poset of layers is
+closed by intersecting each new element with the input layers only, and
+its containment is read off the edges of that closure: each component of
+cur & a lies in cur.  It stores the containment once, as bitmasks, so it
+answers intersections of its elements from those bits alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
 from .fans import EqualSignBases, Fan, resolve_bases
-from .lattice import IntMatrix, Sublattice, smith_normal_form
+from .lattice import IntMatrix, SmithForm, Sublattice, smith_normal_form
 
 
 def mod1(x: Fraction | int) -> Fraction:
@@ -65,14 +71,16 @@ class Layer:
         """
         if len(rows) != len(values):
             raise ValidationError("one character value per generator required")
-        components = _solve(ambient_rank, rows, [Fraction(v) for v in values])
-        if not components:
+        plan = _plan(ambient_rank, tuple(map(tuple, rows)))
+        residues = _residues(plan[1], [Fraction(v) for v in values])
+        if residues is None:
             raise ValidationError(
                 "character values are inconsistent on a relation among generators"
             )
-        if len(components) > 1:
+        # one component per torsion choice: refuse before building them
+        if prod(plan[1].diagonal) > 1:
             raise ValidationError("layer character lattice must be a split summand")
-        return components[0]
+        return _components(*plan, *residues)[0]
 
     @classmethod
     def torus(cls, ambient_rank: int) -> Layer:
@@ -114,49 +122,59 @@ def intersect(a: Layer, b: Layer) -> tuple[Layer, ...]:
 
 
 def _solve(
-    n: int, rows: Sequence[Sequence[int]], values: Sequence[Fraction]
+    n: int, rows: IntMatrix, values: Sequence[Fraction]
 ) -> tuple[Layer, ...]:
     """Connected components of {t : chi(t) = e^(2 pi i v)} over the pairs
     (chi, v) of `rows` and `values`, canonically ordered; () when empty."""
-    if not rows:
-        return (Layer.torus(n),)
+    plan = _plan(n, rows)
+    residues = _residues(plan[1], values)
+    return () if residues is None else _components(*plan, *residues)
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, rows: IntMatrix) -> tuple[Sublattice, SmithForm]:
+    """The half of `_solve` that depends on the rows alone, computed once
+    per rows: their saturation, and the Smith form of the rows' coordinates
+    in its Hermite basis."""
     sat = Sublattice.from_rows(n, rows).saturation()
-    # express each generator in the saturation's basis
     snf = smith_normal_form(tuple(sat.coordinates_of(r) for r in rows))
-    lv = [
-        mod1(sum(Fraction(c) * v for c, v in zip(snf.left[i], values)))
-        for i in range(len(rows))
-    ]
-    r = sat.rank
-    # rows of the diagonal beyond its rank are relations: values must vanish
-    for i in range(len(rows)):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d == 0 and lv[i] != 0:
-            return ()
-    if snf.rank != r:
+    if snf.rank != sat.rank:
         raise MathAssertionError("saturation changed the rank")
-    components = []
-    for choice in _torsion_choices(snf.diagonal[:r], lv[:r]):
-        y = [
-            mod1(sum(Fraction(snf.right[j][i]) * choice[i] for i in range(r)))
-            for j in range(r)
-        ]
-        components.append(Layer(sat, tuple(y)))
-    components.sort(key=Layer.sort_key)
-    return tuple(components)
+    return sat, snf
 
 
-def _torsion_choices(diag, values):
-    """All z with diag[i] * z[i] = values[i] mod 1, one layer per solution."""
-    if not diag:
-        yield ()
-        return
-    d = diag[0]
-    head = values[0]
-    for t in range(d):
-        z0 = Fraction(head + t, d)
-        for rest in _torsion_choices(diag[1:], values[1:]):
-            yield (z0,) + rest
+def _residues(
+    snf: SmithForm, values: Sequence[Fraction]
+) -> tuple[int, list[int]] | None:
+    """The common denominator den of `values` and the numerators over den of
+    left @ values mod 1 on the first rank rows; None when a later row, a
+    relation among the generators, gets a nonzero value."""
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    lv = [sum(c * x for c, x in zip(row, nums)) % den for row in snf.left]
+    if any(lv[snf.rank :]):
+        return None
+    return den, lv[: snf.rank]
+
+
+def _components(
+    sat: Sublattice, snf: SmithForm, den: int, lv: Sequence[int]
+) -> tuple[Layer, ...]:
+    """One layer per z with diagonal[i] * z[i] = lv[i] / den mod 1, with phi =
+    right @ z mod 1, canonically ordered.  Every invariant divides the last
+    one, d, so z and phi are numerators over den * d; the layers share
+    `sat`, so sorting those numerators sorts the layers."""
+    d = snf.diagonal[-1] if snf.diagonal else 1
+    choices = [
+        [(x + t * den) * (d // di) for t in range(di)]
+        for x, di in zip(lv, snf.diagonal)
+    ]
+    big = den * d
+    phis = sorted(
+        tuple(sum(c * z for c, z in zip(row, zs)) % big for row in snf.right)
+        for zs in product(*choices)
+    )
+    return tuple(Layer(sat, tuple(Fraction(y, big) for y in phi)) for phi in phis)
 
 
 @dataclass(frozen=True)

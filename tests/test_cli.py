@@ -116,6 +116,24 @@ def test_incomplete_fan_exits_3(tmp_path, capsys):
     assert "complete: no" in out
 
 
+def test_nonsplit_layer_exits_3(tmp_path, capsys):
+    # 10**9 torsion components: refused without enumerating them
+    path = tmp_path / "nonsplit.json"
+    path.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "torusDim": 2,
+                "layers": [{"gamma": [[10**9, 0]], "phi": ["0"]}],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["arr", "poset", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "split summand" in err
+
+
 def _incomplete_model_files(tmp_path):
     """(arrangement, fan) file pairs whose fans are not complete: the A2 fan
     minus one cone, and the orthant fan of Z^2 plus a stray 1-dimensional

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from arrgen import random_cases
-from wondertoric.errors import ValidationError
+from wondertoric.errors import MathAssertionError, ValidationError
 from wondertoric.fans import (
     EqualSignBases,
     equal_sign_basis,
@@ -16,9 +17,11 @@ from wondertoric.fans import (
     orthant_fan,
 )
 from wondertoric.files import fixture_path, load_arrangement, load_fan
-from wondertoric.lattice import Sublattice
+from wondertoric.lattice import Sublattice, smith_normal_form
 from wondertoric.layers import (
     Layer,
+    _plan,
+    _solve,
     goodness_check,
     intersect,
     mod1,
@@ -73,6 +76,104 @@ def test_inconsistent_values_rejected():
 def test_nonsplit_gamma_rejected():
     with pytest.raises(ValidationError, match="split"):
         Layer.from_generators(2, [[2, 0]], [HALF])
+
+
+def test_nonsplit_generators_refused_before_components(monkeypatch):
+    # 10**9 torsion components: refused from the Smith invariants alone
+    built = []
+    post_init = Layer.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Layer, "__post_init__", counting)
+    with pytest.raises(ValidationError, match="split"):
+        Layer.from_generators(2, [[10**9, 0]], [0])
+    assert built == []
+
+
+def _reference_solve(n, rows, values):
+    """The solver before its lattice half was cached: a Hermite form,
+    saturation, coordinate solve and Smith form on every call, and every
+    value in Fractions."""
+    if not rows:
+        return (Layer.torus(n),)
+    sat = Sublattice.from_rows(n, rows).saturation()
+    snf = smith_normal_form(tuple(sat.coordinates_of(r) for r in rows))
+    lv = [
+        mod1(sum(Fraction(c) * v for c, v in zip(snf.left[i], values)))
+        for i in range(len(rows))
+    ]
+    r = sat.rank
+    for i in range(len(rows)):
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+        if d == 0 and lv[i] != 0:
+            return ()
+    if snf.rank != r:
+        raise MathAssertionError("saturation changed the rank")
+    components = []
+    torsion = [[(v + t) / d for t in range(d)] for d, v in zip(snf.diagonal, lv)]
+    for choice in product(*torsion):
+        y = [
+            mod1(sum(Fraction(snf.right[j][i]) * choice[i] for i in range(r)))
+            for j in range(r)
+        ]
+        components.append(Layer(sat, tuple(y)))
+    components.sort(key=Layer.sort_key)
+    return tuple(components)
+
+
+def _solver_cases():
+    """Seeded rows with entries -3..3 in ambient rank 1-3, some with one row
+    scaled by 2-4 (torsion) and some with a dependent row appended; values
+    with denominators 1-6 consistent up to integer shifts (so negative and
+    >= 1), some of them then moved off consistency."""
+    rng = random.Random(2610)
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(rows))
+            rows[i] = [rng.randint(2, 4) * x for x in rows[i]]
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+        den = rng.randint(1, 6)
+        theta = [Fraction(rng.randint(-6, 6), den) for _ in range(n)]
+        values = [
+            sum(x * t for x, t in zip(row, theta)) + rng.randint(-2, 2) for row in rows
+        ]
+        if rng.random() < 0.3:
+            values[rng.randrange(len(values))] += Fraction(1, rng.randint(2, 6))
+        yield n, tuple(map(tuple, rows)), tuple(values)
+
+
+def test_solver_matches_fraction_reference():
+    sizes = set()
+    for n, rows, values in _solver_cases():
+        got = _solve(n, rows, values)
+        assert got == _reference_solve(n, rows, values), (n, rows, values)
+        sizes.add(len(got))
+    # empty, connected, and up to 16 torsion components all occur
+    assert {0, 1, 2, 3, 4, 16} <= sizes, sizes
+
+
+def test_translates_share_one_plan():
+    _plan.cache_clear()
+    k1 = Layer.from_generators(3, [[1, 0, 2]], [0])
+    k3 = Layer.from_generators(3, [[1, 2, 0]], [0])
+    zero = intersect(k1, k3)
+    before = _plan.cache_info()
+    k1_half = Layer.from_generators(3, [[1, 0, 2]], [HALF])
+    half = intersect(k1_half, k3)
+    after = _plan.cache_info()
+    # the translate and its intersection reuse the plans built for values 0
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    assert k1_half.gamma == k1.gamma and k1_half.phi == (HALF,)
+    assert [c.phi for c in zero] == [(0, 0), (0, HALF)]
+    assert [c.phi for c in half] == [(HALF, Fraction(1, 4)), (HALF, Fraction(3, 4))]
+    assert half == _reference_solve(3, k1.gamma.basis + k3.gamma.basis, (HALF, 0))
 
 
 def test_contains():

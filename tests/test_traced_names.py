@@ -2,7 +2,9 @@
 
 `perfbench/tracer.py` wraps each `(module, function)` of its `BOUNDARY` and
 reads three caches through `cache_info()`; a name lost in a refactor would
-otherwise fail only the traced benchmark run.
+otherwise fail only the traced benchmark run.  The solver's plan cache
+(`layers._plan`) is checked with them, so that the benchmark can report its
+hits.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ def test_traced_boundary_names_exist(monkeypatch):
         assert callable(getattr(home, function, None)), (module, function)
     for module, function in (
         ("lattice", "_smith_of"),
+        ("layers", "_plan"),
         ("fans", "betti_numbers"),
         ("typea", "admissible_trees"),
     ):
