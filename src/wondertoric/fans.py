@@ -19,7 +19,6 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     dot,
-    express_in_rows,
     is_primitive,
     smith_normal_form,
     split_rank,
@@ -85,20 +84,25 @@ def all_cones(fan: Fan) -> frozenset[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _simplicial(fan: Fan) -> bool:
+def _cone_kinds(fan: Fan) -> tuple[bool, bool]:
+    """(simplicial, smooth) from one Smith form per maximal cone: a cone is
+    simplicial when its rays are independent, and smooth when they also
+    span a split summand."""
+    smooth = True
     for cone in fan.maximal_cones:
-        rows = [fan.rays[i] for i in cone]
-        if rows and smith_normal_form(rows).rank != len(cone):
-            return False
-    return True
+        snf = smith_normal_form([fan.rays[i] for i in cone])
+        if snf.rank != len(cone):
+            return False, False
+        smooth = smooth and all(d == 1 for d in snf.diagonal)
+    return True, smooth
 
 
-@lru_cache(maxsize=None)
+def _simplicial(fan: Fan) -> bool:
+    return _cone_kinds(fan)[0]
+
+
 def _smooth(fan: Fan) -> bool:
-    return all(
-        split_rank([fan.rays[i] for i in cone]) == len(cone)
-        for cone in fan.maximal_cones
-    )
+    return _cone_kinds(fan)[1]
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +314,7 @@ def equal_sign_basis(
     if lat.rank == 0:
         return ()
     # cheap path: the canonical basis often works as-is
-    if split_rank(lat.basis) == lat.rank and all(
+    if lat.is_split_summand() and all(
         equal_sign_holds(fan, row) for row in lat.basis
     ):
         return lat.basis
@@ -348,7 +352,7 @@ def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
     ]
     new_rays = []
     for i in flagged:
-        coords = express_in_rows(kernel.basis, fan.ambient_dim, fan.rays[i])
+        coords = kernel.solve(fan.rays[i])
         if coords is None:
             raise MathAssertionError("ray in annihilator missed the kernel lattice")
         if not is_primitive(coords):

@@ -2,7 +2,9 @@
 
 Everything here is plain Python ints, no floats.  Matrices are sequences of
 rows.  Sublattices are stored via their row Hermite normal form, which makes
-equality of lattices structural equality of the dataclass.
+equality of lattices structural equality of the dataclass; membership and
+coordinates are back-substitution on that basis.  Smith forms serve the
+invariants only: the split test, the kernel and the quotient torsion.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
-
-
-def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    if len(v) != len(a):
-        raise ValueError("shape mismatch")
-    width = len(a[0]) if a else 0
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(width))
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -219,29 +214,6 @@ def split_rank(rows: Sequence[Sequence[int]]) -> int | None:
     return snf.rank if all(d <= 1 for d in snf.diagonal) else None
 
 
-def express_in_rows(
-    rows: IntMatrix, width: int, v: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Integer x with x @ rows == v, or None if v is not in the row lattice."""
-    if len(v) != width:
-        raise ValueError("vector has wrong length")
-    if not rows:
-        return () if not any(v) else None
-    snf = _smith_of(rows, width)
-    t = vec_mat(v, snf.right)
-    k = len(rows)
-    y = [0] * k
-    for i in range(width):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d:
-            if t[i] % d:
-                return None
-            y[i] = t[i] // d
-        elif t[i]:
-            return None
-    return vec_mat(y, snf.left)
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """Sublattice of Z^n in canonical form: the constructor replaces the
@@ -274,11 +246,31 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """Integer x with x @ basis == v, or None if v is not in the lattice.
+
+        Back-substitution down the Hermite rows: each row's pivot divides
+        what is left of v in its column exactly, or v is outside, and
+        nothing may be left at the end."""
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector has wrong length")
+        rest = list(v)
+        x = []
+        for row in self.basis:
+            pivot = next(j for j, a in enumerate(row) if a)
+            q, r = divmod(rest[pivot], row[pivot])
+            if r:
+                return None
+            x.append(q)
+            if q:
+                rest = [a - q * b for a, b in zip(rest, row)]
+        return None if any(rest) else tuple(x)
+
     def contains_vector(self, v: Sequence[int]) -> bool:
-        return express_in_rows(self.basis, self.ambient_rank, v) is not None
+        return self.solve(v) is not None
 
     def coordinates_of(self, v: Sequence[int]) -> tuple[int, ...]:
-        x = express_in_rows(self.basis, self.ambient_rank, v)
+        x = self.solve(v)
         if x is None:
             raise ValidationError(f"{tuple(v)} is not in the sublattice")
         return x

@@ -6,9 +6,10 @@ a nonempty connected translate of a subtorus.  The solution set of any
 finite family of character equations splits into finitely many such
 components; one solver enumerates them by exact Smith-form arithmetic, for
 a layer given by arbitrary generators and for an intersection of layers
-alike.  Its lattice half (the saturation of the generators and the Smith
-form of their coordinates in it) depends on the generator rows alone, so
-it is computed once per rows and shared by the poset closure, the blowup
+alike.  Its lattice half (the saturation of the generators, their
+coordinates in its Hermite basis by back-substitution, and the Smith form
+of those coordinates) depends on the generator rows alone, so it is kept
+for the 1024 most recent rows and shared by the poset closure, the blowup
 oracle and `Layer.from_generators`; its value half works in integer
 numerators over the values' common denominator.  The poset of layers is
 closed by intersecting each new element with the input layers only, and
@@ -131,11 +132,12 @@ def _solve(
     return () if residues is None else _components(*plan, *residues)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _plan(n: int, rows: IntMatrix) -> tuple[Sublattice, SmithForm]:
-    """The half of `_solve` that depends on the rows alone, computed once
-    per rows: their saturation, and the Smith form of the rows' coordinates
-    in its Hermite basis."""
+    """The half of `_solve` that depends on the rows alone: their
+    saturation, and the Smith form of the rows' coordinates in its Hermite
+    basis.  The cache is bounded: a batch of small arrangements repeats its
+    rows, while a large closure's rows rarely repeat."""
     sat = Sublattice.from_rows(n, rows).saturation()
     snf = smith_normal_form(tuple(sat.coordinates_of(r) for r in rows))
     if snf.rank != sat.rank:

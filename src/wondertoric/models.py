@@ -10,7 +10,7 @@ codimension bookkeeping of each center.  They must agree coefficient-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
@@ -154,8 +154,11 @@ def is_well_connected(building: BuildingSet) -> WellConnectedness:
     return WellConnectedness(True, (), None)
 
 
-def enumerate_nested_sets(building: BuildingSet) -> tuple[tuple[int, ...], ...]:
-    """All nested sets as sorted member-index tuples, smallest first.
+def _grow_nested(building: BuildingSet, root, step) -> list:
+    """(nested set, state) pairs, the sets grown depth first from () one
+    member at a time in increasing index order; the state is `root` for ()
+    and step(current, nxt, state) for a nested current + (nxt,), and a None
+    state drops that set and all grown from it.
 
     A set is nested iff every antichain in it of size >= 2 has nonempty,
     connected, transversal intersection not belonging to the building set.
@@ -177,27 +180,34 @@ def enumerate_nested_sets(building: BuildingSet) -> tuple[tuple[int, ...], ...]:
             and elements[comps[0]].rank == sum(members[i].rank for i in indices)
         )
 
-    out: list[tuple[int, ...]] = []
+    def nests(current: tuple[int, ...], nxt: int) -> bool:
+        incomparables = [i for i in current if not comparable[i][nxt]]
+        for size in range(1, len(incomparables) + 1):
+            for sub in combinations(incomparables, size):
+                if any(comparable[a][b] for a, b in combinations(sub, 2)):
+                    continue
+                if not antichain_ok(sub + (nxt,)):
+                    return False
+        return True
 
-    def grow(current: tuple[int, ...], start: int) -> None:
-        out.append(current)
+    out = []
+
+    def grow(current: tuple[int, ...], state, start: int) -> None:
+        out.append((current, state))
         for nxt in range(start, m):
-            incomparables = [i for i in current if not comparable[i][nxt]]
-            fine = True
-            for size in range(1, len(incomparables) + 1):
-                for sub in combinations(incomparables, size):
-                    if any(comparable[a][b] for a, b in combinations(sub, 2)):
-                        continue
-                    if not antichain_ok(sub + (nxt,)):
-                        fine = False
-                        break
-                if not fine:
-                    break
-            if fine:
-                grow(current + (nxt,), nxt + 1)
+            if nests(current, nxt):
+                grown = step(current, nxt, state)
+                if grown is not None:
+                    grow(current + (nxt,), grown, nxt + 1)
 
-    grow((), 0)
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
+    grow((), root, 0)
+    return out
+
+
+def enumerate_nested_sets(building: BuildingSet) -> tuple[tuple[int, ...], ...]:
+    """All nested sets as sorted member-index tuples, smallest first."""
+    grown = _grow_nested(building, (), lambda current, nxt, state: state)
+    return tuple(sorted((nested for nested, _ in grown), key=lambda t: (len(t), t)))
 
 
 @dataclass(frozen=True)
@@ -213,37 +223,27 @@ class AdmissibleFunction:
         return sum(self.values)
 
 
-def _support_bounds(
-    building: BuildingSet, support: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Strict upper bound for the value at each support element, or None if
-    some element cannot even take the value 1."""
-    elements = building.poset.elements
-    bounds = []
-    for a in support:
-        supers = [b for b in support if b != a and building.contains(b, a)]
-        enclosing = elements[building.enclosing(a, supers)]
-        bound = building.members[a].rank - enclosing.rank
-        if bound < 2:
-            return None
-        bounds.append(bound)
-    return tuple(bounds)
-
-
 def enumerate_admissible(building: BuildingSet) -> tuple[AdmissibleFunction, ...]:
-    """All admissible functions, grouped by support in canonical order."""
-    out = []
-    for support in enumerate_nested_sets(building):
-        bounds = _support_bounds(building, support)
-        if bounds is None:
-            continue
-        def expand(i: int, acc: tuple[int, ...]):
-            if i == len(support):
-                out.append(AdmissibleFunction(support, acc))
-                return
-            for v in range(1, bounds[i]):
-                expand(i + 1, acc + (v,))
-        expand(0, ())
+    """All admissible functions, grouped by support in canonical order.
+
+    A support member a takes values in [1, rank(a) - rank(E)), E the
+    component containing a of the intersection of its supers in the
+    support.  Supers have lower rank, so they join first and the bound is
+    final when a joins: a support grows only by members with bound >= 2.
+    """
+    elements = building.poset.elements
+
+    def step(current, nxt, bounds):
+        supers = [b for b in current if building.contains(b, nxt)]
+        enclosing = elements[building.enclosing(nxt, supers)]
+        bound = building.members[nxt].rank - enclosing.rank
+        return bounds + (bound,) if bound >= 2 else None
+
+    out = [
+        AdmissibleFunction(support, values)
+        for support, bounds in _grow_nested(building, (), step)
+        for values in product(*(range(1, b) for b in bounds))
+    ]
     return tuple(sorted(out, key=lambda f: (len(f.support), f.support, f.values)))
 
 

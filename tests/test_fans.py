@@ -24,7 +24,7 @@ from wondertoric.fans import (
     weyl_fan_A,
 )
 from wondertoric.files import fixture_path, load_fan
-from wondertoric.lattice import Sublattice, dot
+from wondertoric.lattice import Sublattice, dot, smith_normal_form
 
 P2 = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
@@ -57,6 +57,36 @@ def test_single_cone_not_smooth():
     assert not report.complete
     with pytest.raises(ValidationError):
         betti_numbers(fan)
+
+
+def test_simplicial_and_smooth_from_one_smith_form_per_cone(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(fans, "smith_normal_form", counting)
+    # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3
+    fan = Fan.make(
+        2, ((1, 0), (1, 3), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
+    )
+    report = validate(fan)
+    assert report.simplicial and report.complete and not report.smooth
+    with pytest.raises(ValidationError, match="require a smooth fan"):
+        betti_numbers(fan)
+    assert len(calls) == len(fan.maximal_cones)
+    # three rays in one plane cone: neither simplicial nor smooth, which the
+    # first cone already shows
+    calls.clear()
+    flat = Fan.make(
+        2, ((1, 0), (1, 1), (0, 1), (-1, -1)), ((0, 1, 2), (0, 3), (2, 3))
+    )
+    with pytest.raises(ValidationError, match="not simplicial"):
+        validate(flat)
+    with pytest.raises(ValidationError, match="require a smooth fan"):
+        betti_numbers(flat)
+    assert len(calls) == 1
 
 
 def test_validate_rejects_bad_rays():

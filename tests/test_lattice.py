@@ -12,7 +12,6 @@ import wondertoric.lattice
 from wondertoric.errors import ValidationError
 from wondertoric.lattice import (
     Sublattice,
-    express_in_rows,
     hermite_form,
     identity_matrix,
     mat_mul,
@@ -167,12 +166,41 @@ def test_membership_and_coordinates():
         lat.coordinates_of([0, 1, 0])
 
 
-def test_express_in_dependent_rows():
-    rows = ((1, 1), (2, 2), (0, 3))
-    x = express_in_rows(rows, 2, (3, 6))
-    assert x is not None
-    assert [sum(x[i] * rows[i][j] for i in range(3)) for j in range(2)] == [3, 6]
-    assert express_in_rows(rows, 2, (1, 0)) is None
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+        min_size=0,
+        max_size=3,
+    ),
+    st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+def test_solve_is_membership_with_coordinates(rows, v, dependent, k, l):
+    # a dependent last row: a multiple of the first, or a combination of two
+    if dependent and len(rows) >= 2:
+        first, second = rows[0], rows[1] if len(rows) == 3 else [0, 0, 0]
+        rows[-1] = [k * a + l * b for a, b in zip(first, second)]
+    lat = Sublattice.from_rows(3, rows)
+    for target in (v, [k * a for a in rows[0]] if rows else [0, 0, 0]):
+        x = lat.solve(target)
+        assert (x is not None) == (Sublattice.from_rows(3, rows + [target]) == lat)
+        if x is not None:
+            assert [
+                sum(x[i] * lat.basis[i][j] for i in range(lat.rank)) for j in range(3)
+            ] == list(target)
+
+
+def test_solve_refuses_a_vector_of_the_wrong_length():
+    lat = Sublattice.from_rows(2, [[1, 1], [2, 2], [0, 3]])
+    assert lat.solve((3, 6)) == (3, 1)
+    assert lat.solve((1, 0)) is None
+    with pytest.raises(ValueError, match="wrong length"):
+        lat.solve((1, 0, 0))
+    with pytest.raises(ValueError, match="wrong length"):
+        Sublattice.zero(2).solve(())
 
 
 def test_sum_and_kernel():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import wondertoric.models
 from arrgen import random_cases
 from wondertoric.errors import ValidationError
 from wondertoric.fans import EqualSignBases, Fan, orthant_fan, weyl_fan_A
@@ -14,6 +15,7 @@ from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.lattice import Sublattice
 from wondertoric.layers import Layer, goodness_check, intersect, poset_of_layers
 from wondertoric.models import (
+    AdmissibleFunction,
     build_building_set,
     building_set_from_arrangement,
     enumerate_admissible,
@@ -348,3 +350,42 @@ def test_model_computations_reject_non_smooth_fans():
         with pytest.raises(ValidationError, match="require a smooth fan"):
             compute(building, fan)
     assert goodness_check(fan, building.poset).ok
+
+
+def _admissible_by_filter(building):
+    """Admissible functions as a filter over every nested set: each support
+    member a takes values in [1, rank(a) - rank(E)), E the component of the
+    intersection of a's supers in the support that contains a."""
+    elements = building.poset.elements
+    out = []
+    for support in enumerate_nested_sets(building):
+        bounds = []
+        for a in support:
+            supers = [b for b in support if b != a and building.contains(b, a)]
+            enclosing = elements[building.enclosing(a, supers)]
+            bounds.append(building.members[a].rank - enclosing.rank)
+        if min(bounds, default=2) >= 2:
+            out.extend(
+                AdmissibleFunction(support, values)
+                for values in product(*(range(1, b) for b in bounds))
+            )
+    return tuple(sorted(out, key=lambda f: (len(f.support), f.support, f.values)))
+
+
+def _admissible_cases():
+    for n in (3, 4, 5, 6):
+        yield f"eqc{n}", minimal_equal_coordinate_building(n)[1]
+    for label, _, n, layers in random_cases(480, seed=3):
+        yield label, build_building_set(poset_of_layers(n, layers))
+
+
+def test_admissible_supports_grow_without_the_nested_set_list(monkeypatch):
+    cases = list(_admissible_cases())
+    expected = {label: _admissible_by_filter(building) for label, building in cases}
+
+    def refuse(building):
+        raise AssertionError("enumerate_admissible listed the nested sets")
+
+    monkeypatch.setattr(wondertoric.models, "enumerate_nested_sets", refuse)
+    for label, building in cases:
+        assert enumerate_admissible(building) == expected[label], label
