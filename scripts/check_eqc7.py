@@ -3,12 +3,14 @@
     PYTHONPATH=src python3 scripts/check_eqc7.py
 
 Builds the poset of the equal-coordinate arrangement of order 7 and its
-building set of single-block layers, then checks that the poset has 877
+building set of single-block layers, then validates the Weyl fan of A6 as
+its own stage: simplicial, smooth and complete, with Betti numbers the
+Eulerian numbers of order 7.  It then checks that the poset has 877
 elements and that `poincare`, the blowup-recursion oracle and coefficient 7
 of `toric_poincare_series(7)` all equal (1, 219, 3292, 7723, 3292, 219, 1),
-on the Weyl fan of A6.  Prints each stage's wall time, then the peak RSS
-of the process and the hits of the solver's bounded plan cache; exits 1 on
-any mismatch.  It takes about 14 s (Python 3.11, a shared 2-core host), too
+on that fan.  Prints each stage's wall time, then the peak RSS of the
+process and the hits of the solver's bounded plan cache; exits 1 on any
+mismatch.  One run took 14.1 s (Python 3.11, a shared 2-core host), too
 long for the tier-1 tests, which stop at n = 6.
 """
 
@@ -19,9 +21,12 @@ import sys
 from time import perf_counter
 
 from wondertoric import (
+    betti_numbers,
+    eulerian,
     poincare,
     rank_via_blowup_recursion,
     toric_poincare_series,
+    validate,
     weyl_fan_A,
 )
 from wondertoric.layers import _plan
@@ -45,6 +50,9 @@ def main() -> int:
     fan = weyl_fan_A(N)
     print(f"poset and building set: {perf_counter() - start:.1f} s")
     start = perf_counter()
+    report = validate(fan)
+    print(f"fan validation: {perf_counter() - start:.1f} s")
+    start = perf_counter()
     total = poincare(building, fan).total
     print(f"poincare: {perf_counter() - start:.1f} s")
     start = perf_counter()
@@ -54,6 +62,12 @@ def main() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MiB")
     print(f"layers._plan: {_plan.cache_info()}")
+    expect(
+        "simplicial, smooth, complete",
+        (report.simplicial, report.smooth, report.complete),
+        (True, True, True),
+    )
+    expect("fan Betti numbers", betti_numbers(fan), eulerian(N)[1:])
     expect("poset elements", len(poset.elements), ELEMENTS)
     expect("poincare", total, TOTAL)
     expect("blowup oracle", oracle, TOTAL)

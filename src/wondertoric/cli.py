@@ -137,8 +137,11 @@ def _fan_text(fan: Fan, report, betti) -> list[str]:
         f"simplicial: {'yes' if report.simplicial else 'no'}",
         f"smooth: {'yes' if report.smooth else 'no'}",
         f"complete: {'yes' if report.complete else 'no'}",
-        f"f-vector: {_fmt(report.f_vector)}",
     ]
+    if report.f_vector is None:
+        lines.append("f-vector: unavailable (requires a simplicial fan)")
+    else:
+        lines.append(f"f-vector: {_fmt(report.f_vector)}")
     if betti is None:
         lines.append("Betti numbers: unavailable (requires a smooth complete fan)")
     else:
@@ -153,7 +156,7 @@ def _fan_json(fan: Fan, report, betti) -> dict:
         "simplicial": report.simplicial,
         "smooth": report.smooth,
         "complete": report.complete,
-        "fVector": list(report.f_vector),
+        "fVector": None if report.f_vector is None else list(report.f_vector),
         "betti": None if betti is None else list(betti),
     }
 

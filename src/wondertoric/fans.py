@@ -1,8 +1,8 @@
-"""Simplicial rational fans: validation, face counts, Betti numbers, subfans.
+"""Rational fans: validation, face counts, Betti numbers, subfans.
 
 A fan is stored as primitive integer rays plus maximal cones given by 0-based
-ray index tuples.  All fans in this package are simplicial; smoothness and
-completeness are checked, not assumed.
+ray index tuples.  Simpliciality, smoothness and completeness are checked,
+not assumed.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class FanReport:
     simplicial: bool
     smooth: bool
     complete: bool
-    f_vector: tuple[int, ...]
+    f_vector: tuple[int, ...] | None  # None unless simplicial
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def all_cones(fan: Fan) -> frozenset[tuple[int, ...]]:
     Includes the zero cone ().  Requires the fan to be simplicial so that
     faces are exactly the subsets of each maximal cone's ray set.
     """
-    if not _simplicial(fan):
+    if not _kinds(fan)[0]:
         raise ValidationError("fan is not simplicial; face lattice unsupported")
     faces: set[tuple[int, ...]] = set()
     for cone in fan.maximal_cones:
@@ -84,65 +84,52 @@ def all_cones(fan: Fan) -> frozenset[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _cone_kinds(fan: Fan) -> tuple[bool, bool]:
-    """(simplicial, smooth) from one Smith form per maximal cone: a cone is
-    simplicial when its rays are independent, and smooth when they also
-    span a split summand."""
-    smooth = True
-    for cone in fan.maximal_cones:
+def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
+    """(simplicial, smooth, complete) from one walk over the maximal cones.
+
+    One Smith form per cone: it is simplicial when its rays are independent,
+    and smooth when they also span a split summand.  A simplicial fan is
+    complete when it has a cone, its cones are all full-dimensional, each
+    ridge lies on exactly two of them, and the cones are connected through
+    shared ridges.  Each cone is filed under its ridges once; those pairs
+    serve both tests."""
+    cones, n = fan.maximal_cones, fan.ambient_dim
+    smooth = pure = True
+    on_ridge: dict[tuple[int, ...], list[int]] = {}
+    for idx, cone in enumerate(cones):
         snf = smith_normal_form([fan.rays[i] for i in cone])
         if snf.rank != len(cone):
-            return False, False
+            return False, False, False
         smooth = smooth and all(d == 1 for d in snf.diagonal)
-    return True, smooth
-
-
-def _simplicial(fan: Fan) -> bool:
-    return _cone_kinds(fan)[0]
-
-
-def _smooth(fan: Fan) -> bool:
-    return _cone_kinds(fan)[1]
-
-
-@lru_cache(maxsize=None)
-def _complete(fan: Fan) -> bool:
-    n = fan.ambient_dim
-    if n == 0:
-        return fan.maximal_cones == ((),)
-    if not _simplicial(fan):
-        return False
-    if any(len(c) != n for c in fan.maximal_cones):
-        return False
-    ridges = Counter()
-    for cone in fan.maximal_cones:
-        for ridge in combinations(cone, n - 1):
-            ridges[ridge] += 1
-    if any(count != 2 for count in ridges.values()):
-        return False
-    # dual graph connectivity
-    neighbors: dict[tuple[int, ...], list[int]] = {}
-    for idx, cone in enumerate(fan.maximal_cones):
-        for ridge in combinations(cone, n - 1):
-            neighbors.setdefault(ridge, []).append(idx)
-    seen = {0}
-    stack = [0]
+        pure = pure and len(cone) == n
+        # in dimension 0 the one cone () has no ridges
+        for ridge in combinations(cone, n - 1) if n else ():
+            on_ridge.setdefault(ridge, []).append(idx)
+    if not (cones and pure):
+        return True, smooth, False
+    neighbors: list[list[int]] = [[] for _ in cones]
+    for pair in on_ridge.values():
+        if len(pair) != 2:
+            return True, smooth, False
+        a, b = pair
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    seen, stack = {0}, [0]
     while stack:
-        cur = stack.pop()
-        for ridge in combinations(fan.maximal_cones[cur], n - 1):
-            for other in neighbors[ridge]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    return len(seen) == len(fan.maximal_cones)
+        for other in neighbors[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return True, smooth, len(seen) == len(cones)
 
 
 def validate(fan: Fan) -> FanReport:
-    """Structural checks plus a smooth/complete/f-vector report.
+    """Structural checks plus a simplicial/smooth/complete/f-vector report.
 
     Raises ValidationError for non-primitive rays, duplicate rays, or rays
-    that no maximal cone uses.  Smoothness and completeness are reported, not
-    required.
+    that no maximal cone uses.  Simpliciality, smoothness and completeness
+    are reported, not required; the f-vector is None on a fan that is not
+    simplicial.
     """
     for i, ray in enumerate(fan.rays):
         if not is_primitive(ray):
@@ -157,11 +144,9 @@ def validate(fan: Fan) -> FanReport:
     missing = sorted(set(range(len(fan.rays))) - used)
     if missing:
         raise ValidationError(f"rays {missing} are not used by any maximal cone")
+    simplicial, smooth, complete = _kinds(fan)
     return FanReport(
-        simplicial=_simplicial(fan),
-        smooth=_smooth(fan),
-        complete=_complete(fan),
-        f_vector=f_vector(fan),
+        simplicial, smooth, complete, f_vector(fan) if simplicial else None
     )
 
 
@@ -176,9 +161,10 @@ def f_vector(fan: Fan) -> tuple[int, ...]:
 def betti_numbers(fan: Fan) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_2n) of the smooth complete toric
     variety of the fan; odd ones vanish."""
-    if not _smooth(fan):
+    _, smooth, complete = _kinds(fan)
+    if not smooth:
         raise ValidationError("Betti numbers require a smooth fan")
-    if not _complete(fan):
+    if not complete:
         raise ValidationError("Betti numbers require a complete fan")
     n = fan.ambient_dim
     f = f_vector(fan)
@@ -457,9 +443,10 @@ def complete_bases(
     """`resolve_bases` for a wonderful model, which also needs `fan` to be
     complete and smooth: the one such check of the model computations."""
     bases = resolve_bases(fan, torus_dim, bases)
-    if not _complete(fan):
+    _, smooth, complete = _kinds(fan)
+    if not complete:
         raise ValidationError("wonderful models require a complete fan")
-    if not _smooth(fan):
+    if not smooth:
         raise ValidationError("wonderful models require a smooth fan")
     return bases
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 from typing import Iterable, Sequence
@@ -195,14 +195,6 @@ class LayerPoset:
     elements: tuple[Layer, ...]
     below: tuple[int, ...]
 
-    @cached_property
-    def above(self) -> tuple[int, ...]:
-        """Per element, the bitmask of the elements containing it."""
-        return tuple(
-            sum(1 << i for i, mask in enumerate(self.below) if mask >> j & 1)
-            for j in range(len(self.below))
-        )
-
     def contains(self, i: int, j: int) -> bool:
         """elements[i] contains elements[j] as a subvariety."""
         return bool(self.below[i] >> j & 1)
@@ -211,30 +203,31 @@ class LayerPoset:
         """Connected components of the intersection of the elements at
         `indices`, as element indices in canonical order: the maximal
         elements among those that all of them contain.  () when the
-        intersection is empty; the torus alone for no indices.
-
-        The lowest remaining index is maximal, since elements are in rank
-        order; it is recorded and everything it contains is dropped."""
+        intersection is empty; the torus alone for no indices."""
         common = (1 << len(self.elements)) - 1
         for i in indices:
             common &= self.below[i]
-        out = []
-        while common:
-            j = (common & -common).bit_length() - 1
-            out.append(j)
-            common &= ~self.below[j]
-        return tuple(out)
+        return self._maximal(common)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j): elements[i] covers elements[j] under containment,
         i.e. i properly contains j with nothing strictly between."""
-        m = len(self.elements)
         return tuple(
             (i, j)
-            for i in range(m)
-            for j in range(m)
-            if i != j and self.below[i] & self.above[j] == (1 << i) | (1 << j)
+            for i, mask in enumerate(self.below)
+            for j in self._maximal(mask & ~(1 << i))
         )
+
+    def _maximal(self, mask: int) -> tuple[int, ...]:
+        """The maximal elements among those in the bitmask, in canonical
+        order.  The lowest remaining index is maximal, since elements are in
+        rank order; it is recorded and everything it contains is dropped."""
+        out = []
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            out.append(j)
+            mask &= ~self.below[j]
+        return tuple(out)
 
 
 def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:

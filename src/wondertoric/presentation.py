@@ -111,26 +111,20 @@ def render_terms(terms: PolyTerms) -> str:
 
 
 def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """Smallest ray sets spanning no cone; all proper subsets span one."""
-    faces_by_size: dict[int, set[frozenset[int]]] = {}
-    for cone in all_cones(fan):
-        faces_by_size.setdefault(len(cone), set()).add(frozenset(cone))
-    out = []
-    n = fan.ambient_dim
-    ray_count = len(fan.rays)
-    for size in range(2, n + 2):
-        smaller = faces_by_size.get(size - 1, set())
-        found = set()
-        for face in smaller:
-            top = max(face)
-            for r in range(top + 1, ray_count):
-                cand = face | {r}
-                if cand in found or cand in faces_by_size.get(size, set()):
-                    continue
-                if all(cand - {x} in smaller for x in cand):
-                    found.add(cand)
-        out.extend(sorted(tuple(sorted(c)) for c in found))
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
+    """Smallest ray sets spanning no cone; all proper subsets span one.
+
+    Each is a nonempty face plus one ray above the face's largest index,
+    sorted by size, then as tuples."""
+    faces = all_cones(fan)
+    found = {
+        grown
+        for face in faces
+        if face
+        for r in range(face[-1] + 1, len(fan.rays))
+        if (grown := face + (r,)) not in faces
+        and all(grown[:k] + grown[k + 1 :] in faces for k in range(len(grown) - 1))
+    }
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 def character_linear_forms(fan: Fan) -> tuple[PolyTerms, ...]:

@@ -136,8 +136,9 @@ def test_nonsplit_layer_exits_3(tmp_path, capsys):
 
 def _incomplete_model_files(tmp_path):
     """(arrangement, fan) file pairs whose fans are not complete: the A2 fan
-    minus one cone, and the orthant fan of Z^2 plus a stray 1-dimensional
-    maximal cone through (1, 1), under the point {x = y = 1}."""
+    minus one cone, and under the point {x = y = 1} the orthant fan of Z^2
+    plus a stray 1-dimensional maximal cone through (1, 1) and the fan of
+    Z^2 with no cones."""
     weyl = load_fan(A2_FAN)
     minus = tmp_path / "weyl_minus_cone.json"
     minus.write_text(
@@ -164,7 +165,13 @@ def _incomplete_model_files(tmp_path):
             }
         )
     )
-    return ((A2_ARR, str(minus)), (str(point), str(stray)))
+    empty = tmp_path / "no_cones.json"
+    empty.write_text(
+        json.dumps(
+            {"formatVersion": 1, "ambientDim": 2, "rays": [], "maximalCones": []}
+        )
+    )
+    return ((A2_ARR, str(minus)), (str(point), str(stray)), (str(point), str(empty)))
 
 
 def test_model_commands_reject_incomplete_fans(tmp_path, capsys):
@@ -180,6 +187,36 @@ def test_model_commands_reject_incomplete_fans(tmp_path, capsys):
         assert "complete: no" in out
         code, _, _ = run(capsys, ["arr", "goodness", arr, fan])
         assert code == 0
+
+
+def test_fan_check_reports_a_non_simplicial_fan(tmp_path, capsys):
+    # three rays in the cone {0, 1, 2} of the plane
+    fan = tmp_path / "flat.json"
+    fan.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "ambientDim": 2,
+                "rays": [[1, 0], [1, 1], [0, 1], [-1, -1]],
+                "maximalCones": [[0, 1, 2], [0, 3], [2, 3]],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["fan", "check", str(fan)])
+    assert code == 3
+    assert err == ""
+    assert out.splitlines()[2:] == [
+        "simplicial: no",
+        "smooth: no",
+        "complete: no",
+        "f-vector: unavailable (requires a simplicial fan)",
+        "Betti numbers: unavailable (requires a smooth complete fan)",
+    ]
+    code, out, _ = run(capsys, ["fan", "check", str(fan), "--json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["simplicial"] is payload["smooth"] is payload["complete"] is False
+    assert payload["fVector"] is None and payload["betti"] is None
 
 
 def test_model_commands_reject_non_smooth_fans(tmp_path, capsys):

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrgen import random_cases
 from wondertoric import fans
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
     EqualSignBases,
     Fan,
+    FanReport,
     all_cones,
     betti_numbers,
     equal_sign_basis,
@@ -25,6 +28,7 @@ from wondertoric.fans import (
 )
 from wondertoric.files import fixture_path, load_fan
 from wondertoric.lattice import Sublattice, dot, smith_normal_form
+from wondertoric.presentation import minimal_nonfaces
 
 P2 = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
@@ -67,6 +71,8 @@ def test_simplicial_and_smooth_from_one_smith_form_per_cone(monkeypatch):
         return smith_normal_form(rows)
 
     monkeypatch.setattr(fans, "smith_normal_form", counting)
+    # other tests may have read these fans already
+    fans._kinds.cache_clear()
     # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3
     fan = Fan.make(
         2, ((1, 0), (1, 3), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
@@ -82,11 +88,129 @@ def test_simplicial_and_smooth_from_one_smith_form_per_cone(monkeypatch):
     flat = Fan.make(
         2, ((1, 0), (1, 1), (0, 1), (-1, -1)), ((0, 1, 2), (0, 3), (2, 3))
     )
+    assert validate(flat) == FanReport(False, False, False, None)
     with pytest.raises(ValidationError, match="not simplicial"):
-        validate(flat)
+        f_vector(flat)
     with pytest.raises(ValidationError, match="require a smooth fan"):
         betti_numbers(flat)
     assert len(calls) == 1
+
+
+def _reference_kinds(fan):
+    """(simplicial, smooth, complete) as computed before one cone walk
+    answered all three: a Smith-form pass, then a ridge count, a neighbour
+    map and a depth-first walk of the dual graph from cone 0."""
+    smooth = True
+    for cone in fan.maximal_cones:
+        snf = smith_normal_form([fan.rays[i] for i in cone])
+        if snf.rank != len(cone):
+            return False, False, False
+        smooth = smooth and all(d == 1 for d in snf.diagonal)
+    n = fan.ambient_dim
+    if n == 0:
+        return True, smooth, fan.maximal_cones == ((),)
+    if any(len(c) != n for c in fan.maximal_cones):
+        return True, smooth, False
+    ridges = Counter()
+    for cone in fan.maximal_cones:
+        for ridge in combinations(cone, n - 1):
+            ridges[ridge] += 1
+    if any(count != 2 for count in ridges.values()):
+        return True, smooth, False
+    neighbors = {}
+    for idx, cone in enumerate(fan.maximal_cones):
+        for ridge in combinations(cone, n - 1):
+            neighbors.setdefault(ridge, []).append(idx)
+    seen = {0}
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        for ridge in combinations(fan.maximal_cones[cur], n - 1):
+            for other in neighbors[ridge]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return True, smooth, len(seen) == len(fan.maximal_cones)
+
+
+def _minimal_nonfaces_by_definition(fan):
+    """Ray sets of size 2 to n + 1 spanning no cone while each one-smaller
+    subset spans one, with the faces read off the maximal cones.  Beyond
+    pairs only sets whose pairs all span cones are tried, as those subsets
+    force."""
+    faces = {
+        face
+        for cone in fan.maximal_cones
+        for k in range(len(cone) + 1)
+        for face in combinations(cone, k)
+    }
+
+    def minimal(rays):
+        return rays not in faces and all(
+            rays[:k] + rays[k + 1 :] in faces for k in range(len(rays))
+        )
+
+    pairs = list(combinations(range(len(fan.rays)), 2))
+    out = [p for p in pairs if minimal(p)]
+    cliques = [p for p in pairs if p in faces]
+    for _ in range(3, fan.ambient_dim + 2):
+        cliques = [
+            c + (r,)
+            for c in cliques
+            for r in range(c[-1] + 1, len(fan.rays))
+            if all((x, r) in faces for x in c)
+        ]
+        out.extend(c for c in cliques if minimal(c))
+    return tuple(sorted(out, key=lambda t: (len(t), t)))
+
+
+def _structure_cases():
+    """(label, fan) pairs: complete and incomplete, pure and not, simplicial
+    and not, with and without unused rays."""
+    for name in ("good_fan_3d.json", "p1x4_fan.json", "weyl_a3_fan.json"):
+        yield name, load_fan(fixture_path(name))
+    for n in range(1, 7):
+        yield f"weyl A{n}", weyl_fan_A(n)
+    for n in range(1, 5):
+        yield f"orthant {n}", orthant_fan(n)
+    for label, fan, _, _ in random_cases(60):
+        yield label, fan
+    orthant_rays = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    yield "stray 1-cone", Fan.make(
+        2, orthant_rays + ((1, 1),), ((0, 2), (0, 3), (1, 2), (1, 3), (4,))
+    )
+    # the ridge through (1, 0) lies on three cones
+    yield "ridge on three cones", Fan.make(
+        2, ((1, 0), (0, 1), (0, -1), (1, 1)), ((0, 1), (0, 2), (0, 3))
+    )
+    # every ridge on two cones, but the two copies of P^2 share no ridge
+    yield "two P^2", Fan.make(
+        2,
+        ((1, 0), (0, 1), (-1, -1), (2, 1), (1, 2), (-3, -1)),
+        ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)),
+    )
+    yield "flat", Fan.make(
+        2, ((1, 0), (1, 1), (0, 1), (-1, -1)), ((0, 1, 2), (0, 3), (2, 3))
+    )
+    yield "index 3", Fan.make(
+        2, ((1, 0), (1, 3), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
+    )
+    yield "point", Fan.make(0, (), ((),))
+    yield "point without its cone", Fan.make(0, (), ())
+    yield "unused ray", Fan.make(2, P2.rays + ((1, 1),), P2.maximal_cones)
+
+
+def test_kinds_and_minimal_nonfaces_match_references():
+    for label, fan in _structure_cases():
+        kinds = fans._kinds(fan)
+        assert kinds == _reference_kinds(fan), label
+        if kinds[0]:
+            assert minimal_nonfaces(fan) == _minimal_nonfaces_by_definition(
+                fan
+            ), label
+        else:
+            with pytest.raises(ValidationError, match="not simplicial"):
+                minimal_nonfaces(fan)
 
 
 def test_validate_rejects_bad_rays():

@@ -304,10 +304,17 @@ def test_closure_matches_all_pairs_reference():
         assert poset.below == below, label
 
 
-def _components_visit_every_bit(poset, indices):
+def _above_masks(poset):
+    """Per element, the bitmask of the elements containing it."""
+    m = len(poset.elements)
+    return [
+        sum(1 << i for i in range(m) if poset.below[i] >> j & 1) for j in range(m)
+    ]
+
+
+def _components_visit_every_bit(poset, above, indices):
     """Reference: every element all of `indices` contain, kept when no other
-    such element contains it."""
-    above = poset.above
+    such element contains it; `above` from `_above_masks`."""
     common = (1 << len(poset.elements)) - 1
     for i in indices:
         common &= poset.below[i]
@@ -322,10 +329,11 @@ def test_components_walk_matches_every_bit_reference():
     poset, building = minimal_equal_coordinate_building(6)
     rng = random.Random(6)
     positions = building.positions
+    above = _above_masks(poset)
     for _ in range(1000):
         subset = rng.sample(positions, rng.randint(0, 6))
         assert poset.components(subset) == _components_visit_every_bit(
-            poset, subset
+            poset, above, subset
         ), subset
 
 
