@@ -9,9 +9,12 @@ Eulerian numbers of order 7.  It then checks that the poset has 877
 elements and that `poincare`, the blowup-recursion oracle and coefficient 7
 of `toric_poincare_series(7)` all equal (1, 219, 3292, 7723, 3292, 219, 1),
 on that fan.  Prints each stage's wall time, then the peak RSS of the
-process and the hits of the solver's bounded plan cache; exits 1 on any
-mismatch.  One run took 14.1 s (Python 3.11, a shared 2-core host), too
-long for the tier-1 tests, which stop at n = 6.
+process, the hits of the solver's bounded plan cache, and what the fan's
+shared equal-sign resolver holds: lattices found, subfans and extensions
+(`poincare` and the oracle share it, so the oracle restricts no lattice
+`poincare` restricted); exits 1 on any mismatch.  One run took 10.2 s
+(Python 3.11, a shared 2-core host), too long for the tier-1 tests, which
+stop at n = 6.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from wondertoric import (
     validate,
     weyl_fan_A,
 )
+from wondertoric.fans import resolve_bases
 from wondertoric.layers import _plan
 from wondertoric.typea import minimal_equal_coordinate_building
 
@@ -62,6 +66,11 @@ def main() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MiB")
     print(f"layers._plan: {_plan.cache_info()}")
+    shared = resolve_bases(fan, fan.ambient_dim)
+    print(
+        f"shared equal-sign resolver: {len(shared._found)} lattices, "
+        f"{len(shared._subfans)} subfans, {len(shared._extensions)} extensions"
+    )
     expect(
         "simplicial, smooth, complete",
         (report.simplicial, report.smooth, report.complete),

@@ -151,7 +151,10 @@ def validate(fan: Fan) -> FanReport:
 
 
 def f_vector(fan: Fan) -> tuple[int, ...]:
-    """(f_0, f_1, ..., f_d): number of cones of each dimension, f_0 = 1."""
+    """(f_0, f_1, ..., f_d): number of cones of each dimension.
+
+    f_0 = 1 counts the zero cone, a face of every maximal cone; a fan with
+    no maximal cones has no zero cone either, and its f-vector is (0,)."""
     counts = Counter(len(c) for c in all_cones(fan))
     top = max(counts) if counts else 0
     return tuple(counts.get(k, 0) for k in range(top + 1))
@@ -360,6 +363,11 @@ class EqualSignBases:
     lattices are searched with coefficient height up to `bound`.  Searches,
     subfans and extensions are memoized and call this module's functions
     through its globals, so rebinding those is seen.
+
+    A resolver built here, with or without supplied bases, is private to
+    its caller.  The default one, which `resolve_bases` hands out when none
+    is passed, is shared by every caller in the process for the same fan
+    and kept for the 16 most recently used fans.
     """
 
     def __init__(
@@ -423,15 +431,25 @@ class EqualSignBases:
         return self._extensions[key]
 
 
+@lru_cache(maxsize=16)
+def _shared_bases(fan: Fan) -> EqualSignBases:
+    """The default resolver of `fan`, one per fan across all callers."""
+    return EqualSignBases(fan)
+
+
 def resolve_bases(
     fan: Fan, torus_dim: int, bases: EqualSignBases | None = None
 ) -> EqualSignBases:
-    """`bases`, or a fresh resolver for `fan`, for an arrangement in a torus
-    of dimension `torus_dim`: the one check that the dimensions agree."""
+    """`bases`, or the shared default resolver of `fan`, for an arrangement
+    in a torus of dimension `torus_dim`: the one check that the dimensions
+    agree.  The default resolver is kept for the 16 most recently used
+    fans, so the goodness check and the model computations on one fan
+    search, restrict and extend each lattice once between them; a resolver
+    passed in, such as one built from supplied bases, stays the caller's."""
     if fan.ambient_dim != torus_dim:
         raise ValidationError("fan and arrangement dimensions differ")
     if bases is None:
-        return EqualSignBases(fan)
+        return _shared_bases(fan)
     if bases.fan != fan:
         raise ValidationError("equal-sign bases were resolved for another fan")
     return bases

@@ -84,7 +84,9 @@ class Layer:
         return _components(*plan, *residues)[0]
 
     @classmethod
+    @lru_cache(maxsize=None)
     def torus(cls, ambient_rank: int) -> Layer:
+        """The whole torus of a rank, one shared layer per rank."""
         return cls(Sublattice.zero(ambient_rank), ())
 
     @property

@@ -14,7 +14,7 @@ are stored by their factors and multiplied out when their terms are first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
 
 from .errors import MathAssertionError, ValidationError
@@ -110,6 +110,7 @@ def render_terms(terms: PolyTerms) -> str:
     return " ".join(pieces)
 
 
+@lru_cache(maxsize=None)
 def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Smallest ray sets spanning no cone; all proper subsets span one.
 
@@ -127,6 +128,7 @@ def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
+@lru_cache(maxsize=None)
 def character_linear_forms(fan: Fan) -> tuple[PolyTerms, ...]:
     """One linear relation per ambient coordinate: its pairing against every
     ray, as a form in the C variables."""

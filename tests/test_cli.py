@@ -219,6 +219,30 @@ def test_fan_check_reports_a_non_simplicial_fan(tmp_path, capsys):
     assert payload["fVector"] is None and payload["betti"] is None
 
 
+def test_fan_check_counts_no_zero_cone_on_a_cone_less_fan(tmp_path, capsys):
+    # the zero cone is a face of a maximal cone, so with none it is absent
+    fan = tmp_path / "no_cones.json"
+    fan.write_text(
+        json.dumps({"formatVersion": 1, "ambientDim": 2, "rays": [], "maximalCones": []})
+    )
+    code, out, err = run(capsys, ["fan", "check", str(fan)])
+    assert code == 3
+    assert err == ""
+    assert out.splitlines() == [
+        "rays: 0",
+        "maximal cones: 0",
+        "simplicial: yes",
+        "smooth: yes",
+        "complete: no",
+        "f-vector: (0)",
+        "Betti numbers: unavailable (requires a smooth complete fan)",
+    ]
+    code, out, _ = run(capsys, ["fan", "check", str(fan), "--json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["fVector"] == [0] and payload["complete"] is False
+
+
 def test_model_commands_reject_non_smooth_fans(tmp_path, capsys):
     fan = tmp_path / "index_two.json"
     fan.write_text(

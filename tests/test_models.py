@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ import pytest
 
 import wondertoric.models
 from arrgen import random_cases
+from wondertoric import fans
 from wondertoric.errors import ValidationError
 from wondertoric.fans import EqualSignBases, Fan, orthant_fan, weyl_fan_A
 from wondertoric.files import fixture_path, load_arrangement, load_fan
@@ -229,6 +231,86 @@ def test_resolver_must_fit_fan_and_arrangement(lines_building, lines_fan):
             compute(lines_building, lines_fan, EqualSignBases(other))
         with pytest.raises(ValidationError, match="dimensions differ"):
             compute(lines_building, weyl_fan_A(3))
+
+
+def _shared_resolver_cases(arrgen_count, eqc_orders):
+    """(label, fan, building) for arrgen cases and equal-coordinate models."""
+    for label, fan, n, layers in random_cases(arrgen_count, seed=23):
+        yield label, fan, build_building_set(poset_of_layers(n, layers))
+    for n in eqc_orders:
+        yield f"eqc{n}", weyl_fan_A(n), minimal_equal_coordinate_building(n)[1]
+
+
+def _relation_factors(ideal):
+    return [(r.member, r.above, r.z, r.directions) for r in ideal.member_relations]
+
+
+def test_default_resolver_is_shared_by_the_model_computations(monkeypatch):
+    # each search, restriction and extension by its arguments; an extension
+    # made inside a search is part of that search
+    searched, restricted, extended = Counter(), Counter(), Counter()
+    in_search = []
+    search, restrict = fans.equal_sign_basis, fans.subfan
+    extend = fans.extend_equal_sign_basis
+
+    def counted_search(fan, lat, bound):
+        searched[fan, lat] += 1
+        in_search.append(lat)
+        try:
+            return search(fan, lat, bound)
+        finally:
+            in_search.pop()
+
+    def counted_restrict(fan, gamma):
+        restricted[fan, gamma] += 1
+        return restrict(fan, gamma)
+
+    def counted_extend(fan, outer, inner_rows, bound):
+        if not in_search:
+            extended[fan, outer, inner_rows] += 1
+        return extend(fan, outer, inner_rows, bound)
+
+    monkeypatch.setattr(fans, "equal_sign_basis", counted_search)
+    monkeypatch.setattr(fans, "subfan", counted_restrict)
+    monkeypatch.setattr(fans, "extend_equal_sign_basis", counted_extend)
+    # earlier tests may have left lattices resolved in the shared resolvers
+    fans._shared_bases.cache_clear()
+    cases = list(_shared_resolver_cases(4, (4,)))[3:]
+    assert [label for label, _, _ in cases] == ["case3-weyl", "eqc4"]
+    for label, fan, building in cases:
+        poset = building.poset
+        assert goodness_check(fan, poset).ok, label
+        total = poincare(building, fan).total
+        assert rank_via_blowup_recursion(building, fan) == total, label
+        emit_presentation(building, fan)
+        assert fans.resolve_bases(fan, poset.torus_dim) is fans.complete_bases(
+            fan, poset.torus_dim
+        ), label
+    # every lattice of both posets is searched, the goodness check asks for
+    # them all; each one once, and each restriction and extension once
+    assert set(searched) == {
+        (fan, el.gamma) for _, fan, building in cases for el in building.poset.elements
+    }
+    for seen in (searched, restricted, extended):
+        assert seen and set(seen.values()) == {1}, seen
+
+
+def test_shared_resolver_answers_as_a_fresh_one():
+    fans._shared_bases.cache_clear()
+    # the presentation of eqc5 would list all 2^26 member subsets
+    for label, fan, building in _shared_resolver_cases(60, (3, 4, 5)):
+        fresh = EqualSignBases(fan)
+        poset = building.poset
+        assert goodness_check(fan, poset) == goodness_check(fan, poset, fresh), label
+        assert poincare(building, fan) == poincare(building, fan, fresh), label
+        assert rank_via_blowup_recursion(building, fan) == rank_via_blowup_recursion(
+            building, fan, fresh
+        ), label
+        if label == "eqc5":
+            continue
+        shared, own = (emit_presentation(building, fan, b) for b in (None, fresh))
+        assert shared.class_sizes() == own.class_sizes(), label
+        assert _relation_factors(shared) == _relation_factors(own), label
 
 
 def test_a2_example():
