@@ -19,6 +19,7 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     dot,
+    first_split_basis,
     is_primitive,
     smith_normal_form,
     split_rank,
@@ -258,40 +259,25 @@ def extend_equal_sign_basis(
     members all satisfy the equal-sign condition on `fan`.
 
     Searches integer combinations of the canonical basis of `outer` with
-    coefficient height up to `bound`, backtracking with a split test so every
-    prefix still extends to a basis.  Returns None when the search space is
-    exhausted.  `inner_rows` are trusted to be equal-sign and part of a basis
-    of `outer`; pass () to search from scratch.
+    coefficient height up to `bound`, in order of height, for the first that
+    extend `inner_rows` to a basis (`first_split_basis`).  Returns None when
+    the search space is exhausted.  `inner_rows` are trusted to be equal-sign
+    and part of a basis of `outer`; pass () to search from scratch.
     """
-    s = outer.rank
     coeff_rows = [outer.coordinates_of(v) for v in inner_rows]
     if split_rank(coeff_rows) != len(coeff_rows):
         raise ValidationError("inner vectors do not split off in the outer lattice")
-
     pool: list = []
-
-    def search(start: int, chosen_coeffs, chosen) -> IntMatrix | None:
-        if len(chosen) == s:
-            return tuple(chosen)
-        for idx in range(start, len(pool)):
-            coeffs, chi = pool[idx]
-            grown = chosen_coeffs + [coeffs]
-            if split_rank(grown) == len(grown):
-                found = search(idx + 1, grown, chosen + [chi])
-                if found is not None:
-                    return found
-        return None
-
     # grow the candidate pool one coefficient height at a time so easy
     # lattices never pay for the full bound
     for height in range(1, bound + 1):
         level = _equal_sign_level(fan, outer.basis, height)
         pool.extend(level)
-        if len(pool) + len(coeff_rows) < s or (height > 1 and not level):
+        if height > 1 and not level:
             continue
-        found = search(0, list(coeff_rows), list(inner_rows))
+        found = first_split_basis([c for c, _ in pool], outer.rank, coeff_rows)
         if found is not None:
-            return found
+            return tuple(inner_rows) + tuple(pool[i][1] for i in found)
     return None
 
 

@@ -4,7 +4,7 @@ Everything here is plain Python ints, no floats.  Matrices are sequences of
 rows.  Sublattices are stored via their row Hermite normal form, which makes
 equality of lattices structural equality of the dataclass; membership and
 coordinates are back-substitution on that basis.  Smith forms serve the
-invariants only: the split test, the kernel and the quotient torsion.
+split test (and so the search for split bases), the kernel and the torsion.
 """
 
 from __future__ import annotations
@@ -212,6 +212,29 @@ def split_rank(rows: Sequence[Sequence[int]]) -> int | None:
         return 0
     snf = smith_normal_form(rows)
     return snf.rank if all(d <= 1 for d in snf.diagonal) else None
+
+
+def first_split_basis(
+    pool: Sequence[Sequence[int]], size: int, prefix: Sequence[Sequence[int]] = ()
+) -> tuple[int, ...] | None:
+    """Pool indices of the first rows, in depth-first pool order, that with
+    `prefix` span a split summand of rank `size`; None if no rows do.
+
+    Every partial choice must span a split summand of full rank too, and a
+    branch stops once too few rows remain.  Where taking the first fitting
+    row at each step succeeds, that greedy choice is the one returned."""
+    need, chosen, idx = size - len(prefix), [], 0
+    while len(chosen) < need:
+        if len(pool) - idx < need - len(chosen):
+            if not chosen:
+                return None
+            idx = chosen.pop() + 1
+            continue
+        rows = [*prefix, *(pool[i] for i in chosen), pool[idx]]
+        if split_rank(rows) == len(rows):
+            chosen.append(idx)
+        idx += 1
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)

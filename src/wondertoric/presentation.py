@@ -26,7 +26,7 @@ from .fans import (
     betti_numbers,
     complete_bases,
 )
-from .lattice import dot, smith_normal_form, split_rank
+from .lattice import dot, first_split_basis, smith_normal_form
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
@@ -172,42 +172,30 @@ def cohomology_basis_monomials(
     fan: Fan,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per degree, monomials in ray indices whose classes form a Z-basis of
-    the fan's even cohomology; the first admissible choice in sorted monomial
-    order is taken, so output is deterministic."""
-    betti = betti_numbers(fan)
-    out: list[tuple[tuple[int, ...], ...]] = []
-    for degree, rank_needed in enumerate(betti):
-        if degree == 0:
-            out.append(((),))
-            continue
-        monomials = _face_monomials(fan, degree)
-        cols = {m: i for i, m in enumerate(monomials)}
-        relations = _relation_rows(fan, degree, cols)
-        base_rank = (
-            smith_normal_form(tuple(relations)).rank if relations else 0
-        )
-        if len(cols) - base_rank != rank_needed:
-            raise MathAssertionError(
-                "relation rank disagrees with the Betti number"
-            )
-        chosen: list[tuple[int, ...]] = []
-        chosen_rows: list[tuple[int, ...]] = []
-        for mono in monomials:
-            if len(chosen) == rank_needed:
-                break
-            indicator = tuple(
-                1 if i == cols[mono] else 0 for i in range(len(cols))
-            )
-            stack = relations + chosen_rows + [indicator]
-            if split_rank(stack) == base_rank + len(chosen) + 1:
-                chosen.append(mono)
-                chosen_rows.append(indicator)
-        if len(chosen) != rank_needed:
-            raise MathAssertionError(
-                f"no split monomial basis found in degree {degree}"
-            )
-        out.append(tuple(chosen))
-    return tuple(out)
+    the fan's even cohomology: the first split choice in sorted monomial
+    order, depth first, so output is deterministic."""
+    return tuple(_basis_in_degree(fan, d, b) for d, b in enumerate(betti_numbers(fan)))
+
+
+def _basis_in_degree(fan: Fan, degree: int, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Level `degree` of `cohomology_basis_monomials`, of `rank` monomials.
+
+    When the relation rows have Smith invariants 1, of rank k, v -> (v @
+    right)[k:] maps Z^monomials onto Z^rank with the relations as kernel,
+    so a monomial's class is its row of `right` past k."""
+    if degree == 0:
+        return ((),)
+    monomials = _face_monomials(fan, degree)
+    cols = {m: i for i, m in enumerate(monomials)}
+    snf = smith_normal_form(_relation_rows(fan, degree, cols))
+    if len(monomials) - snf.rank != rank:
+        raise MathAssertionError("relation rank disagrees with the Betti number")
+    # Smith invariants above 1 leave torsion, so no monomials are a basis
+    free = all(d <= 1 for d in snf.diagonal)
+    found = first_split_basis([r[snf.rank :] for r in snf.right] if free else [], rank)
+    if found is None:
+        raise MathAssertionError(f"no split monomial basis found in degree {degree}")
+    return tuple(monomials[i] for i in found)
 
 
 def subfan_basis_in_parent_labels(

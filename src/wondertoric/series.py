@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 from typing import Iterable, Sequence
@@ -210,6 +211,7 @@ def _q_sum(m: int) -> QPoly:
     return qpoly((0,) + (1,) * m)
 
 
+@lru_cache(maxsize=None)
 def tree_series(order: int) -> TruncatedSeries:
     """Leaf-count series of admissible trees graded by total exponent.
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wondertoric.lattice
 from wondertoric.errors import ValidationError
 from wondertoric.lattice import (
     Sublattice,
+    first_split_basis,
     hermite_form,
     identity_matrix,
     mat_mul,
@@ -132,6 +134,53 @@ def test_split_rank():
     assert split_rank([[1, 1], [3, 3]]) == 1
     assert split_rank([[1, 0], [1, 2]]) is None
     assert split_rank([]) == 0
+
+
+def _split_of_full_rank(rows):
+    # every Smith invariant 1, checked by sympy
+    return sympy_diagonal(rows, len(rows), len(rows[0])) == (1,) * len(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=0, max_size=6
+    ),
+    st.lists(
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=0, max_size=1
+    ),
+    st.integers(0, 3),
+)
+@example([[1, 0, 0], [1, 2, 0], [1, 3, 0], [0, 0, 1]], [], 0)
+def test_first_split_basis_is_the_first_choice_with_split_prefixes(pool, prefix, drop):
+    # full rank, the size where dead ends happen, unless some rank is dropped
+    size = 3 - drop
+    prefix = prefix[:size]
+    extra = size - len(prefix)
+    # combinations come in lexicographic order, depth-first order over the pool
+    expected = next(
+        (
+            choice
+            for choice in combinations(range(len(pool)), extra)
+            if all(
+                _split_of_full_rank(prefix + [pool[i] for i in choice[:k]])
+                for k in range(1, extra + 1)
+            )
+        ),
+        None,
+    )
+    assert first_split_basis(pool, size, prefix) == expected
+
+
+def test_first_split_basis_backtracks_past_a_dead_end():
+    # (1, 0) is split, but neither later row completes it: (1, 2) and (1, 3)
+    # do, with determinant 1
+    pool = [(1, 0), (1, 2), (1, 3)]
+    assert first_split_basis(pool, 2) == (1, 2)
+    assert first_split_basis(pool[:2], 2) is None
+    assert first_split_basis([(2, 0), (0, 1)], 1) == (1,)
+    assert first_split_basis(pool, 2, [(1, 2)]) == (2,)
+    assert first_split_basis(pool, 1, [(1, 0)]) == ()
 
 
 def test_saturation_frozen_example():

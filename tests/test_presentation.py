@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
@@ -10,16 +11,35 @@ from arrgen import random_cases
 from hilbert import presentation_hilbert_function
 from wondertoric import presentation
 from wondertoric.cli import EXAMPLES, _model_inputs, reproduction_text
-from wondertoric.errors import ValidationError
-from wondertoric.fans import EqualSignBases, Fan, f_vector, orthant_fan, weyl_fan_A
+from wondertoric.errors import MathAssertionError, ValidationError
+from wondertoric.fans import (
+    EqualSignBases,
+    Fan,
+    betti_numbers,
+    f_vector,
+    orthant_fan,
+    weyl_fan_A,
+)
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import poset_of_layers
-from wondertoric.models import build_building_set, poincare, support_lattice
+from wondertoric.lattice import (
+    hermite_form,
+    identity_matrix,
+    smith_normal_form,
+    split_rank,
+)
+from wondertoric.models import (
+    build_building_set,
+    enumerate_admissible,
+    poincare,
+    support_lattice,
+)
 from wondertoric.presentation import (
     cohomology_basis_monomials,
     character_linear_forms,
     emit_presentation,
     _face_monomials,
+    _relation_rows,
     minimal_nonfaces,
     mono_mul,
     mono_powers,
@@ -123,6 +143,95 @@ def test_cohomology_basis_product_of_lines():
     basis = cohomology_basis_monomials(orthant_fan(2))
     assert [len(level) for level in basis] == [1, 2, 1]
     assert basis[1] == ((0,), (2,))
+
+
+def _greedy_basis_monomials(fan):
+    """The earlier greedy choice, kept as a reference: in each degree, take
+    every monomial in sorted order whose indicator keeps the relation rows
+    and the chosen indicators split, and never go back."""
+    out = []
+    for degree, rank_needed in enumerate(betti_numbers(fan)):
+        if degree == 0:
+            out.append(((),))
+            continue
+        monomials = _face_monomials(fan, degree)
+        cols = {m: i for i, m in enumerate(monomials)}
+        relations = _relation_rows(fan, degree, cols)
+        base_rank = smith_normal_form(tuple(relations)).rank if relations else 0
+        assert len(cols) - base_rank == rank_needed
+        chosen, chosen_rows = [], []
+        for mono in monomials:
+            if len(chosen) == rank_needed:
+                break
+            indicator = tuple(1 if i == cols[mono] else 0 for i in range(len(cols)))
+            stack = relations + chosen_rows + [indicator]
+            if split_rank(stack) == base_rank + len(chosen) + 1:
+                chosen.append(mono)
+                chosen_rows.append(indicator)
+        if len(chosen) != rank_needed:
+            raise MathAssertionError(f"no split monomial basis found in degree {degree}")
+        out.append(tuple(chosen))
+    return tuple(out)
+
+
+def _assert_split_level(fan, degree, level):
+    # by Hermite forms, not the Smith forms of the library: the relation rows
+    # leave a quotient of rank len(level), and with the level's indicators
+    # they span all of Z^monomials, so the level's classes are a Z-basis
+    monomials = _face_monomials(fan, degree)
+    cols = {m: i for i, m in enumerate(monomials)}
+    relations = _relation_rows(fan, degree, cols)
+    assert len(level) == betti_numbers(fan)[degree]
+    assert len(hermite_form(relations, len(cols))) == len(cols) - len(level)
+    indicators = [tuple(int(i == cols[m]) for i in range(len(cols))) for m in level]
+    assert hermite_form(relations + indicators) == identity_matrix(len(cols))
+
+
+def _ray_permuted(fan, rng):
+    order = list(range(len(fan.rays)))
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    cones = [[new_index[i] for i in cone] for cone in fan.maximal_cones]
+    return Fan.make(fan.ambient_dim, [fan.rays[i] for i in order], cones)
+
+
+def _model_subfans(building, bases):
+    supports = {f.support for f in enumerate_admissible(building)} - {()}
+    return [bases.subfan(support_lattice(building, s)).fan for s in sorted(supports)]
+
+
+def test_cohomology_basis_matches_the_greedy_reference():
+    rng = random.Random(20261018)
+    fans = [P2, load_fan(fixture_path("weyl_a3_fan.json"))]
+    fans += [weyl_fan_A(n) for n in (1, 2, 3, 4)]
+    fans += [orthant_fan(n) for n in (1, 2, 3)]
+    fans += [_ray_permuted(orthant_fan(3), rng) for _ in range(20)]
+    for example in sorted(EXAMPLES):
+        fans += _model_subfans(*_example_inputs(example))
+    for _, fan, n, layers in random_cases(20):
+        fans += _model_subfans(
+            build_building_set(poset_of_layers(n, layers)), EqualSignBases(fan)
+        )
+    for fan in dict.fromkeys(fans):
+        assert cohomology_basis_monomials(fan) == _greedy_basis_monomials(fan), fan
+
+
+@pytest.mark.parametrize(
+    "fan", [load_fan(fixture_path("p1x4_fan.json")), orthant_fan(4)]
+)
+def test_cohomology_basis_is_split_where_the_greedy_reference_is_slow(fan):
+    basis = cohomology_basis_monomials(fan)
+    assert basis[0] == ((),)
+    for degree in range(1, len(basis)):
+        _assert_split_level(fan, degree, basis[degree])
+
+
+def test_degree_one_basis_past_the_greedy_dead_end(big_fan):
+    # taking every ray that keeps the classes split reaches rays 0..67 and
+    # then no further ray fits; backing up leaves out rays 67, 70 and 71
+    level = presentation._basis_in_degree(big_fan, 1, betti_numbers(big_fan)[1])
+    assert level == tuple((r,) for r in range(72) if r not in (67, 70, 71))
+    _assert_split_level(big_fan, 1, level)
 
 
 def test_curve_subfan_lift_prefers_low_parent_label(main_building, big_fan, main_arr):

@@ -128,3 +128,10 @@ def test_toric_poincare_series_small_ranks():
 def test_identities_hold_at_moderate_order():
     assert verify_lambda_recurrence(6)
     assert verify_main_identity(6)
+
+
+def test_identity_checks_share_one_tree_series():
+    tree_series.cache_clear()
+    assert verify_lambda_recurrence(5) and verify_main_identity(5)
+    info = tree_series.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
