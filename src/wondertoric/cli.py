@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import os
 import sys
 from collections import Counter
 
@@ -773,7 +774,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left; the interpreter's last flush at exit goes nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, a shell's status for a writer the pipe killed
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,7 +101,7 @@ def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
         snf = smith_normal_form([fan.rays[i] for i in cone])
         if snf.rank != len(cone):
             return False, False, False
-        smooth = smooth and all(d == 1 for d in snf.diagonal)
+        smooth = smooth and snf.unit_invariants
         pure = pure and len(cone) == n
         # in dimension 0 the one cone () has no ridges
         for ridge in combinations(cone, n - 1) if n else ():

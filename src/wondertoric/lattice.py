@@ -67,6 +67,11 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d)
 
+    @property
+    def unit_invariants(self) -> bool:
+        """Every nonzero invariant is 1: the rows span a split summand."""
+        return all(d <= 1 for d in self.diagonal)
+
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form with deterministic pivoting.
@@ -211,7 +216,7 @@ def split_rank(rows: Sequence[Sequence[int]]) -> int | None:
     if not rows:
         return 0
     snf = smith_normal_form(rows)
-    return snf.rank if all(d <= 1 for d in snf.diagonal) else None
+    return snf.rank if snf.unit_invariants else None
 
 
 def first_split_basis(

@@ -9,9 +9,9 @@ a layer given by arbitrary generators and for an intersection of layers
 alike.  Its lattice half (the saturation of the generators, their
 coordinates in its Hermite basis by back-substitution, and the Smith form
 of those coordinates) depends on the generator rows alone, so it is kept
-for the 1024 most recent rows and shared by the poset closure, the blowup
-oracle and `Layer.from_generators`; its value half works in integer
-numerators over the values' common denominator.  The poset of layers is
+for the 1024 most recent rows and shared by the poset closure and
+`Layer.from_generators`; its value half works in integer numerators over
+the values' common denominator.  The poset of layers is
 closed by intersecting each new element with the input layers only, and
 its containment is read off the edges of that closure: each component of
 cur & a lies in cur.  It stores the containment once, as bitmasks, so it
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
@@ -79,7 +79,7 @@ class Layer:
                 "character values are inconsistent on a relation among generators"
             )
         # one component per torsion choice: refuse before building them
-        if prod(plan[1].diagonal) > 1:
+        if not plan[1].unit_invariants:
             raise ValidationError("layer character lattice must be a split summand")
         return _components(*plan, *residues)[0]
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import MathAssertionError, ValidationError
 from .fans import EqualSignBases, Fan, betti_numbers, complete_bases
 from .lattice import Sublattice
-from .layers import Layer, LayerPoset, intersect, poset_of_layers
+from .layers import Layer, LayerPoset, poset_of_layers
 
 GradedCount = tuple[int, ...]
 
@@ -303,32 +303,30 @@ def rank_via_blowup_recursion(
 ) -> GradedCount:
     """Independent oracle: peel blowup centers off in an order refining
     inclusion (deepest first) and apply the graded rank bookkeeping of a
-    single smooth blowup at each step."""
+    single smooth blowup at each step.  Centers and their intersections are
+    poset indices; poset order breaks ties between equal ranks."""
     bases = complete_bases(fan, building.torus_dim, bases)
+    poset = building.poset
+    elements = poset.elements
 
-    def ranks_of(ambient: Layer, centers: tuple[Layer, ...]) -> GradedCount:
+    def deepest_first(i: int) -> tuple[int, int]:
+        return (-elements[i].rank, i)
+
+    def ranks_of(ambient: int, centers: tuple[int, ...]) -> GradedCount:
         if not centers:
-            return betti_numbers(bases.subfan(ambient.gamma).fan)
-        z = centers[-1]
-        rest = centers[:-1]
+            return betti_numbers(bases.subfan(elements[ambient].gamma).fan)
+        z, rest = centers[-1], centers[:-1]
         total = ranks_of(ambient, rest)
-        codim = z.rank - ambient.rank
+        codim = elements[z].rank - elements[ambient].rank
         if codim >= 2:
-            induced: list[Layer] = []
-            for g in rest:
-                for comp in intersect(g, z):
-                    if comp != z and comp not in induced:
-                        induced.append(comp)
-            induced.sort(key=lambda x: (-x.rank,) + x.sort_key()[1:])
-            inner = ranks_of(z, tuple(induced))
+            induced = {c for g in rest for c in poset.components((g, z)) if c != z}
+            inner = ranks_of(z, tuple(sorted(induced, key=deepest_first)))
             for j in range(1, codim):
                 total = _padded_add(total, inner, shift=j)
         return total
 
-    ordered = sorted(
-        building.members, key=lambda x: (-x.rank,) + x.sort_key()[1:]
-    )
-    return ranks_of(Layer.torus(building.torus_dim), tuple(ordered))
+    # element 0 is the torus
+    return ranks_of(0, tuple(sorted(building.positions, key=deepest_first)))
 
 
 def building_set_from_arrangement(

@@ -191,8 +191,8 @@ def _basis_in_degree(fan: Fan, degree: int, rank: int) -> tuple[tuple[int, ...],
     if len(monomials) - snf.rank != rank:
         raise MathAssertionError("relation rank disagrees with the Betti number")
     # Smith invariants above 1 leave torsion, so no monomials are a basis
-    free = all(d <= 1 for d in snf.diagonal)
-    found = first_split_basis([r[snf.rank :] for r in snf.right] if free else [], rank)
+    classes = [r[snf.rank :] for r in snf.right] if snf.unit_invariants else []
+    found = first_split_basis(classes, rank)
     if found is None:
         raise MathAssertionError(f"no split monomial basis found in degree {degree}")
     return tuple(monomials[i] for i in found)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,27 @@ def test_fan_check_json(capsys):
     assert payload["betti"] == [1, 69, 69, 1]
     assert payload["fVector"] == [1, 72, 210, 140]
     assert payload["smooth"] is True
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_listing_into_a_closed_pipe_exits_141_without_a_traceback(unbuffered):
+    # the reader closes its end before the CLI writes, as `| head` does to a
+    # long listing; block-buffered stdout first fails in the final flush
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wondertoric.cli", "model", "basis"]
+        + [str(fixture_path("example_lines.arrangement.json"))]
+        + [str(fixture_path("p1x4_fan.json")), "--table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_json_and_table_flags_conflict():

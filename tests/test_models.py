@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+import wondertoric.layers
 import wondertoric.models
 from arrgen import random_cases
 from wondertoric import fans
@@ -335,6 +336,75 @@ def test_randomized_dual_oracle_quick():
         assert res.total == oracle, label
 
 
+def _blowup_by_intersect(building, fan):
+    """Reference route: the blowup oracle on `Layer` objects, each center's
+    intersections solved again by `intersect`."""
+    bases = fans.complete_bases(fan, building.torus_dim)
+
+    def deepest_first(x):
+        return (-x.rank,) + x.sort_key()[1:]
+
+    def ranks_of(ambient, centers):
+        if not centers:
+            return fans.betti_numbers(bases.subfan(ambient.gamma).fan)
+        z, rest = centers[-1], centers[:-1]
+        total = ranks_of(ambient, rest)
+        codim = z.rank - ambient.rank
+        if codim >= 2:
+            induced = []
+            for g in rest:
+                for comp in intersect(g, z):
+                    if comp != z and comp not in induced:
+                        induced.append(comp)
+            inner = ranks_of(z, tuple(sorted(induced, key=deepest_first)))
+            for j in range(1, codim):
+                total = wondertoric.models._padded_add(total, inner, shift=j)
+        return total
+
+    ordered = sorted(building.members, key=deepest_first)
+    return ranks_of(Layer.torus(building.torus_dim), tuple(ordered))
+
+
+def _example_models():
+    """(label, fan, building) of the three bundled examples, each with the
+    building set its file gives."""
+    for name, fan_name in (
+        ("example_main", "good_fan_3d.json"),
+        ("example_lines", "p1x4_fan.json"),
+        ("example_a2", "weyl_a3_fan.json"),
+    ):
+        arr = load_arrangement(fixture_path(f"{name}.arrangement.json"))
+        poset = poset_of_layers(arr.torus_dim, arr.layers)
+        yield name, load_fan(fixture_path(fan_name)), build_building_set(
+            poset, arr.building
+        )
+
+
+def test_blowup_oracle_matches_the_intersect_route():
+    cases = [*_example_models(), *_shared_resolver_cases(60, (3, 4, 5, 6))]
+    assert len(cases) == 3 + 60 + 4
+    for label, fan, building in cases:
+        assert rank_via_blowup_recursion(building, fan) == _blowup_by_intersect(
+            building, fan
+        ), label
+
+
+def test_blowup_oracle_solves_no_character_equations(monkeypatch):
+    calls = []
+    solve = wondertoric.layers._solve
+
+    def counted_solve(n, rows, values):
+        calls.append(rows)
+        return solve(n, rows, values)
+
+    models = [*_example_models(), *_shared_resolver_cases(0, (4,))]
+    # the poset closure is built before the solver is counted
+    monkeypatch.setattr(wondertoric.layers, "_solve", counted_solve)
+    for label, fan, building in models:
+        rank_via_blowup_recursion(building, fan)
+        assert not calls, label
+
+
 def _chained_components(building, subset, memo):
     """Reference route: intersect the members one at a time."""
     if subset not in memo:
@@ -351,15 +421,9 @@ def _chained_components(building, subset, memo):
 
 
 def _component_cases():
-    for name, fan_name in (
-        ("example_main", "good_fan_3d.json"),
-        ("example_lines", "p1x4_fan.json"),
-        ("example_a2", "weyl_a3_fan.json"),
-    ):
-        arr = load_arrangement(fixture_path(f"{name}.arrangement.json"))
-        poset = poset_of_layers(arr.torus_dim, arr.layers)
-        yield f"{name} file", build_building_set(poset, arr.building)
-        yield f"{name} poset", build_building_set(poset)
+    for name, _, building in _example_models():
+        yield f"{name} file", building
+        yield f"{name} poset", build_building_set(building.poset)
     for n in (3, 4):
         poset, building = minimal_equal_coordinate_building(n)
         yield f"eqc{n} minimal", building
