@@ -772,8 +772,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:
+            # --help leaves its text in a block buffer: flush it while a
+            # closed pipe can still be reported as one
+            sys.stdout.flush()
+            raise
         status = args.handler(args)
         sys.stdout.flush()
         return status

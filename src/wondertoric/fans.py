@@ -20,9 +20,10 @@ from .lattice import (
     Sublattice,
     dot,
     first_split_basis,
+    hermite_form,
+    identity_matrix,
     is_primitive,
-    smith_normal_form,
-    split_rank,
+    splits,
     vector_gcd,
 )
 
@@ -88,8 +89,9 @@ def all_cones(fan: Fan) -> frozenset[tuple[int, ...]]:
 def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
     """(simplicial, smooth, complete) from one walk over the maximal cones.
 
-    One Smith form per cone: it is simplicial when its rays are independent,
-    and smooth when they also span a split summand.  A simplicial fan is
+    One Hermite form of each cone's ray columns: the cone is simplicial when
+    it has a row per ray, and smooth when it is the identity, that is when
+    the rays also span a split summand.  A simplicial fan is
     complete when it has a cone, its cones are all full-dimensional, each
     ridge lies on exactly two of them, and the cones are connected through
     shared ridges.  Each cone is filed under its ridges once; those pairs
@@ -98,10 +100,10 @@ def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
     smooth = pure = True
     on_ridge: dict[tuple[int, ...], list[int]] = {}
     for idx, cone in enumerate(cones):
-        snf = smith_normal_form([fan.rays[i] for i in cone])
-        if snf.rank != len(cone):
+        columns = hermite_form(list(zip(*(fan.rays[i] for i in cone))), len(cone))
+        if len(columns) != len(cone):
             return False, False, False
-        smooth = smooth and snf.unit_invariants
+        smooth = smooth and columns == identity_matrix(len(cone))
         pure = pure and len(cone) == n
         # in dimension 0 the one cone () has no ridges
         for ridge in combinations(cone, n - 1) if n else ():
@@ -265,7 +267,7 @@ def extend_equal_sign_basis(
     and part of a basis of `outer`; pass () to search from scratch.
     """
     coeff_rows = [outer.coordinates_of(v) for v in inner_rows]
-    if split_rank(coeff_rows) != len(coeff_rows):
+    if not splits(coeff_rows):
         raise ValidationError("inner vectors do not split off in the outer lattice")
     pool: list = []
     # grow the candidate pool one coefficient height at a time so easy

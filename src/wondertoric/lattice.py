@@ -3,8 +3,9 @@
 Everything here is plain Python ints, no floats.  Matrices are sequences of
 rows.  Sublattices are stored via their row Hermite normal form, which makes
 equality of lattices structural equality of the dataclass; membership and
-coordinates are back-substitution on that basis.  Smith forms serve the
-split test (and so the search for split bases), the kernel and the torsion.
+coordinates are back-substitution on that basis.  Hermite forms also
+answer the split test (`splits`, and so the search for split bases) and give
+the kernel; Smith forms serve only where torsion or a transform is read.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ def _freeze(rows: Iterable[Sequence[int]]) -> IntMatrix:
 
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    """Matrix product a @ b over Z."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    cols = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -210,13 +201,15 @@ def _smith_of(frozen: IntMatrix, width: int) -> SmithForm:
     return smith_normal_form(frozen)
 
 
-def split_rank(rows: Sequence[Sequence[int]]) -> int | None:
-    """Rank of the row lattice when it is a split summand of Z^n (every
-    nonzero Smith invariant is 1), else None; 0 for no rows."""
-    if not rows:
-        return 0
-    snf = smith_normal_form(rows)
-    return snf.rank if snf.unit_invariants else None
+def splits(rows: Sequence[Sequence[int]]) -> bool:
+    """True when `rows` are independent and span a split summand of Z^n;
+    True for no rows.
+
+    That holds exactly when the k rows have a right inverse over Z, that is
+    when their columns span Z^k: when the columns' Hermite form is the
+    identity."""
+    k = len(rows)
+    return hermite_form(list(zip(*rows, strict=True)), k) == identity_matrix(k)
 
 
 def first_split_basis(
@@ -236,7 +229,7 @@ def first_split_basis(
             idx = chosen.pop() + 1
             continue
         rows = [*prefix, *(pool[i] for i in chosen), pool[idx]]
-        if split_rank(rows) == len(rows):
+        if splits(rows):
             chosen.append(idx)
         idx += 1
     return tuple(chosen)
@@ -314,28 +307,20 @@ class Sublattice:
     def smith(self) -> SmithForm:
         return _smith_of(self.basis, self.ambient_rank)
 
-    def quotient_torsion_order(self) -> int:
-        """Order of the torsion subgroup of Z^n modulo this lattice."""
-        out = 1
-        for d in self.smith().diagonal:
-            if d:
-                out *= d
-        return out
-
     def is_split_summand(self) -> bool:
-        return self.quotient_torsion_order() == 1
+        return self.smith().unit_invariants
 
     def kernel_lattice(self) -> Sublattice:
-        """{v in Z^n : <g, v> = 0 for every generator g}; always saturated."""
-        snf = self.smith()
-        n = self.ambient_rank
-        cols = [
-            i
-            for i in range(n)
-            if i >= len(snf.diagonal) or snf.diagonal[i] == 0
-        ]
-        rows = [tuple(snf.right[r][c] for r in range(n)) for c in cols]
-        return Sublattice.from_rows(n, rows)
+        """{v in Z^n : <g, v> = 0 for every generator g}; always saturated.
+
+        Row-reducing [basis^T | I_n] to Hermite form applies a unimodular
+        transform, recorded in the last n columns; the rows it sends to
+        zero in the first r columns, r the rank, are a basis of the
+        kernel."""
+        n, r = self.ambient_rank, self.rank
+        cols = [tuple(g[i] for g in self.basis) for i in range(n)]
+        reduced = hermite_form([c + e for c, e in zip(cols, identity_matrix(n))], r + n)
+        return Sublattice.from_rows(n, [row[r:] for row in reduced if not any(row[:r])])
 
     def saturation(self) -> Sublattice:
         """Smallest split summand of Z^n containing this lattice."""

@@ -39,10 +39,6 @@ def poly_freeze(p: Poly) -> PolyTerms:
     return tuple(sorted(((m, c) for m, c in p.items() if c)))
 
 
-def poly_var(v: Var, coeff: int = 1) -> Poly:
-    return {(v,): coeff} if coeff else {}
-
-
 def poly_const(c: int) -> Poly:
     return {(): c} if c else {}
 

@@ -58,16 +58,13 @@ def test_fan_check_json(capsys):
     assert payload["smooth"] is True
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_listing_into_a_closed_pipe_exits_141_without_a_traceback(unbuffered):
-    # the reader closes its end before the CLI writes, as `| head` does to a
-    # long listing; block-buffered stdout first fails in the final flush
+def _into_a_closed_pipe(args, unbuffered):
+    """Exit status and stderr of the CLI run on `args` when the reader closes
+    its end before the CLI writes, as `| head` does to a long listing."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "wondertoric.cli", "model", "basis"]
-        + [str(fixture_path("example_lines.arrangement.json"))]
-        + [str(fixture_path("p1x4_fan.json")), "--table"],
+        [sys.executable, "-m", "wondertoric.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered),
@@ -75,8 +72,34 @@ def test_listing_into_a_closed_pipe_exits_141_without_a_traceback(unbuffered):
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 141
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_listing_into_a_closed_pipe_exits_141_without_a_traceback(unbuffered):
+    # block-buffered stdout first fails in the final flush
+    code, err = _into_a_closed_pipe(
+        ["model", "basis", str(fixture_path("example_lines.arrangement.json"))]
+        + [str(fixture_path("p1x4_fan.json")), "--table"],
+        unbuffered,
+    )
+    assert code == 141
     assert err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_pipe_prints_no_traceback(unbuffered):
+    code, err = _into_a_closed_pipe(["model", "basis", "--help"], unbuffered)
+    # unbuffered, argparse drops the failed write itself and exits 0
+    assert code == (0 if unbuffered else 141)
+    assert err == ""
+
+
+def test_plain_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "basis", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_json_and_table_flags_conflict():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrgen import random_cases
-from wondertoric import fans
+from wondertoric import fans, lattice
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
     EqualSignBases,
@@ -23,11 +24,12 @@ from wondertoric.fans import (
     extend_equal_sign_basis,
     f_vector,
     orthant_fan,
+    subfan,
     validate,
     weyl_fan_A,
 )
 from wondertoric.files import fixture_path, load_fan
-from wondertoric.lattice import Sublattice, dot, smith_normal_form
+from wondertoric.lattice import Sublattice, dot, hermite_form, smith_normal_form
 from wondertoric.presentation import minimal_nonfaces
 
 P2 = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
@@ -63,14 +65,23 @@ def test_single_cone_not_smooth():
         betti_numbers(fan)
 
 
-def test_simplicial_and_smooth_from_one_smith_form_per_cone(monkeypatch):
+def _count_calls(monkeypatch, name, original):
+    """Calls of `name`, rebound in every library module that holds it."""
     calls = []
 
-    def counting(rows):
-        calls.append(rows)
-        return smith_normal_form(rows)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(fans, "smith_normal_form", counting)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("wondertoric") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
+    calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
+    smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
     # other tests may have read these fans already
     fans._kinds.cache_clear()
     # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3
@@ -94,6 +105,21 @@ def test_simplicial_and_smooth_from_one_smith_form_per_cone(monkeypatch):
     with pytest.raises(ValidationError, match="require a smooth fan"):
         betti_numbers(flat)
     assert len(calls) == 1
+    assert smith_calls == []
+
+
+def test_validation_split_search_and_subfan_make_no_smith_form(monkeypatch):
+    smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
+    fans._kinds.cache_clear()
+    lattice._smith_of.cache_clear()
+    fan = weyl_fan_A(4)
+    assert validate(fan).smooth
+    outer = Sublattice.from_rows(3, [(1, 0, 0), (0, 1, 0)])
+    rows = extend_equal_sign_basis(fan, outer, ((0, 1, 0),))
+    assert rows == ((0, 1, 0), (1, -1, 0))
+    sub = subfan(fan, Sublattice.from_rows(3, [(1, -1, 0)]))
+    assert betti_numbers(sub.fan) == (1, 4, 1)
+    assert smith_calls == []
 
 
 def _reference_kinds(fan):

@@ -10,15 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wondertoric.lattice
+from smith import mat_mul, smith_kernel
 from wondertoric.errors import ValidationError
 from wondertoric.lattice import (
     Sublattice,
     first_split_basis,
     hermite_form,
     identity_matrix,
-    mat_mul,
     smith_normal_form,
-    split_rank,
+    splits,
 )
 
 
@@ -127,13 +127,34 @@ def test_from_rows_computes_one_hermite_form(monkeypatch):
     assert len(calls) == 1
 
 
-def test_split_rank():
-    assert split_rank([[1, 0, 2], [0, 1, -1]]) == 2
-    assert split_rank([[2, 0]]) is None
-    assert split_rank([[1, 1], [2, 2], [0, 0]]) == 1
-    assert split_rank([[1, 1], [3, 3]]) == 1
-    assert split_rank([[1, 0], [1, 2]]) is None
-    assert split_rank([]) == 0
+def test_splits():
+    assert splits([[1, 0, 2], [0, 1, -1]])
+    assert not splits([[2, 0]])
+    # dependent rows never split, though the lattice they span may
+    assert not splits([[1, 1], [2, 2], [0, 0]])
+    assert not splits([[1, 1], [3, 3]])
+    assert not splits([[1, 0], [1, 2]])
+    assert splits([])
+
+
+@st.composite
+def _small_matrices(draw, entries=st.integers(-3, 3)):
+    # k x n with k, n <= 5: zero rows, k > n and k = 0 all come up
+    k, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    row = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(row, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices())
+@example((3, [(1, 0, 0), (0, 0, 0)]))
+@example((1, [(1,), (1,)]))
+@example((0, [(), ()]))
+@example((4, []))
+def test_splits_is_full_smith_rank_with_unit_invariants(case):
+    _, rows = case
+    snf = smith_normal_form(rows)
+    assert splits(rows) == (snf.rank == len(rows) and snf.unit_invariants)
 
 
 def _split_of_full_rank(rows):
@@ -189,10 +210,8 @@ def test_saturation_frozen_example():
 
 
 def test_torsion_frozen_example():
-    assert Sublattice.from_rows(2, [[3, 0]]).quotient_torsion_order() == 3
     assert Sublattice.from_rows(2, [[3, 0]]).is_split_summand() is False
-    assert Sublattice.full(2).quotient_torsion_order() == 1
-    assert Sublattice.zero(2).quotient_torsion_order() == 1
+    assert Sublattice.full(2).is_split_summand() is True
     assert Sublattice.zero(2).is_split_summand() is True
 
 
@@ -263,6 +282,17 @@ def test_sum_and_kernel():
     assert sum(x * y for x, y in zip(v, (1, 0, 2))) == 0
     assert sum(x * y for x, y in zip(v, (0, 1, -1))) == 0
     assert ker.is_split_summand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices(st.integers(-6, 6)))
+@example((0, []))
+@example((3, []))
+@example((2, [(2, 4), (1, 2)]))
+def test_kernel_lattice_matches_the_smith_route(case):
+    n, rows = case
+    lat = Sublattice.from_rows(n, rows)
+    assert lat.kernel_lattice() == smith_kernel(lat)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
+from smith import split_rank
 from wondertoric import presentation
 from wondertoric.cli import EXAMPLES, _model_inputs, reproduction_text
 from wondertoric.errors import MathAssertionError, ValidationError
@@ -22,12 +23,7 @@ from wondertoric.fans import (
 )
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import poset_of_layers
-from wondertoric.lattice import (
-    hermite_form,
-    identity_matrix,
-    smith_normal_form,
-    split_rank,
-)
+from wondertoric.lattice import hermite_form, identity_matrix, smith_normal_form
 from wondertoric.models import (
     build_building_set,
     enumerate_admissible,
@@ -47,7 +43,6 @@ from wondertoric.presentation import (
     poly_add,
     poly_freeze,
     poly_mul,
-    poly_var,
     render_monomial,
     render_terms,
     subfan_basis_in_parent_labels,
@@ -77,6 +72,10 @@ def main_presentation(main_building, big_fan, main_arr):
     return emit_presentation(
         main_building, big_fan, EqualSignBases(big_fan, main_arr.equal_sign_bases)
     )
+
+
+def poly_var(v, coeff=1):
+    return {(v,): coeff} if coeff else {}
 
 
 def test_poly_arithmetic_and_render():

@@ -1,0 +1,48 @@
+"""Smith forms are built only where torsion or a transform is read.
+
+Split tests and kernels come from Hermite forms (`lattice.splits`,
+`Sublattice.kernel_lattice`).  A Smith form is needed only by the solver's
+plan, whose torsion components read both transforms and the diagonal, by the
+cohomology monomial basis, whose quotient map is read off `right`, and by the
+cached verdict behind `Sublattice.is_split_summand`.  This walks the library's
+syntax trees, so a new caller fails here before it costs time anywhere.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import wondertoric
+
+SRC = Path(wondertoric.__file__).resolve().parent
+
+
+def _callers(name: str) -> set[str]:
+    """`module.function` for each function whose own body calls `name`;
+    `module.<module>` for a call outside every function."""
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.add(owner)
+            walk(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(), str(path)), f"{path.stem}.<module>")
+    return found
+
+
+def test_smith_normal_form_has_three_callers():
+    assert _callers("smith_normal_form") == {
+        "layers._plan",
+        "presentation._basis_in_degree",
+        "lattice._smith_of",
+    }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from wondertoric.typea import (
     chain_monomial_to_permutation,
     des,
     enumerate_forests,
+    equal_coordinate_layer,
     eulerian,
     hook_factorize,
     hook_from_set,
@@ -234,3 +235,28 @@ def test_equal_coordinate_building_small():
     poset3, building3 = minimal_equal_coordinate_building(3)
     assert len(poset3.elements) == 5 and len(building3.members) == 4
     assert betti_numbers(weyl_fan_A(3)) == tuple(eulerian(3)[1:])
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_equal_coordinate_supports_are_forests_with_eulerian_subfans(n):
+    # a support's members are single blocks of 1..n; member indices follow
+    # Layer.sort_key, so each member is matched to its block by its layer
+    _, building = minimal_equal_coordinate_building(n)
+    block_of = {
+        equal_coordinate_layer(n, group): frozenset(group)
+        for size in range(2, n + 1)
+        for group in combinations(range(1, n + 1), size)
+    }
+    pairs = Counter()
+    for row in poincare(building, weyl_fan_A(n)).rows:
+        blocks = [block_of[building.members[i]] for i in row.support]
+        # laminar: two blocks are nested or disjoint, so they form a forest
+        for a, b in combinations(blocks, 2):
+            assert a <= b or b <= a or not a & b, (a, b)
+        maximal = [a for a in blocks if not any(a < b for b in blocks)]
+        components = len(maximal) + n - len(frozenset().union(*blocks))
+        assert row.subfan_betti == eulerian(components)[1:]
+        pairs.update((f.degree, components) for f in row.functions)
+    assert pairs == Counter(
+        (forest.degree, forest.component_count) for forest in enumerate_forests(n)
+    )
