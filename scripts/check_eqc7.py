@@ -12,9 +12,9 @@ on that fan.  Prints each stage's wall time, then the peak RSS of the
 process, the hits of the solver's bounded plan cache, and what the fan's
 shared equal-sign resolver holds: lattices found, subfans and extensions
 (`poincare` and the oracle share it, so the oracle restricts no lattice
-`poincare` restricted); exits 1 on any mismatch.  One run took 6.4 s
-(Python 3.11, a shared 2-core host), too long for the tier-1 tests, which
-stop at n = 6.
+`poincare` restricted); exits 1 on any mismatch.  Three runs took 5.3 to
+6.2 s, median 5.8 s (Python 3.11, a shared 2-core host), too long for the
+tier-1 tests, which stop at n = 6.
 """
 
 from __future__ import annotations

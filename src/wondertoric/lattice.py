@@ -3,9 +3,9 @@
 Everything here is plain Python ints, no floats.  Matrices are sequences of
 rows.  Sublattices are stored via their row Hermite normal form, which makes
 equality of lattices structural equality of the dataclass; membership and
-coordinates are back-substitution on that basis.  Hermite forms also
-answer the split test (`splits`, and so the search for split bases) and give
-the kernel; Smith forms serve only where torsion or a transform is read.
+coordinates are back-substitution on that basis.  Hermite forms answer the
+split test (`splits`) and give kernels and, beside an identity block, row
+transforms; a Smith form serves only the cached verdict `is_split_summand`.
 """
 
 from __future__ import annotations
@@ -304,11 +304,8 @@ class Sublattice:
             raise ValueError("ambient ranks differ")
         return Sublattice.from_rows(self.ambient_rank, self.basis + other.basis)
 
-    def smith(self) -> SmithForm:
-        return _smith_of(self.basis, self.ambient_rank)
-
     def is_split_summand(self) -> bool:
-        return self.smith().unit_invariants
+        return _smith_of(self.basis, self.ambient_rank).unit_invariants
 
     def kernel_lattice(self) -> Sublattice:
         """{v in Z^n : <g, v> = 0 for every generator g}; always saturated.

@@ -4,11 +4,12 @@ A layer is the solution set of chi(t) = e^(2 pi i phi(chi)) for chi in a split
 character sublattice Gamma and phi: Gamma -> Q/Z.  Split Gamma makes the layer
 a nonempty connected translate of a subtorus.  The solution set of any
 finite family of character equations splits into finitely many such
-components; one solver enumerates them by exact Smith-form arithmetic, for
-a layer given by arbitrary generators and for an intersection of layers
+components; one solver enumerates them by exact Hermite-form arithmetic,
+for a layer given by arbitrary generators and for an intersection of layers
 alike.  Its lattice half (the saturation of the generators, their
-coordinates in its Hermite basis by back-substitution, and the Smith form
-of those coordinates) depends on the generator rows alone, so it is kept
+coordinates in its Hermite basis by back-substitution, and the Hermite form
+of those coordinates with their row transform) depends on the generator
+rows alone, so it is kept
 for the 1024 most recent rows and shared by the poset closure and
 `Layer.from_generators`; its value half works in integer numerators over
 the values' common denominator.  The poset of layers is
@@ -23,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
 from .fans import EqualSignBases, Fan, resolve_bases
-from .lattice import IntMatrix, SmithForm, Sublattice, smith_normal_form
+from .lattice import IntMatrix, Sublattice, hermite_form, identity_matrix
 
 
 def mod1(x: Fraction | int) -> Fraction:
@@ -72,16 +72,16 @@ class Layer:
         """
         if len(rows) != len(values):
             raise ValidationError("one character value per generator required")
-        plan = _plan(ambient_rank, tuple(map(tuple, rows)))
-        residues = _residues(plan[1], [Fraction(v) for v in values])
+        sat, form = _plan(ambient_rank, tuple(map(tuple, rows)))
+        residues = _residues(sat, form, [Fraction(v) for v in values])
         if residues is None:
             raise ValidationError(
                 "character values are inconsistent on a relation among generators"
             )
         # one component per torsion choice: refuse before building them
-        if not plan[1].unit_invariants:
+        if any(form[i][i] > 1 for i in range(sat.rank)):
             raise ValidationError("layer character lattice must be a split summand")
-        return _components(*plan, *residues)[0]
+        return _components(sat, form, *residues)[0]
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -129,56 +129,58 @@ def _solve(
 ) -> tuple[Layer, ...]:
     """Connected components of {t : chi(t) = e^(2 pi i v)} over the pairs
     (chi, v) of `rows` and `values`, canonically ordered; () when empty."""
-    plan = _plan(n, rows)
-    residues = _residues(plan[1], values)
-    return () if residues is None else _components(*plan, *residues)
+    sat, form = _plan(n, rows)
+    residues = _residues(sat, form, values)
+    return () if residues is None else _components(sat, form, *residues)
 
 
 @lru_cache(maxsize=1024)
-def _plan(n: int, rows: IntMatrix) -> tuple[Sublattice, SmithForm]:
-    """The half of `_solve` that depends on the rows alone: their
-    saturation, and the Smith form of the rows' coordinates in its Hermite
-    basis.  The cache is bounded: a batch of small arrangements repeats its
-    rows, while a large closure's rows rarely repeat."""
-    sat = Sublattice.from_rows(n, rows).saturation()
-    snf = smith_normal_form(tuple(sat.coordinates_of(r) for r in rows))
-    if snf.rank != sat.rank:
+def _plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix]:
+    """The half of `_solve` that depends on the k rows alone: their
+    saturation, and the Hermite form of [coords | I_k], coords the rows'
+    coordinates in its basis: rank rows [T | u], T upper triangular, then
+    rows [0 | u], the relations.  The cache is bounded: a batch of small
+    arrangements repeats its rows, while a large closure's rows rarely repeat."""
+    sat, k = Sublattice.from_rows(n, rows).saturation(), len(rows)
+    augmented = [sat.coordinates_of(g) + e for g, e in zip(rows, identity_matrix(k))]
+    form = hermite_form(augmented, sat.rank + k)
+    if not all(form[i][i] for i in range(sat.rank)):
         raise MathAssertionError("saturation changed the rank")
-    return sat, snf
+    return sat, form
 
 
 def _residues(
-    snf: SmithForm, values: Sequence[Fraction]
+    sat: Sublattice, form: IntMatrix, values: Sequence[Fraction]
 ) -> tuple[int, list[int]] | None:
     """The common denominator den of `values` and the numerators over den of
-    left @ values mod 1 on the first rank rows; None when a later row, a
-    relation among the generators, gets a nonzero value."""
+    u @ values mod 1 on the first rank rows of `form`; None when a later
+    row, a relation among the generators, gets a nonzero value."""
+    r = sat.rank
     den = lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
-    lv = [sum(c * x for c, x in zip(row, nums)) % den for row in snf.left]
-    if any(lv[snf.rank :]):
+    lv = [sum(c * x for c, x in zip(row[r:], nums)) % den for row in form]
+    if any(lv[r:]):
         return None
-    return den, lv[: snf.rank]
+    return den, lv[:r]
 
 
 def _components(
-    sat: Sublattice, snf: SmithForm, den: int, lv: Sequence[int]
+    sat: Sublattice, form: IntMatrix, den: int, lv: Sequence[int]
 ) -> tuple[Layer, ...]:
-    """One layer per z with diagonal[i] * z[i] = lv[i] / den mod 1, with phi =
-    right @ z mod 1, canonically ordered.  Every invariant divides the last
-    one, d, so z and phi are numerators over den * d; the layers share
-    `sat`, so sorting those numerators sorts the layers."""
-    d = snf.diagonal[-1] if snf.diagonal else 1
-    choices = [
-        [(x + t * den) * (d // di) for t in range(di)]
-        for x, di in zip(lv, snf.diagonal)
-    ]
-    big = den * d
-    phis = sorted(
-        tuple(sum(c * z for c, z in zip(row, zs)) % big for row in snf.right)
-        for zs in product(*choices)
-    )
-    return tuple(Layer(sat, tuple(Fraction(y, big) for y in phi)) for phi in phis)
+    """One layer per phi = z with T z = lv / den mod 1, solved from the last row
+    up, a row with pivot p leaving p values of its z.  z is kept as numerators
+    over den * index, index the product of T's diagonal; p divides index and
+    the later numerators, so dividing by p is exact.  Sorting them sorts layers."""
+    r = sat.rank
+    index = prod(form[i][i] for i in range(r))
+    big, phis = den * index, [()]
+    for i in reversed(range(r)):
+        p, grown = form[i][i], []
+        for zs in phis:
+            rest = lv[i] * index - sum(a * z for a, z in zip(form[i][i + 1 : r], zs))
+            grown += [((rest % big + t * big) // p, *zs) for t in range(p)]
+        phis = grown
+    return tuple(Layer(sat, tuple(Fraction(y, big) for y in z)) for z in sorted(phis))
 
 
 @dataclass(frozen=True)

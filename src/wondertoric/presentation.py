@@ -26,7 +26,7 @@ from .fans import (
     betti_numbers,
     complete_bases,
 )
-from .lattice import dot, first_split_basis, smith_normal_form
+from .lattice import Sublattice, dot, first_split_basis, splits
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
@@ -176,19 +176,20 @@ def cohomology_basis_monomials(
 def _basis_in_degree(fan: Fan, degree: int, rank: int) -> tuple[tuple[int, ...], ...]:
     """Level `degree` of `cohomology_basis_monomials`, of `rank` monomials.
 
-    When the relation rows have Smith invariants 1, of rank k, v -> (v @
-    right)[k:] maps Z^monomials onto Z^rank with the relations as kernel,
-    so a monomial's class is its row of `right` past k."""
+    When the relation lattice is a split summand, pairing with its kernel's
+    basis maps Z^monomials onto Z^rank with the relations as kernel, so a
+    monomial's class is its column of that basis; any two such maps differ by
+    an automorphism of Z^rank, so the monomials found do not depend on the map."""
     if degree == 0:
         return ((),)
     monomials = _face_monomials(fan, degree)
     cols = {m: i for i, m in enumerate(monomials)}
-    snf = smith_normal_form(_relation_rows(fan, degree, cols))
-    if len(monomials) - snf.rank != rank:
+    relations = Sublattice.from_rows(len(cols), _relation_rows(fan, degree, cols))
+    if len(monomials) - relations.rank != rank:
         raise MathAssertionError("relation rank disagrees with the Betti number")
-    # Smith invariants above 1 leave torsion, so no monomials are a basis
-    classes = [r[snf.rank :] for r in snf.right] if snf.unit_invariants else []
-    found = first_split_basis(classes, rank)
+    # relations that span no split summand leave torsion: no monomials are a basis
+    kernel = relations.kernel_lattice().basis if splits(relations.basis) else ()
+    found = first_split_basis(list(zip(*kernel)), rank)
     if found is None:
         raise MathAssertionError(f"no split monomial basis found in degree {degree}")
     return tuple(monomials[i] for i in found)

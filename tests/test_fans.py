@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrgen import random_cases
+from test_layers import _solver_cases
 from wondertoric import fans, lattice
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
@@ -28,7 +29,8 @@ from wondertoric.fans import (
     validate,
     weyl_fan_A,
 )
-from wondertoric.files import fixture_path, load_fan
+from wondertoric.files import fixture_path, load_arrangement, load_fan
+from wondertoric.layers import _plan, _solve, poset_of_layers
 from wondertoric.lattice import Sublattice, dot, hermite_form, smith_normal_form
 from wondertoric.presentation import minimal_nonfaces
 
@@ -66,11 +68,12 @@ def test_single_cone_not_smooth():
 
 
 def _count_calls(monkeypatch, name, original):
-    """Calls of `name`, rebound in every library module that holds it."""
+    """Calls of `name`, rebound in every library module that holds it, each
+    recorded by the name of the calling function."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -120,6 +123,27 @@ def test_validation_split_search_and_subfan_make_no_smith_form(monkeypatch):
     sub = subfan(fan, Sublattice.from_rows(3, [(1, -1, 0)]))
     assert betti_numbers(sub.fan) == (1, 4, 1)
     assert smith_calls == []
+
+
+def test_poset_closure_makes_smith_forms_only_on_split_verdict_misses(monkeypatch):
+    # the solver reads torsion off Hermite forms: a Smith form is built only
+    # when `is_split_summand` meets a lattice its cache has not seen
+    main = load_arrangement(fixture_path("example_main.arrangement.json"))
+    # the first two-row seeded solver case with four or more components,
+    # its rows' layers taken one row at a time
+    n, rows, values = next(
+        case for case in _solver_cases() if len(case[1]) == 2 and len(_solve(*case)) >= 4
+    )
+    torsion = [c for row, v in zip(rows, values) for c in _solve(n, (row,), (v,))]
+    smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
+    for torus_dim, layers in ((main.torus_dim, main.layers), (n, torsion)):
+        _plan.cache_clear()
+        lattice._smith_of.cache_clear()
+        smith_calls.clear()
+        poset = poset_of_layers(torus_dim, layers)
+        assert len(poset.elements) > len(layers) + 1
+        assert set(smith_calls) <= {"_smith_of"}, smith_calls
+        assert len(smith_calls) <= lattice._smith_of.cache_info().misses
 
 
 def _reference_kinds(fan):

@@ -79,7 +79,7 @@ def test_nonsplit_gamma_rejected():
 
 
 def test_nonsplit_generators_refused_before_components(monkeypatch):
-    # 10**9 torsion components: refused from the Smith invariants alone
+    # 10**9 torsion components: refused from the plan's Hermite diagonal alone
     built = []
     post_init = Layer.__post_init__
 
@@ -124,18 +124,42 @@ def _reference_solve(n, rows, values):
     return tuple(components)
 
 
+def _triangular_rows(rng):
+    """Rows of an upper triangular lattice in the first r coordinates of
+    Z^n, such as (2, 1, 0), (0, 3, 0): pivots 1-4, the first two 2-4, and an
+    entry in [1, second pivot) right of the first, so the coordinates'
+    Hermite form keeps a pivot above 1 left of a nonzero entry; then mixed
+    by row operations, which keep that form."""
+    n = rng.randint(2, 3)
+    r = rng.randint(2, n)
+    rows = [[0] * n for _ in range(r)]
+    for i in range(r):
+        rows[i][i] = rng.randint(2 if i < 2 else 1, 4)
+        rows[i][i + 1 : r] = [rng.randint(-3, 3) for _ in range(i + 1, r)]
+    rows[0][1] = rng.randint(1, rows[1][1] - 1)
+    for _ in range(2):
+        i, j = rng.sample(range(r), 2)
+        c = rng.randint(-2, 2)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return n, rows
+
+
 def _solver_cases():
-    """Seeded rows with entries -3..3 in ambient rank 1-3, some with one row
-    scaled by 2-4 (torsion) and some with a dependent row appended; values
+    """Seeded rows: 400 with entries -3..3 in ambient rank 1-3, some with one
+    row scaled by 2-4 (torsion), then 60 from `_triangular_rows` (torsion
+    under off-diagonal entries); some with a dependent row appended; values
     with denominators 1-6 consistent up to integer shifts (so negative and
     >= 1), some of them then moved off consistency."""
     rng = random.Random(2610)
-    for _ in range(400):
-        n = rng.randint(1, 3)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
-        if rng.random() < 0.5:
-            i = rng.randrange(len(rows))
-            rows[i] = [rng.randint(2, 4) * x for x in rows[i]]
+    for case in range(460):
+        if case >= 400:
+            n, rows = _triangular_rows(rng)
+        else:
+            n = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            if rng.random() < 0.5:
+                i = rng.randrange(len(rows))
+                rows[i] = [rng.randint(2, 4) * x for x in rows[i]]
         if rng.random() < 0.5:
             coeffs = [rng.randint(-2, 2) for _ in rows]
             rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
@@ -150,13 +174,19 @@ def _solver_cases():
 
 
 def test_solver_matches_fraction_reference():
-    sizes = set()
+    sizes, off_diagonal_torsion = set(), False
     for n, rows, values in _solver_cases():
         got = _solve(n, rows, values)
         assert got == _reference_solve(n, rows, values), (n, rows, values)
         sizes.add(len(got))
-    # empty, connected, and up to 16 torsion components all occur
+        sat, form = _plan(n, rows)
+        off_diagonal_torsion |= any(
+            form[i][i] > 1 and any(form[i][i + 1 : sat.rank]) for i in range(sat.rank)
+        )
+    # empty, connected, and up to 16 torsion components all occur, and a
+    # pivot above 1 meets a nonzero entry right of it in the triangle
     assert {0, 1, 2, 3, 4, 16} <= sizes, sizes
+    assert off_diagonal_torsion
 
 
 def test_translates_share_one_plan():

@@ -9,7 +9,7 @@ import pytest
 
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
-from smith import split_rank
+from smith import smith_basis_in_degree, split_rank
 from wondertoric import presentation
 from wondertoric.cli import EXAMPLES, _model_inputs, reproduction_text
 from wondertoric.errors import MathAssertionError, ValidationError
@@ -223,6 +223,33 @@ def test_cohomology_basis_is_split_where_the_greedy_reference_is_slow(fan):
     assert basis[0] == ((),)
     for degree in range(1, len(basis)):
         _assert_split_level(fan, degree, basis[degree])
+
+
+@pytest.mark.parametrize(
+    "fan, degrees",
+    [
+        (load_fan(fixture_path("p1x4_fan.json")), None),
+        (orthant_fan(3), None),
+        (weyl_fan_A(4), None),
+        (load_fan(fixture_path("good_fan_3d.json")), (1, 2)),
+    ],
+    ids=["p1x4", "orthant3", "weyl_A4", "good_fan_3d"],
+)
+def test_cohomology_basis_matches_the_smith_route(fan, degrees):
+    # the Hermite kernel and the Smith transform map onto the same quotient
+    # up to an automorphism, so the split search picks the same monomials
+    betti = betti_numbers(fan)
+    for d in degrees or range(len(betti)):
+        level = presentation._basis_in_degree(fan, d, betti[d])
+        assert level == smith_basis_in_degree(fan, d, betti[d]), d
+
+
+def test_relations_with_torsion_leave_no_basis(monkeypatch):
+    # 2*C1 - 2*C2 on the two rays of P^1 has the rank the Betti number asks
+    # for, but Z^2 / (2, -2) has torsion, so no monomial classes are a basis
+    monkeypatch.setattr(presentation, "_relation_rows", lambda *args: [(2, -2)])
+    with pytest.raises(MathAssertionError, match="no split monomial basis"):
+        presentation._basis_in_degree(orthant_fan(1), 1, 1)
 
 
 def test_degree_one_basis_past_the_greedy_dead_end(big_fan):

@@ -1,11 +1,12 @@
-"""Smith forms are built only where torsion or a transform is read.
+"""Smith forms are built only for the cached split verdict.
 
 Split tests and kernels come from Hermite forms (`lattice.splits`,
-`Sublattice.kernel_lattice`).  A Smith form is needed only by the solver's
-plan, whose torsion components read both transforms and the diagonal, by the
-cohomology monomial basis, whose quotient map is read off `right`, and by the
-cached verdict behind `Sublattice.is_split_summand`.  This walks the library's
-syntax trees, so a new caller fails here before it costs time anywhere.
+`Sublattice.kernel_lattice`), and so do transforms: the solver's plan reads
+its torsion components off the Hermite form of [coords | I], and the
+cohomology monomial basis reads its quotient map off a Hermite kernel.  The
+one Smith form left is the cached verdict behind
+`Sublattice.is_split_summand`.  This walks the library's syntax trees, so a
+new caller fails here before it costs time anywhere.
 """
 
 from __future__ import annotations
@@ -40,9 +41,5 @@ def _callers(name: str) -> set[str]:
     return found
 
 
-def test_smith_normal_form_has_three_callers():
-    assert _callers("smith_normal_form") == {
-        "layers._plan",
-        "presentation._basis_in_degree",
-        "lattice._smith_of",
-    }
+def test_smith_normal_form_has_one_caller():
+    assert _callers("smith_normal_form") == {"lattice._smith_of"}
