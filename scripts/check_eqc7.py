@@ -8,19 +8,25 @@ its own stage: simplicial, smooth and complete, with Betti numbers the
 Eulerian numbers of order 7.  It then checks that the poset has 877
 elements and that `poincare`, the blowup-recursion oracle and coefficient 7
 of `toric_poincare_series(7)` all equal (1, 219, 3292, 7723, 3292, 219, 1),
-on that fan.  Prints each stage's wall time, then the peak RSS of the
-process, the hits of the solver's bounded plan cache, and what the fan's
-shared equal-sign resolver holds: lattices found, subfans and extensions
-(`poincare` and the oracle share it, so the oracle restricts no lattice
-`poincare` restricted); exits 1 on any mismatch.  Three runs took 5.3 to
-6.2 s, median 5.8 s (Python 3.11, a shared 2-core host), too long for the
-tier-1 tests, which stop at n = 6.
+on that fan.  On the `poincare` result it already has, it runs the
+per-support checks of `tests/equal_coordinate.py`, which the tier-1 tests run
+for n = 3..6: each of the 1031 supports is a laminar family of blocks, its
+subfan's Betti numbers are the Eulerian numbers of its component count c, and
+the (degree, c) pairs over its admissible functions are those of the 1630
+admissible forests on 7 leaves.  Prints each stage's wall time, then the peak
+RSS of the process, the hits of the solver's bounded plan cache, and what the
+fan's shared equal-sign resolver holds: lattices found, subfans and
+extensions (`poincare` and the oracle share it, so the oracle restricts no
+lattice `poincare` restricted); exits 1 on any mismatch.  Three runs took
+6.0 to 6.8 s, median 6.6 s, the per-support checks 0.2 s of it (Python 3.11,
+a shared 2-core host), too long for the tier-1 tests, which stop at n = 6.
 """
 
 from __future__ import annotations
 
 import resource
 import sys
+from pathlib import Path
 from time import perf_counter
 
 from wondertoric import (
@@ -36,9 +42,14 @@ from wondertoric.fans import resolve_bases
 from wondertoric.layers import _plan
 from wondertoric.typea import minimal_equal_coordinate_building
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from equal_coordinate import check_supports  # noqa: E402
+
 N = 7
 ELEMENTS = 877
 TOTAL = (1, 219, 3292, 7723, 3292, 219, 1)
+SUPPORT_ROWS = 1031
+FORESTS = 1630
 
 
 def main() -> int:
@@ -57,11 +68,17 @@ def main() -> int:
     report = validate(fan)
     print(f"fan validation: {perf_counter() - start:.1f} s")
     start = perf_counter()
-    total = poincare(building, fan).total
+    result = poincare(building, fan)
     print(f"poincare: {perf_counter() - start:.1f} s")
     start = perf_counter()
     oracle = rank_via_blowup_recursion(building, fan)
     print(f"blowup oracle: {perf_counter() - start:.1f} s")
+    start = perf_counter()
+    try:
+        counts = check_supports(N, building, result)
+    except AssertionError as exc:
+        counts = f"failed: {exc}"
+    print(f"per-support checks: {perf_counter() - start:.1f} s")
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MiB")
@@ -78,7 +95,8 @@ def main() -> int:
     )
     expect("fan Betti numbers", betti_numbers(fan), eulerian(N)[1:])
     expect("poset elements", len(poset.elements), ELEMENTS)
-    expect("poincare", total, TOTAL)
+    expect("poincare", result.total, TOTAL)
+    expect("support rows and admissible forests", counts, (SUPPORT_ROWS, FORESTS))
     expect("blowup oracle", oracle, TOTAL)
     expect("series coefficient 7", toric_poincare_series(N).integer_coefficient(N), TOTAL)
     for failure in failures:

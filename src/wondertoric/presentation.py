@@ -153,12 +153,12 @@ def _relation_rows(
     support spans no cone vanish."""
     rows = []
     for mono in _face_monomials(fan, degree - 1):
-        for j in range(fan.ambient_dim):
+        for form in character_linear_forms(fan):
             row = [0] * len(cols)
-            for i, ray in enumerate(fan.rays):
-                col = cols.get(tuple(sorted(mono + (i,)))) if ray[j] else None
+            for ((_, i),), coeff in form:
+                col = cols.get(tuple(sorted(mono + (i,))))
                 if col is not None:
-                    row[col] = ray[j]
+                    row[col] = coeff
             if any(row):
                 rows.append(tuple(row))
     return rows
@@ -370,6 +370,7 @@ def emit_presentation(
 
     poset = building.poset
     relations = []
+    directions_of: dict[tuple[int, ...], PolyTerms] = {}
     for g in range(m):
         z = tuple(((("T", h),), -1) for h in range(m) if building.contains(g, h))
         for size in range(len(strictly_above[g]) + 1):
@@ -382,7 +383,10 @@ def emit_presentation(
                 # as Z[C, T] is a domain; checking len(chars) checks it
                 if len(chars) != members[g].rank - enclosing.rank:
                     raise MathAssertionError("member relation has unexpected degree")
-                directions = tuple(_direction_form(chi, fan.rays) for chi in chars)
+                for chi in chars:
+                    if chi not in directions_of:
+                        directions_of[chi] = _direction_form(chi, fan.rays)
+                directions = tuple(directions_of[chi] for chi in chars)
                 relations.append(MemberRelation(g, above, z, directions, variant))
 
     empties = []

@@ -7,6 +7,12 @@ build them.  The enumerations they replace, `typea.admissible_trees` and
 the sum of `typea.lec` over permutations (`lec_series`), stay as
 independent oracles: the tests compare both routes, and `typea verify`
 keeps an enumerative equidistribution check through t^8.
+
+The descent series reads the Eulerian polynomials of `typea.eulerian`, so
+the descent recurrence has one home.  Its checks stay independent of it:
+`typea verify` compares it with `lec_series` and, composed with the tree
+series, with `hook_series`; the tests compare it with its closed form
+(1 - q)/(1 - q e^{t(1-q)}).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .typea import lec
+from .typea import eulerian, lec
 
 QPoly = tuple[Fraction, ...]
 
@@ -49,23 +55,6 @@ def _qp_mul(a: QPoly, b: QPoly) -> QPoly:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return qpoly(out)
-
-
-def _qp_divexact(num: QPoly, den: QPoly) -> QPoly:
-    """Polynomial quotient, failing loudly on a nonzero remainder."""
-    if not den:
-        raise MathAssertionError("division by the zero polynomial")
-    rem = list(num)
-    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for top in range(len(rem) - 1, len(den) - 2, -1):
-        c = rem[top] / lead
-        out[top - len(den) + 1] = c
-        for k, d in enumerate(den):
-            rem[top - len(den) + 1 + k] -= c * d
-    if any(r != 0 for r in rem):
-        raise MathAssertionError("polynomial division left a remainder")
     return qpoly(out)
 
 
@@ -267,34 +256,9 @@ def lec_series(order: int) -> TruncatedSeries:
 
 
 def eulerian_series(order: int) -> TruncatedSeries:
-    """Descent-statistic series extracted from its closed exponential form."""
-    # solve S * (1 - q e^{t(1-q)}) = 1 - q, then strip the leading 1 and a q
-    one_minus_q = qpoly((1, -1))
-    d = [one_minus_q] + [
-        qpoly(-Fraction(c) for c in _qp_mul((0, 1), _qp_pow(one_minus_q, n)))
-        for n in range(1, order + 1)
-    ]
-    s: list[QPoly] = [qpoly(1)]
-    for n in range(1, order + 1):
-        acc: QPoly = ()
-        for k in range(n):
-            acc = _qp_add(acc, _binomial_term(n, k, s[k], d[n - k]))
-        s.append(_qp_divexact(qpoly(-c for c in acc), one_minus_q))
-    polys = [()] + [_qp_shift_down(p) for p in s[1:]]
-    return make_series(order, polys)
-
-
-def _qp_pow(p: QPoly, n: int) -> QPoly:
-    out = qpoly(1)
-    for _ in range(n):
-        out = _qp_mul(out, p)
-    return out
-
-
-def _qp_shift_down(p: QPoly) -> QPoly:
-    if p and p[0] != 0:
-        raise MathAssertionError("polynomial has no factor q to remove")
-    return qpoly(p[1:])
+    """Descent-statistic series: coefficient n is `typea.eulerian(n)` with its
+    constant 0 dropped, and coefficient 0 is empty."""
+    return make_series(order, [()] + [eulerian(n)[1:] for n in range(1, order + 1)])
 
 
 def toric_poincare_series(order: int) -> TruncatedSeries:

@@ -1,0 +1,42 @@
+"""Per-support check of the equal-coordinate model against admissible forests.
+
+Shared by `test_equal_coordinate_supports_are_forests_with_eulerian_subfans`
+(n = 3..6) and `scripts/check_eqc7.py` (n = 7), which passes the `poincare`
+result it has already computed.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
+
+from wondertoric.typea import enumerate_forests, equal_coordinate_layer, eulerian
+
+
+def check_supports(n, building, result) -> tuple[int, int]:
+    """Assert that each support of `result`, the `poincare` result of the
+    equal-coordinate building set `building` of order `n` on the Weyl fan of
+    type A, is a laminar family of blocks of 1..n, with subfan Betti numbers
+    the Eulerian numbers of its component count c, and that the multiset of
+    (degree, c) over the admissible functions is that of the admissible
+    forests on n leaves.  Returns the numbers of support rows and forests."""
+    # a support's members are single blocks of 1..n; member indices follow
+    # Layer.sort_key, so each member is matched to its block by its layer
+    block_of = {
+        equal_coordinate_layer(n, group): frozenset(group)
+        for size in range(2, n + 1)
+        for group in combinations(range(1, n + 1), size)
+    }
+    pairs = Counter()
+    for row in result.rows:
+        blocks = [block_of[building.members[i]] for i in row.support]
+        # laminar: two blocks are nested or disjoint, so they form a forest
+        for a, b in combinations(blocks, 2):
+            assert a <= b or b <= a or not a & b, (row.support, a, b)
+        maximal = [a for a in blocks if not any(a < b for b in blocks)]
+        components = len(maximal) + n - len(frozenset().union(*blocks))
+        assert row.subfan_betti == eulerian(components)[1:], (row.support, components)
+        pairs.update((f.degree, components) for f in row.functions)
+    forests = enumerate_forests(n)
+    assert pairs == Counter((f.degree, f.component_count) for f in forests), n
+    return len(result.rows), len(forests)

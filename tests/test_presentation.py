@@ -303,6 +303,24 @@ def test_presentation_frozen_class_sizes(main_presentation):
     assert main_presentation.class_sizes() == (2346, 3, 606, 75, 424)
 
 
+def test_direction_forms_built_once_per_character(
+    monkeypatch, main_building, big_fan, main_arr, main_presentation
+):
+    # 75 class (d) relations of example-main share 6 characters
+    calls = []
+    direction_form = presentation._direction_form
+    monkeypatch.setattr(
+        presentation,
+        "_direction_form",
+        lambda chi, rays: calls.append(chi) or direction_form(chi, rays),
+    )
+    pres = emit_presentation(
+        main_building, big_fan, EqualSignBases(big_fan, main_arr.equal_sign_bases)
+    )
+    assert len(calls) == len(set(calls)) == 6
+    assert pres == main_presentation
+
+
 def test_relation_with_full_chain_has_trivial_cofactor(main_presentation):
     # a point below four members: when all four are selected the enclosing
     # component is the point itself, so the relation is the plain product

@@ -9,6 +9,9 @@ import pytest
 
 from wondertoric.errors import MathAssertionError, ValidationError
 from wondertoric.series import (
+    _binomial_term,
+    _qp_add,
+    _qp_mul,
     eulerian_series,
     forest_series,
     hook_series,
@@ -105,6 +108,43 @@ def test_eulerian_series_matches_descent_triangle():
     assert e.coefficient(2) == (1, 1)
     for n in range(1, 7):
         assert e.integer_coefficient(n) == tuple(eulerian(n)[1:])
+
+
+def _qp_divexact(num, den):
+    """Polynomial quotient, failing loudly on a nonzero remainder."""
+    rem = list(num)
+    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for top in range(len(rem) - 1, len(den) - 2, -1):
+        c = rem[top] / den[-1]
+        out[top - len(den) + 1] = c
+        for k, d in enumerate(den):
+            rem[top - len(den) + 1 + k] -= c * d
+    assert not any(rem), "polynomial division left a remainder"
+    return qpoly(out)
+
+
+def _closed_form_eulerian_series(order):
+    """The descent series from its closed form (1 - q)/(1 - q e^{t(1-q)}):
+    solve S * (1 - q e^{t(1-q)}) = 1 - q, then strip the leading 1 and a q."""
+    one_minus_q = qpoly((1, -1))
+    d = [one_minus_q]
+    power = qpoly(1)
+    for _ in range(order):
+        power = _qp_mul(power, one_minus_q)
+        d.append(qpoly(-c for c in _qp_mul((0, 1), power)))
+    s = [qpoly(1)]
+    for n in range(1, order + 1):
+        acc = ()
+        for k in range(n):
+            acc = _qp_add(acc, _binomial_term(n, k, s[k], d[n - k]))
+        s.append(_qp_divexact(qpoly(-c for c in acc), one_minus_q))
+    assert all(p and p[0] == 0 for p in s[1:]), "coefficient has no factor q"
+    return make_series(order, [()] + [p[1:] for p in s[1:]])
+
+
+def test_eulerian_series_matches_its_closed_form():
+    for order in (0, 12):
+        assert eulerian_series(order) == _closed_form_eulerian_series(order)
 
 
 def test_lec_series_small():

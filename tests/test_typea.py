@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equal_coordinate import check_supports
 from wondertoric.errors import ValidationError
 from wondertoric.fans import betti_numbers, weyl_fan_A
 from wondertoric.models import poincare
@@ -18,7 +19,6 @@ from wondertoric.typea import (
     chain_monomial_to_permutation,
     des,
     enumerate_forests,
-    equal_coordinate_layer,
     eulerian,
     hook_factorize,
     hook_from_set,
@@ -239,24 +239,5 @@ def test_equal_coordinate_building_small():
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_equal_coordinate_supports_are_forests_with_eulerian_subfans(n):
-    # a support's members are single blocks of 1..n; member indices follow
-    # Layer.sort_key, so each member is matched to its block by its layer
     _, building = minimal_equal_coordinate_building(n)
-    block_of = {
-        equal_coordinate_layer(n, group): frozenset(group)
-        for size in range(2, n + 1)
-        for group in combinations(range(1, n + 1), size)
-    }
-    pairs = Counter()
-    for row in poincare(building, weyl_fan_A(n)).rows:
-        blocks = [block_of[building.members[i]] for i in row.support]
-        # laminar: two blocks are nested or disjoint, so they form a forest
-        for a, b in combinations(blocks, 2):
-            assert a <= b or b <= a or not a & b, (a, b)
-        maximal = [a for a in blocks if not any(a < b for b in blocks)]
-        components = len(maximal) + n - len(frozenset().union(*blocks))
-        assert row.subfan_betti == eulerian(components)[1:]
-        pairs.update((f.degree, components) for f in row.functions)
-    assert pairs == Counter(
-        (forest.degree, forest.component_count) for forest in enumerate_forests(n)
-    )
+    check_supports(n, building, poincare(building, weyl_fan_A(n)))
