@@ -18,8 +18,10 @@ RSS of the process, the hits of the solver's bounded plan cache, and what the
 fan's shared equal-sign resolver holds: lattices found, subfans and
 extensions (`poincare` and the oracle share it, so the oracle restricts no
 lattice `poincare` restricted); exits 1 on any mismatch.  Three runs took
-6.0 to 6.8 s, median 6.6 s, the per-support checks 0.2 s of it (Python 3.11,
-a shared 2-core host), too long for the tier-1 tests, which stop at n = 6.
+4.0 to 5.7 s, median 4.1 s, `poincare` 0.7 to 1.3 s and the per-support
+checks 0.1 s of it (Python 3.11, a shared 2-core host), too long for the
+tier-1 tests, which stop at n = 6.  The stages are one function, `check`, which
+`check_eqc8.py` runs at n = 8.
 """
 
 from __future__ import annotations
@@ -45,14 +47,11 @@ from wondertoric.typea import minimal_equal_coordinate_building
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from equal_coordinate import check_supports  # noqa: E402
 
-N = 7
-ELEMENTS = 877
-TOTAL = (1, 219, 3292, 7723, 3292, 219, 1)
-SUPPORT_ROWS = 1031
-FORESTS = 1630
-
-
-def main() -> int:
+def check(n, elements, total, support_rows, forests) -> int:
+    """Run every stage of the order-`n` check against the expected poset
+    size `elements`, graded total `total`, number of support rows
+    `support_rows` and number of admissible forests `forests`; print each
+    stage's time and each compared value, and return 1 on any mismatch."""
     failures = []
 
     def expect(what, got, want):
@@ -61,8 +60,8 @@ def main() -> int:
             failures.append(f"{what}: got {got!r}, expected {want!r}")
 
     start = perf_counter()
-    poset, building = minimal_equal_coordinate_building(N)
-    fan = weyl_fan_A(N)
+    poset, building = minimal_equal_coordinate_building(n)
+    fan = weyl_fan_A(n)
     print(f"poset and building set: {perf_counter() - start:.1f} s")
     start = perf_counter()
     report = validate(fan)
@@ -75,7 +74,7 @@ def main() -> int:
     print(f"blowup oracle: {perf_counter() - start:.1f} s")
     start = perf_counter()
     try:
-        counts = check_supports(N, building, result)
+        counts = check_supports(n, building, result)
     except AssertionError as exc:
         counts = f"failed: {exc}"
     print(f"per-support checks: {perf_counter() - start:.1f} s")
@@ -93,15 +92,19 @@ def main() -> int:
         (report.simplicial, report.smooth, report.complete),
         (True, True, True),
     )
-    expect("fan Betti numbers", betti_numbers(fan), eulerian(N)[1:])
-    expect("poset elements", len(poset.elements), ELEMENTS)
-    expect("poincare", result.total, TOTAL)
-    expect("support rows and admissible forests", counts, (SUPPORT_ROWS, FORESTS))
-    expect("blowup oracle", oracle, TOTAL)
-    expect("series coefficient 7", toric_poincare_series(N).integer_coefficient(N), TOTAL)
+    expect("fan Betti numbers", betti_numbers(fan), eulerian(n)[1:])
+    expect("poset elements", len(poset.elements), elements)
+    expect("poincare", result.total, total)
+    expect("support rows and admissible forests", counts, (support_rows, forests))
+    expect("blowup oracle", oracle, total)
+    expect(f"series coefficient {n}", toric_poincare_series(n).integer_coefficient(n), total)
     for failure in failures:
         print(f"MISMATCH {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def main() -> int:
+    return check(7, 877, (1, 219, 3292, 7723, 3292, 219, 1), 1031, 1630)
 
 
 if __name__ == "__main__":

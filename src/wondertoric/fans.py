@@ -186,24 +186,52 @@ def betti_numbers(fan: Fan) -> tuple[int, ...]:
     return betti
 
 
+@dataclass(frozen=True)
+class RayMasks:
+    """A fan's maximal cones as bitmasks of their rays (bit i for ray i),
+    and for each ray the mask of the rays that share a maximal cone with
+    it, itself included; 0 for a ray that no maximal cone uses."""
+
+    cones: tuple[int, ...]
+    neighbours: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def ray_masks(fan: Fan) -> RayMasks:
+    """The ray bitmasks of `fan`, built once per fan.  Look them up once per
+    search or listing: each lookup hashes every cone of the fan."""
+    cones = tuple(sum(1 << i for i in cone) for cone in fan.maximal_cones)
+    neighbours = [0] * len(fan.rays)
+    for cone, mask in zip(fan.maximal_cones, cones):
+        for i in cone:
+            neighbours[i] |= mask
+    return RayMasks(cones, tuple(neighbours))
+
+
+def ray_indices(mask: int):
+    """The rays of a ray bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def equal_sign_holds(fan: Fan, chi) -> bool:
     """True if on every maximal cone the values <chi, r> on the cone's rays r
     are all >= 0 or all <= 0."""
-    return _one_sign_per_cone(fan, [dot(chi, r) for r in fan.rays])
+    return _one_sign_per_cone(ray_masks(fan), [dot(chi, r) for r in fan.rays])
 
 
-def _one_sign_per_cone(fan: Fan, values) -> bool:
-    """True if no maximal cone has rays with values of both signs."""
-    for cone in fan.maximal_cones:
-        pos = neg = False
-        for i in cone:
-            if values[i] > 0:
-                pos = True
-            elif values[i] < 0:
-                neg = True
-        if pos and neg:
-            return False
-    return True
+def _one_sign_per_cone(masks: RayMasks, values) -> bool:
+    """True if no maximal cone has rays with values of both signs, that is
+    if no ray with a positive value shares a cone with one with a negative."""
+    near_positive = negative = 0
+    for i, v in enumerate(values):
+        if v > 0:
+            near_positive |= masks.neighbours[i]
+        elif v < 0:
+            negative |= 1 << i
+    return not near_positive & negative
 
 
 @lru_cache(maxsize=None)
@@ -212,6 +240,7 @@ def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
     coefficient vectors have max |entry| exactly `height` (one sign
     representative each), with the values on the rays checked incrementally."""
     s = len(basis)
+    masks = ray_masks(fan)
     ray_values = [tuple(dot(row, r) for r in fan.rays) for row in basis]
     out = []
     for coeffs in _coeff_vectors(s, height):
@@ -221,7 +250,7 @@ def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
             sum(coeffs[i] * ray_values[i][j] for i in range(s))
             for j in range(len(fan.rays))
         ]
-        if _one_sign_per_cone(fan, values):
+        if _one_sign_per_cone(masks, values):
             chi = tuple(
                 sum(coeffs[i] * basis[i][j] for i in range(s))
                 for j in range(len(basis[0]))
@@ -291,8 +320,9 @@ def equal_sign_basis(
     if lat.rank == 0:
         return ()
     # cheap path: the canonical basis often works as-is
+    masks = ray_masks(fan)
     if lat.is_split_summand() and all(
-        equal_sign_holds(fan, row) for row in lat.basis
+        _one_sign_per_cone(masks, [dot(row, r) for r in fan.rays]) for row in lat.basis
     ):
         return lat.basis
     return extend_equal_sign_basis(fan, lat, (), bound)
@@ -336,10 +366,14 @@ def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
             raise MathAssertionError("restricted ray lost primitivity")
         new_rays.append(coords)
     reindex = {old: new for new, old in enumerate(flagged)}
-    restricted = (
-        tuple(reindex[i] for i in cone if i in reindex) for cone in fan.maximal_cones
-    )
-    sub = Fan.make(m, new_rays, [c for c in restricted if len(c) == m])
+    on_flagged = sum(1 << i for i in flagged)
+    restricted = {cone & on_flagged for cone in ray_masks(fan).cones}
+    cones = [
+        tuple(reindex[i] for i in ray_indices(cone))
+        for cone in restricted
+        if cone.bit_count() == m
+    ]
+    sub = Fan.make(m, new_rays, cones)
     return Subfan(fan=sub, parent_rays=tuple(flagged))
 
 

@@ -14,8 +14,9 @@ are stored by their factors and multiplied out when their terms are first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, groupby
+from operator import and_
 
 from .errors import MathAssertionError, ValidationError
 from .fans import (
@@ -25,6 +26,8 @@ from .fans import (
     all_cones,
     betti_numbers,
     complete_bases,
+    ray_indices,
+    ray_masks,
 )
 from .lattice import Sublattice, dot, first_split_basis, splits
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
@@ -111,16 +114,28 @@ def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Smallest ray sets spanning no cone; all proper subsets span one.
 
     Each is a nonempty face plus one ray above the face's largest index,
-    sorted by size, then as tuples."""
+    sorted by size, then as tuples.  A pair is two rays in cones but in no
+    common cone.  A larger set has all its pairs in cones, so a face F is
+    grown only by the rays above F's largest index that share a cone with
+    every ray of F."""
     faces = all_cones(fan)
-    found = {
-        grown
-        for face in faces
-        if face
-        for r in range(face[-1] + 1, len(fan.rays))
-        if (grown := face + (r,)) not in faces
-        and all(grown[:k] + grown[k + 1 :] in faces for k in range(len(grown) - 1))
-    }
+    neighbours = ray_masks(fan).neighbours
+    found = [
+        (a, b)
+        for a, b in combinations(range(len(fan.rays)), 2)
+        if neighbours[a] and neighbours[b] and not neighbours[a] >> b & 1
+    ]
+    for face in faces:
+        if len(face) < 2:
+            continue
+        # -(2 << k) clears bits 0..k: the common neighbours above face[-1]
+        above = reduce(and_, (neighbours[i] for i in face)) & -(2 << face[-1])
+        for r in ray_indices(above):
+            grown = face + (r,)
+            if grown not in faces and all(
+                grown[:k] + grown[k + 1 :] in faces for k in range(len(face))
+            ):
+                found.append(grown)
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
@@ -389,11 +404,15 @@ def emit_presentation(
                 directions = tuple(directions_of[chi] for chi in chars)
                 relations.append(MemberRelation(g, above, z, directions, variant))
 
+    # a member set meets exactly when the AND of its members' masks of the
+    # elements they contain is nonzero; when all members meet, every set does
+    below = [poset.below[p] for p in building.positions]
     empties = []
-    for size in range(2, m + 1):
-        for subset in combinations(range(m), size):
-            if not building.components(subset):
-                empties.append(subset)
+    if m and not reduce(and_, below):
+        for size in range(2, m + 1):
+            for subset in combinations(range(m), size):
+                if not reduce(and_, (below[i] for i in subset)):
+                    empties.append(subset)
 
     return PresentationIdeal(
         ray_count=len(fan.rays),

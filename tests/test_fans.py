@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from itertools import combinations
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 from arrgen import random_cases
 from test_layers import _solver_cases
 from wondertoric import fans, lattice
+from wondertoric.cli import EXAMPLES, _model_inputs
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
     EqualSignBases,
     Fan,
     FanReport,
+    Subfan,
     all_cones,
     betti_numbers,
     equal_sign_basis,
@@ -32,7 +35,9 @@ from wondertoric.fans import (
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import _plan, _solve, poset_of_layers
 from wondertoric.lattice import Sublattice, dot, hermite_form, smith_normal_form
+from wondertoric.models import enumerate_admissible
 from wondertoric.presentation import minimal_nonfaces
+from wondertoric.typea import minimal_equal_coordinate_building
 
 P2 = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
@@ -245,6 +250,11 @@ def _structure_cases():
     yield "index 3", Fan.make(
         2, ((1, 0), (1, 3), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
     )
+    # the minimal non-face (0, 1, 3) is grown past ray 2, which is not a
+    # neighbour of rays 0 and 1
+    yield "hollow triangle and a ray", Fan.make(
+        3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), ((0, 1), (0, 3), (1, 3), (2,))
+    )
     yield "point", Fan.make(0, (), ((),))
     yield "point without its cone", Fan.make(0, (), ())
     yield "unused ray", Fan.make(2, P2.rays + ((1, 1),), P2.maximal_cones)
@@ -261,6 +271,102 @@ def test_kinds_and_minimal_nonfaces_match_references():
         else:
             with pytest.raises(ValidationError, match="not simplicial"):
                 minimal_nonfaces(fan)
+
+
+def _one_sign_per_cone_by_cones(fan, values):
+    """The equal-sign test as made before the ray masks: a pass over every
+    maximal cone for rays with values of both signs."""
+    for cone in fan.maximal_cones:
+        pos = neg = False
+        for i in cone:
+            if values[i] > 0:
+                pos = True
+            elif values[i] < 0:
+                neg = True
+        if pos and neg:
+            return False
+    return True
+
+
+def test_equal_sign_test_matches_the_cone_walk():
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for label, fan in _structure_cases():
+        n = fan.ambient_dim
+        chars = [(0,) * n]
+        chars += [tuple(sign * x for x in ray) for ray in fan.rays for sign in (1, -1)]
+        chars += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
+        for chi in chars:
+            expected = _one_sign_per_cone_by_cones(fan, [dot(chi, r) for r in fan.rays])
+            assert equal_sign_holds(fan, chi) == expected, (label, chi)
+            outcomes[expected] += 1
+        if not n:
+            continue
+        # the search level reads the same test: compare it on a random basis
+        basis = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        ray_values = [[dot(row, r) for r in fan.rays] for row in basis]
+        expected = tuple(
+            (c, tuple(sum(x * row[j] for x, row in zip(c, basis)) for j in range(n)))
+            for c in fans._coeff_vectors(n, 1)
+            if lattice.vector_gcd(c) == 1
+            and _one_sign_per_cone_by_cones(
+                fan,
+                [sum(x * v[j] for x, v in zip(c, ray_values)) for j in range(len(fan.rays))],
+            )
+        )
+        assert fans._equal_sign_level(fan, basis, 1) == expected, label
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def _subfan_by_cones(fan, gamma):
+    """`subfan` as computed before the ray masks: each maximal cone's rays
+    in the annihilator of `gamma`, relabelled, kept when they span its
+    full dimension."""
+    kernel = gamma.kernel_lattice()
+    m = kernel.rank
+    flagged = [
+        i
+        for i, ray in enumerate(fan.rays)
+        if all(dot(g, ray) == 0 for g in gamma.basis)
+    ]
+    reindex = {old: new for new, old in enumerate(flagged)}
+    restricted = (
+        tuple(reindex[i] for i in cone if i in reindex) for cone in fan.maximal_cones
+    )
+    rays = [kernel.solve(fan.rays[i]) for i in flagged]
+    sub = Fan.make(m, rays, [c for c in restricted if len(c) == m])
+    return Subfan(fan=sub, parent_rays=tuple(flagged))
+
+
+def _resolved_lattices():
+    """(fan, resolver, lattices): every element of the arrgen posets and of
+    the bundled examples' posets, and the lattice of every admissible
+    support of the equal-coordinate models for n <= 6."""
+    for _, fan, n, layers in random_cases(60):
+        yield fan, EqualSignBases(fan), poset_of_layers(n, layers).elements
+    for arr_name, fan_name in EXAMPLES.values():
+        building, bases = _model_inputs(fixture_path(arr_name), fixture_path(fan_name))
+        yield bases.fan, bases, building.poset.elements
+    for n in range(3, 7):
+        _, building = minimal_equal_coordinate_building(n)
+        supports = {f.support for f in enumerate_admissible(building)}
+        fan = weyl_fan_A(n)
+        yield fan, EqualSignBases(fan), [
+            building.poset.elements[building.components(s)[0]] for s in supports
+        ]
+
+
+def test_subfan_matches_the_cone_walk():
+    smooth_complete = {fan for _, fan in _structure_cases() if all(fans._kinds(fan))}
+    compared = Counter()
+    for fan, bases, elements in _resolved_lattices():
+        assert fan in smooth_complete
+        for gamma in {element.gamma for element in elements}:
+            if gamma.is_split_summand() and bases.find(gamma) is not None:
+                assert subfan(fan, gamma) == _subfan_by_cones(fan, gamma), gamma
+                compared[fan.ambient_dim, len(fan.rays)] += 1
+    # every Weyl fan A3..A6, the orthant fans 2 and 3 and the fixture fans
+    assert len(compared) >= 7 and sum(compared.values()) > 200, compared
 
 
 def test_validate_rejects_bad_rays():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -402,6 +403,34 @@ def test_expanded_relations_have_the_checked_t_degree():
                 expected = building.members[g].rank - enclosing.rank + len(above)
                 t_count = max(sum(v[0] == "T" for v in mono) for mono, _ in rel.terms)
                 assert t_count == expected, (label, variant, g, above)
+
+
+def _empty_intersections_by_components(building):
+    """Class (e) as listed before the member masks: every member subset of
+    two or more, in order, kept when `components` finds no component."""
+    m = len(building.members)
+    return tuple(
+        subset
+        for size in range(2, m + 1)
+        for subset in combinations(range(m), size)
+        if not building.components(subset)
+    )
+
+
+def test_empty_intersections_match_the_components_walk():
+    cases = [(ex, *_example_inputs(ex)) for ex in sorted(EXAMPLES)]
+    cases += [
+        (label, build_building_set(poset_of_layers(n, layers)), EqualSignBases(fan))
+        for label, fan, n, layers in random_cases(40)
+    ]
+    with_empties = set()
+    for label, building, bases in cases:
+        empties = emit_presentation(building, bases.fan, bases).empty_intersection_products
+        assert empties == _empty_intersections_by_components(building), label
+        if empties:
+            with_empties.add(label.split("-")[0])
+    # example-main and these arrgen cases list empty intersections
+    assert {"example", "case0", "case8", "case11", "case19"} <= with_empties
 
 
 def _refuse_poly_mul(a, b):
