@@ -13,14 +13,16 @@ per-support checks of `tests/equal_coordinate.py`, which the tier-1 tests run
 for n = 3..6: each of the 1031 supports is a laminar family of blocks, its
 subfan's Betti numbers are the Eulerian numbers of its component count c, and
 the (degree, c) pairs over its admissible functions are those of the 1630
-admissible forests on 7 leaves.  Prints each stage's wall time, then the peak
-RSS of the process, the hits of the solver's bounded plan cache, and what the
-fan's shared equal-sign resolver holds: lattices found, subfans and
-extensions (`poincare` and the oracle share it, so the oracle restricts no
-lattice `poincare` restricted); exits 1 on any mismatch.  Three runs took
-4.0 to 5.7 s, median 4.1 s, `poincare` 0.7 to 1.3 s and the per-support
-checks 0.1 s of it (Python 3.11, a shared 2-core host), too long for the
-tier-1 tests, which stop at n = 6.  The stages are one function, `check`, which
+admissible forests on 7 leaves, and its contribution is, summed over its
+functions f, q^deg(f) times the hook-statistic polynomial of c letters.
+Prints each stage's wall time, then the peak RSS of the process, the hits
+of the solver's bounded plan cache, and what the fan's shared equal-sign
+resolver holds: lattices found, subfans and extensions (`poincare` and the
+oracle share it, so the oracle restricts no lattice `poincare` restricted);
+exits 1 on any mismatch.  Three runs took 3.8 to 4.5 s, median 4.2 s,
+`poincare` 0.7 to 0.8 s and the per-support checks 0.1 to 0.2 s of it
+(Python 3.11, a shared 2-core host), too long for the tier-1 tests, which
+stop at n = 6.  The stages are one function, `check`, which
 `check_eqc8.py` runs at n = 8.
 """
 
@@ -97,7 +99,7 @@ def check(n, elements, total, support_rows, forests) -> int:
     expect("poincare", result.total, total)
     expect("support rows and admissible forests", counts, (support_rows, forests))
     expect("blowup oracle", oracle, total)
-    expect(f"series coefficient {n}", toric_poincare_series(n).integer_coefficient(n), total)
+    expect(f"series coefficient {n}", toric_poincare_series(n).coefficient(n), total)
     for failure in failures:
         print(f"MISMATCH {failure}", file=sys.stderr)
     return 1 if failures else 0

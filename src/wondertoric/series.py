@@ -1,5 +1,6 @@
-"""Exact truncated exponential generating series over polynomials in the
-grading variable q, plus the tree/permutation series they connect.
+"""Exact truncated exponential generating series over Z[q], q the grading
+variable, plus the tree/permutation series they connect.  No operation
+divides, so each coefficient is a tuple of ints, in ascending powers of q.
 
 The tree series and the hook-statistic series are solved from their
 functional equations, coefficient by coefficient; nothing is enumerated to
@@ -18,24 +19,25 @@ series, with `hook_series`; the tests compare it with its closed form
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-from typing import Iterable, Sequence
 
-from .errors import MathAssertionError, ValidationError
+from .errors import ValidationError
 from .typea import eulerian, lec
 
-QPoly = tuple[Fraction, ...]
+QPoly = tuple[int, ...]
 
 
-def qpoly(values: Iterable[Fraction | int | str] | Fraction | int) -> QPoly:
-    """Dense q-polynomial, ascending powers, trailing zeros trimmed."""
-    if isinstance(values, (int, Fraction)):
+def qpoly(values: Iterable[int] | int) -> QPoly:
+    """Dense q-polynomial over Z, ascending powers, trailing zeros trimmed."""
+    if not isinstance(values, Iterable):
         values = (values,)
-    out = [Fraction(v) for v in values]
+    out = list(values)
+    if not all(isinstance(v, int) for v in out):
+        raise ValidationError("q-polynomial coefficients must be ints")
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -51,7 +53,7 @@ def _qp_add(a: QPoly, b: QPoly) -> QPoly:
 def _qp_mul(a: QPoly, b: QPoly) -> QPoly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -77,12 +79,6 @@ class TruncatedSeries:
             raise ValidationError("coefficient index beyond the truncation order")
         return self.coefficients[n]
 
-    def integer_coefficient(self, n: int) -> tuple[int, ...]:
-        poly = self.coefficient(n)
-        if any(c.denominator != 1 for c in poly):
-            raise MathAssertionError("coefficient is not integral")
-        return tuple(int(c) for c in poly)
-
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise ValidationError("cannot extend a truncated series")
@@ -98,7 +94,7 @@ class TruncatedSeries:
     def sub(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.add(other.scale(-1))
 
-    def scale(self, poly: Iterable[Fraction | int] | Fraction | int) -> TruncatedSeries:
+    def scale(self, poly: Iterable[int] | int) -> TruncatedSeries:
         p = qpoly(poly)
         return TruncatedSeries(
             self.order, tuple(_qp_mul(c, p) for c in self.coefficients)
@@ -183,7 +179,7 @@ def _common(a: TruncatedSeries, b: TruncatedSeries):
     return a.truncate(order), b.truncate(order)
 
 
-def make_series(order: int, polys: Sequence[Iterable[Fraction | int]]) -> TruncatedSeries:
+def make_series(order: int, polys: Sequence[Iterable[int]]) -> TruncatedSeries:
     """Series from explicit coefficient polynomials, padded with zeros."""
     if len(polys) > order + 1:
         raise ValidationError("more coefficients than the truncation order allows")

@@ -286,10 +286,7 @@ def psi_inverse(forest: AdmissibleForest) -> tuple[AdmissibleForest, Word]:
         hooks.append(hook_from_set(batch, node.exponent))
     used = {i for hook in hooks for i in hook}
     prefix = tuple(i for i in range(1, len(small.trees) + 1) if i not in used)
-    word = prefix
-    for hook in hooks:
-        word += hook
-    return small, word
+    return small, HookFactorization(prefix, tuple(hooks)).word()
 
 
 def chain_monomial_to_permutation(

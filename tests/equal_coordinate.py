@@ -2,7 +2,8 @@
 
 Shared by `test_equal_coordinate_supports_are_forests_with_eulerian_subfans`
 (n = 3..6) and `scripts/check_eqc7.py` (n = 7), which passes the `poincare`
-result it has already computed.
+result it has already computed.  `degree_counts`, which turns degrees into a
+q-polynomial of counts, is also read by `tests/test_series.py`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,14 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+from wondertoric.series import _qp_mul, lec_series, qpoly
 from wondertoric.typea import enumerate_forests, equal_coordinate_layer, eulerian
+
+
+def degree_counts(degrees) -> tuple[int, ...]:
+    """The q-polynomial whose coefficient of q^d counts the d in `degrees`."""
+    counts = Counter(degrees)
+    return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
 
 
 def check_supports(n, building, result) -> tuple[int, int]:
@@ -19,7 +27,11 @@ def check_supports(n, building, result) -> tuple[int, int]:
     type A, is a laminar family of blocks of 1..n, with subfan Betti numbers
     the Eulerian numbers of its component count c, and that the multiset of
     (degree, c) over the admissible functions is that of the admissible
-    forests on n leaves.  Returns the numbers of support rows and forests."""
+    forests on n leaves.  Read through `psi`, each row's contribution is the
+    sum over its functions f of q^deg(f) times the hook-statistic polynomial
+    of c letters, `lec_series(n).coefficient(c)`.  Returns the numbers of
+    support rows and forests."""
+    hooks = lec_series(n)
     # a support's members are single blocks of 1..n; member indices follow
     # Layer.sort_key, so each member is matched to its block by its layer
     block_of = {
@@ -36,6 +48,9 @@ def check_supports(n, building, result) -> tuple[int, int]:
         maximal = [a for a in blocks if not any(a < b for b in blocks)]
         components = len(maximal) + n - len(frozenset().union(*blocks))
         assert row.subfan_betti == eulerian(components)[1:], (row.support, components)
+        degrees = degree_counts(f.degree for f in row.functions)
+        hook = hooks.coefficient(components)
+        assert qpoly(row.contribution) == _qp_mul(degrees, hook), row.support
         pairs.update((f.degree, components) for f in row.functions)
     forests = enumerate_forests(n)
     assert pairs == Counter((f.degree, f.component_count) for f in forests), n

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equal_coordinate import check_supports
+from equal_coordinate import check_supports, degree_counts
 from wondertoric.errors import ValidationError
 from wondertoric.fans import betti_numbers, weyl_fan_A
 from wondertoric.models import poincare
@@ -240,4 +240,7 @@ def test_equal_coordinate_building_small():
 @pytest.mark.parametrize("n", range(3, 7))
 def test_equal_coordinate_supports_are_forests_with_eulerian_subfans(n):
     _, building = minimal_equal_coordinate_building(n)
-    check_supports(n, building, poincare(building, weyl_fan_A(n)))
+    result = poincare(building, weyl_fan_A(n))
+    check_supports(n, building, result)
+    # read through psi, the total counts the forests on n + 1 leaves by degree
+    assert result.total == degree_counts(f.degree for f in enumerate_forests(n + 1))
