@@ -3,12 +3,13 @@
     PYTHONPATH=src python3 scripts/check_eqc7.py
 
 Builds the poset of the equal-coordinate arrangement of order 7 and its
-building set of single-block layers, then validates the Weyl fan of A6 as
-its own stage: simplicial, smooth and complete, with Betti numbers the
-Eulerian numbers of order 7.  It then checks that the poset has 877
-elements and that `poincare`, the blowup-recursion oracle and coefficient 7
-of `toric_poincare_series(7)` all equal (1, 219, 3292, 7723, 3292, 219, 1),
-on that fan.  On the `poincare` result it already has, it runs the
+building set of single-block layers, checks that the building set is well
+connected, then validates the Weyl fan of A6 as its own stage: simplicial,
+smooth and complete, with Betti numbers the Eulerian numbers of order 7.
+It then checks that the poset has 877 elements and that `poincare`, the
+blowup-recursion oracle and coefficient 7 of `toric_poincare_series(7)` all
+equal (1, 219, 3292, 7723, 3292, 219, 1), on that fan.  On the `poincare`
+result it already has, it runs the
 per-support checks of `tests/equal_coordinate.py`, which the tier-1 tests run
 for n = 3..6: each of the 1031 supports is a laminar family of blocks, its
 subfan's Betti numbers are the Eulerian numbers of its component count c, and
@@ -19,11 +20,11 @@ Prints each stage's wall time, then the peak RSS of the process, the hits
 of the solver's bounded plan cache, and what the fan's shared equal-sign
 resolver holds: lattices found, subfans and extensions (`poincare` and the
 oracle share it, so the oracle restricts no lattice `poincare` restricted);
-exits 1 on any mismatch.  Three runs took 3.8 to 4.5 s, median 4.2 s,
-`poincare` 0.7 to 0.8 s and the per-support checks 0.1 to 0.2 s of it
-(Python 3.11, a shared 2-core host), too long for the tier-1 tests, which
-stop at n = 6.  The stages are one function, `check`, which
-`check_eqc8.py` runs at n = 8.
+exits 1 on any mismatch.  Three runs took 3.1 to 3.5 s, median 3.4 s, the
+well-connectedness check 0.03 to 0.04 s, `poincare` 0.5 to 0.6 s and the
+per-support checks 0.1 to 0.2 s of it (Python 3.11, a shared 2-core host),
+too long for the tier-1 tests, which stop at n = 6.  The stages are one
+function, `check`, which `check_eqc8.py` runs at n = 8.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from time import perf_counter
 from wondertoric import (
     betti_numbers,
     eulerian,
+    is_well_connected,
     poincare,
     rank_via_blowup_recursion,
     toric_poincare_series,
@@ -65,6 +67,9 @@ def check(n, elements, total, support_rows, forests) -> int:
     poset, building = minimal_equal_coordinate_building(n)
     fan = weyl_fan_A(n)
     print(f"poset and building set: {perf_counter() - start:.1f} s")
+    start = perf_counter()
+    connect = is_well_connected(building)
+    print(f"well-connectedness: {perf_counter() - start:.2f} s")
     start = perf_counter()
     report = validate(fan)
     print(f"fan validation: {perf_counter() - start:.1f} s")
@@ -96,6 +101,7 @@ def check(n, elements, total, support_rows, forests) -> int:
     )
     expect("fan Betti numbers", betti_numbers(fan), eulerian(n)[1:])
     expect("poset elements", len(poset.elements), elements)
+    expect("well connected", connect.ok, True)
     expect("poincare", result.total, total)
     expect("support rows and admissible forests", counts, (support_rows, forests))
     expect("blowup oracle", oracle, total)

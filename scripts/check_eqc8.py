@@ -3,16 +3,17 @@
     PYTHONPATH=src python3 scripts/check_eqc8.py
 
 Runs the check of `check_eqc7.py` at order 8: the poset of the
-equal-coordinate arrangement of order 8 has 4140 elements, the Weyl fan of
-A7 is simplicial, smooth and complete with the Eulerian numbers of order 8
-as Betti numbers, and `poincare`, the blowup-recursion oracle and
-coefficient 8 of `toric_poincare_series(8)` all equal
+equal-coordinate arrangement of order 8 has 4140 elements, its building set
+of single-block layers is well connected, the Weyl fan of A7 is simplicial,
+smooth and complete with the Eulerian numbers of order 8 as Betti numbers,
+and `poincare`, the blowup-recursion oracle and coefficient 8 of
+`toric_poincare_series(8)` all equal
 (1, 466, 13333, 63173, 63173, 13333, 466, 1).  The per-support checks cover
 its 8249 supports and the 14747 admissible forests on 8 leaves.  Prints each
-stage's wall time and exits 1 on any mismatch.  Three runs took 39.9 to
-47.2 s, median 42.7 s: the closure 20 to 21 s, `validate` 4 to 6 s,
-`poincare` 13 to 16 s (Python 3.11, a shared 2-core host); peak RSS
-162 MiB.
+stage's wall time and exits 1 on any mismatch.  Three runs took 32.9 to
+36.7 s, median 34.9 s: the closure 16 to 19 s, the well-connectedness check
+0.7 to 0.9 s, `validate` 3.5 to 4.2 s, `poincare` 9.5 to 10.5 s (Python
+3.11, a shared 2-core host); peak RSS 164 MiB.
 """
 
 from __future__ import annotations

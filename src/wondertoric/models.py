@@ -128,9 +128,8 @@ def _building_defect(building: BuildingSet):
 
 @dataclass(frozen=True)
 class WellConnectedness:
-    """On failure, the first failing member subset (by size, then
-    lexicographically) and its first component outside the building set, in
-    canonical poset order."""
+    """On failure, the first failing member subset in colex order and its
+    first component outside the building set, in canonical poset order."""
 
     ok: bool
     witness_members: tuple[int, ...]
@@ -139,18 +138,19 @@ class WellConnectedness:
 
 def is_well_connected(building: BuildingSet) -> WellConnectedness:
     """Every disconnected intersection of members must contribute all of its
-    components back to the building set."""
-    member_at = set(building.positions)
-    m = len(building.members)
-    for size in range(2, m + 1):
-        for subset in combinations(range(m), size):
-            comps = building.components(subset)
-            if len(comps) >= 2:
-                for comp in comps:
-                    if comp not in member_at:
-                        return WellConnectedness(
-                            False, subset, building.poset.elements[comp]
-                        )
+    components back to the building set.  The members' `below` masks, closed
+    under AND in member order, give each distinct intersection once, at its
+    colex-first subset: the cost follows the intersections, not 2^m subsets."""
+    poset, member_at = building.poset, set(building.positions)
+    reached = {(1 << len(poset.elements)) - 1: ()}
+    for i, p in enumerate(building.positions):
+        for common, subset in list(reached.items()):
+            reached.setdefault(common & poset.below[p], subset + (i,))
+    for common, subset in reached.items():
+        comps = poset._maximal(common)
+        missing = [c for c in comps if c not in member_at]
+        if len(comps) >= 2 and missing:
+            return WellConnectedness(False, subset, poset.elements[missing[0]])
     return WellConnectedness(True, (), None)
 
 

@@ -19,6 +19,7 @@ from wondertoric.lattice import Sublattice
 from wondertoric.layers import Layer, goodness_check, intersect, poset_of_layers
 from wondertoric.models import (
     AdmissibleFunction,
+    WellConnectedness,
     build_building_set,
     building_set_from_arrangement,
     enumerate_admissible,
@@ -137,6 +138,114 @@ def test_well_connected(main_building, main_arr):
         report.missing_component,
         Layer.from_generators(3, [[1, 0, 2], [0, 1, -1]], [0, HALF]),
     ]
+
+
+def _well_connected_by_subsets(building, key=lambda s: s[::-1]):
+    """Reference route: every member subset of size >= 2, in colex order
+    unless `key` orders them otherwise, each intersection rebuilt from its
+    members."""
+    member_at = set(building.positions)
+    m = len(building.members)
+    subsets = sorted(
+        (s for size in range(2, m + 1) for s in combinations(range(m), size)), key=key
+    )
+    for subset in subsets:
+        comps = building.components(subset)
+        missing = [c for c in comps if c not in member_at]
+        if len(comps) >= 2 and missing:
+            return WellConnectedness(False, subset, building.poset.elements[missing[0]])
+    return WellConnectedness(True, (), None)
+
+
+def _four_curves():
+    """Four curves of T^2, no three through a point, and their poset.  In
+    canonical order the characters are (0, 1), (1, 0), (1, 2) and (2, 1):
+    the pairs of determinant 2 meet in two points, the last pair in three."""
+    curves = [
+        Layer.from_generators(2, [character], [value])
+        for character, value in (
+            ((0, 1), 0),
+            ((1, 0), 0),
+            ((1, 2), Fraction(1, 3)),
+            ((2, 1), HALF),
+        )
+    ]
+    return curves, poset_of_layers(2, curves)
+
+
+def _well_connectedness_cases(main_arr):
+    """(label, building): the component cases, example-main's atoms alone,
+    a building set whose failing intersection is reached again by a larger
+    member subset, 60 arrgen posets with their default building set and
+    every explicit member set that `build_building_set` accepts, and the
+    four curves with each set of points where two of them meet more than
+    once."""
+    yield from _component_cases()
+    poset = poset_of_layers(main_arr.torus_dim, main_arr.layers)
+    yield "example_main atoms", build_building_set(poset, main_arr.layers)
+    # a surface, a curve in it, and a surface meeting it in one curve and
+    # the curve in two points: both pairs with the curve, and all three
+    # members, give those two points
+    members = [
+        Layer.from_generators(3, [[1, 0, 0]], [0]),
+        Layer.from_generators(3, [[1, 0, 0], [0, 1, 0]], [0, 0]),
+        Layer.from_generators(3, [[0, 1, 2]], [0]),
+    ]
+    poset = poset_of_layers(3, members)
+    yield "curve in a surface", build_building_set(poset, members)
+    for label, _, n, layers in random_cases(60):
+        poset = poset_of_layers(n, layers)
+        yield f"arrgen {label} poset", build_building_set(poset)
+        others = poset.elements[1:]
+        for size in range(1, len(others) + 1):
+            for members in combinations(others, size):
+                try:
+                    building = build_building_set(poset, members)
+                except ValidationError:
+                    continue
+                yield f"arrgen {label} {members}", building
+    curves, poset = _four_curves()
+    curves_alone = build_building_set(poset, curves)
+    points = sorted(
+        {c for s in ((0, 3), (1, 2), (2, 3)) for c in curves_alone.components(s)}
+    )
+    for size in range(len(points) + 1):
+        for chosen in combinations(points, size):
+            members = curves + [poset.elements[c] for c in chosen]
+            yield f"four curves {chosen}", build_building_set(poset, members)
+
+
+def test_well_connectedness_matches_the_colex_subset_walk(main_arr):
+    verdicts = Counter()
+    empty = set()
+    for label, building in _well_connectedness_cases(main_arr):
+        report = is_well_connected(building)
+        assert report == _well_connected_by_subsets(building), label
+        verdicts[report.ok] += 1
+        m = len(building.members)
+        if any(not building.components(s) for s in combinations(range(m), 2)):
+            empty.add(" ".join(label.split()[:2]))
+    # the arrgen cases with empty member intersections include these four
+    assert {
+        f"arrgen case{k}" for k in ("0-weyl", "8-orthant3", "11-orthant3", "19-weyl")
+    } <= empty
+    assert verdicts == {True: 190, False: 129}
+
+
+def test_well_connectedness_witness_is_colex_first():
+    curves, poset = _four_curves()
+    building = build_building_set(poset, curves)
+    assert list(building.members) == curves
+    assert [len(building.components(s)) for s in combinations(range(4), 2)] == [
+        1, 1, 2, 2, 1, 3
+    ]
+    assert all(not building.components(s) for s in combinations(range(4), 3))
+    report = is_well_connected(building)
+    assert report == _well_connected_by_subsets(building)
+    assert report.witness_members == (1, 2)
+    by_size = _well_connected_by_subsets(building, key=lambda s: (len(s), s))
+    assert not by_size.ok and by_size.witness_members == (0, 3)
+    assert by_size.missing_component != report.missing_component
 
 
 def test_main_nested_sets(main_building):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from equal_coordinate import check_supports, degree_counts
 from wondertoric.errors import ValidationError
 from wondertoric.fans import betti_numbers, weyl_fan_A
-from wondertoric.models import poincare
+from wondertoric.models import is_well_connected, poincare
 from wondertoric.typea import (
     TreeNode,
     admissible_trees,
@@ -240,6 +240,7 @@ def test_equal_coordinate_building_small():
 @pytest.mark.parametrize("n", range(3, 7))
 def test_equal_coordinate_supports_are_forests_with_eulerian_subfans(n):
     _, building = minimal_equal_coordinate_building(n)
+    assert is_well_connected(building).ok
     result = poincare(building, weyl_fan_A(n))
     check_supports(n, building, result)
     # read through psi, the total counts the forests on n + 1 leaves by degree
