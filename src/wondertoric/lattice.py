@@ -4,8 +4,9 @@ Everything here is plain Python ints, no floats.  Matrices are sequences of
 rows.  Sublattices are stored via their row Hermite normal form, which makes
 equality of lattices structural equality of the dataclass; membership and
 coordinates are back-substitution on that basis.  Hermite forms answer the
-split test (`splits`) and give kernels and, beside an identity block, row
-transforms; a Smith form serves only the cached verdict `is_split_summand`.
+split test (`splits`); one Hermite form beside an identity block gives both
+the image and the kernel of a map (`image_and_kernel`, which `kernel_lattice`
+reads).  A Smith form serves only the cached verdict `is_split_summand`.
 """
 
 from __future__ import annotations
@@ -212,6 +213,23 @@ def splits(rows: Sequence[Sequence[int]]) -> bool:
     return hermite_form(list(zip(*rows, strict=True)), k) == identity_matrix(k)
 
 
+def image_and_kernel(rows: Sequence[Sequence[int]], n: int) -> tuple[IntMatrix, IntMatrix]:
+    """Hermite bases of the image in Z^m, m = len(rows), and of the kernel in
+    Z^n of v -> (<g, v> for g in rows).
+
+    Row-reducing [rows^T | I_n] to Hermite form applies a unimodular
+    transform, recorded in the last n columns.  The rows with a pivot in the
+    first m columns come first, and their first m entries are the Hermite
+    form of the columns of `rows`; the last n entries of the other rows are a
+    Hermite basis of the kernel.  The rows span a split summand of Z^n
+    exactly when the image is one of Z^m: both have the same nonzero Smith
+    invariants."""
+    m, eye = len(rows), identity_matrix(n)
+    reduced = hermite_form([tuple(g[i] for g in rows) + eye[i] for i in range(n)], m + n)
+    r = sum(1 for row in reduced if any(row[:m]))
+    return tuple(row[:m] for row in reduced[:r]), tuple(row[m:] for row in reduced[r:])
+
+
 def first_split_basis(
     pool: Sequence[Sequence[int]], size: int, prefix: Sequence[Sequence[int]] = ()
 ) -> tuple[int, ...] | None:
@@ -308,16 +326,9 @@ class Sublattice:
         return _smith_of(self.basis, self.ambient_rank).unit_invariants
 
     def kernel_lattice(self) -> Sublattice:
-        """{v in Z^n : <g, v> = 0 for every generator g}; always saturated.
-
-        Row-reducing [basis^T | I_n] to Hermite form applies a unimodular
-        transform, recorded in the last n columns; the rows it sends to
-        zero in the first r columns, r the rank, are a basis of the
-        kernel."""
-        n, r = self.ambient_rank, self.rank
-        cols = [tuple(g[i] for g in self.basis) for i in range(n)]
-        reduced = hermite_form([c + e for c, e in zip(cols, identity_matrix(n))], r + n)
-        return Sublattice.from_rows(n, [row[r:] for row in reduced if not any(row[:r])])
+        """{v in Z^n : <g, v> = 0 for every generator g}; always saturated."""
+        n = self.ambient_rank
+        return Sublattice(n, image_and_kernel(self.basis, n)[1])
 
     def saturation(self) -> Sublattice:
         """Smallest split summand of Z^n containing this lattice."""

@@ -29,7 +29,7 @@ from .fans import (
     ray_indices,
     ray_masks,
 )
-from .lattice import Sublattice, dot, first_split_basis, splits
+from .lattice import dot, first_split_basis, image_and_kernel, splits
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
@@ -166,9 +166,9 @@ def _relation_rows(
     """Each face monomial of degree `degree` - 1 times each linear form, as a
     row over the face monomials `cols` of degree `degree`; products whose
     support spans no cone vanish."""
-    rows = []
+    rows, forms = [], character_linear_forms(fan)
     for mono in _face_monomials(fan, degree - 1):
-        for form in character_linear_forms(fan):
+        for form in forms:
             row = [0] * len(cols)
             for ((_, i),), coeff in form:
                 col = cols.get(tuple(sorted(mono + (i,))))
@@ -191,20 +191,20 @@ def cohomology_basis_monomials(
 def _basis_in_degree(fan: Fan, degree: int, rank: int) -> tuple[tuple[int, ...], ...]:
     """Level `degree` of `cohomology_basis_monomials`, of `rank` monomials.
 
-    When the relation lattice is a split summand, pairing with its kernel's
-    basis maps Z^monomials onto Z^rank with the relations as kernel, so a
-    monomial's class is its column of that basis; any two such maps differ by
-    an automorphism of Z^rank, so the monomials found do not depend on the map."""
+    One Hermite form gives the relations' rank, split verdict and kernel.
+    When they span a split summand, pairing with the kernel's basis maps
+    Z^monomials onto Z^rank with the relations as kernel, so a monomial's
+    class is its column of that basis; any two such maps differ by an
+    automorphism of Z^rank, so the monomials found do not depend on the map."""
     if degree == 0:
         return ((),)
     monomials = _face_monomials(fan, degree)
     cols = {m: i for i, m in enumerate(monomials)}
-    relations = Sublattice.from_rows(len(cols), _relation_rows(fan, degree, cols))
-    if len(monomials) - relations.rank != rank:
+    image, kernel = image_and_kernel(_relation_rows(fan, degree, cols), len(cols))
+    if len(kernel) != rank:
         raise MathAssertionError("relation rank disagrees with the Betti number")
     # relations that span no split summand leave torsion: no monomials are a basis
-    kernel = relations.kernel_lattice().basis if splits(relations.basis) else ()
-    found = first_split_basis(list(zip(*kernel)), rank)
+    found = first_split_basis(list(zip(*kernel)) if splits(image) else [], rank)
     if found is None:
         raise MathAssertionError(f"no split monomial basis found in degree {degree}")
     return tuple(monomials[i] for i in found)

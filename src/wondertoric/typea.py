@@ -3,7 +3,7 @@ forests, hook statistics on permutations, and the leaf-insertion bijection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -18,11 +18,19 @@ Word = tuple[int, ...]
 @dataclass(frozen=True)
 class TreeNode:
     """Vertex of an admissible tree: a labeled leaf, or a branch vertex with
-    at least three children and an exponent in 1..children-2."""
+    at least three children and an exponent in 1..children-2.  Its leaf
+    labels and degree are read off the children once, when it is made."""
 
     leaf_label: int | None
     exponent: int
     children: tuple[TreeNode, ...]
+    leaves: frozenset[int] = field(init=False, compare=False, repr=False)
+    degree: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        kids, own = self.children, () if self.leaf_label is None else (self.leaf_label,)
+        object.__setattr__(self, "leaves", frozenset(own).union(*(k.leaves for k in kids)))
+        object.__setattr__(self, "degree", self.exponent + sum(k.degree for k in kids))
 
     @classmethod
     def leaf(cls, label: int) -> TreeNode:
@@ -48,28 +56,8 @@ class TreeNode:
         return self.leaf_label is not None
 
     @property
-    def leaves(self) -> frozenset[int]:
-        return _leaves_of(self)
-
-    @property
     def min_leaf(self) -> int:
         return min(self.leaves)
-
-    @property
-    def degree(self) -> int:
-        return _degree_of(self)
-
-
-@lru_cache(maxsize=None)
-def _leaves_of(node: TreeNode) -> frozenset[int]:
-    if node.is_leaf:
-        return frozenset((node.leaf_label,))
-    return frozenset().union(*(_leaves_of(c) for c in node.children))
-
-
-@lru_cache(maxsize=None)
-def _degree_of(node: TreeNode) -> int:
-    return node.exponent + sum(_degree_of(c) for c in node.children)
 
 
 def _tree_key(node: TreeNode):

@@ -17,6 +17,7 @@ from wondertoric.lattice import (
     first_split_basis,
     hermite_form,
     identity_matrix,
+    image_and_kernel,
     smith_normal_form,
     splits,
 )
@@ -293,6 +294,28 @@ def test_kernel_lattice_matches_the_smith_route(case):
     n, rows = case
     lat = Sublattice.from_rows(n, rows)
     assert lat.kernel_lattice() == smith_kernel(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices(st.integers(-6, 6)))
+@example((0, []))
+@example((3, []))
+@example((2, [(0, 0), (0, 0)]))
+@example((2, [(2, -2), (3, -3)]))
+@example((2, [(2, -2), (4, -4)]))
+@example((3, [(2, 0, 0), (0, 3, 0), (2, 3, 0)]))
+def test_image_and_kernel_match_the_row_lattice(case):
+    # no rows, zero rows, dependent rows and torsion come up: the image has
+    # the row lattice's rank and splits exactly when it does, and the kernel
+    # is the row lattice's, by the Hermite and the Smith route
+    n, rows = case
+    lat = Sublattice(n, rows)
+    image, kernel = image_and_kernel(rows, n)
+    assert len(image) == lat.rank
+    columns = [tuple(g[i] for g in rows) for i in range(n)]
+    assert image == Sublattice(len(rows), columns).basis
+    assert kernel == lat.kernel_lattice().basis == smith_kernel(lat).basis
+    assert splits(image) == splits(lat.basis)
 
 
 @settings(max_examples=100, deadline=None)

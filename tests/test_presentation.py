@@ -48,6 +48,8 @@ from wondertoric.presentation import (
     render_terms,
     subfan_basis_in_parent_labels,
 )
+from wondertoric.series import qpoly, toric_poincare_series
+from wondertoric.typea import minimal_equal_coordinate_building
 
 P2 = Fan.make(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 
@@ -251,6 +253,28 @@ def test_relations_with_torsion_leave_no_basis(monkeypatch):
     monkeypatch.setattr(presentation, "_relation_rows", lambda *args: [(2, -2)])
     with pytest.raises(MathAssertionError, match="no split monomial basis"):
         presentation._basis_in_degree(orthant_fan(1), 1, 1)
+
+
+def test_relations_that_split_only_together_leave_a_basis(monkeypatch):
+    # 2*C1 - 2*C2 and 3*C1 - 3*C2 each leave torsion, but together they span
+    # C1 - C2, a split summand, so C1 alone is a basis; with 4*C1 - 4*C2 in
+    # place of the second row, 2*(C1 - C2) is all they span
+    monkeypatch.setattr(presentation, "_relation_rows", lambda *args: [(2, -2), (3, -3)])
+    assert presentation._basis_in_degree(orthant_fan(1), 1, 1) == ((0,),)
+    monkeypatch.setattr(presentation, "_relation_rows", lambda *args: [(2, -2), (4, -4)])
+    with pytest.raises(MathAssertionError, match="no split monomial basis"):
+        presentation._basis_in_degree(orthant_fan(1), 1, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_monomial_basis_of_the_equal_coordinate_model_counts_the_series(n):
+    # the paper's basis on the type-A models, counted by degree, against
+    # `poincare` and against coefficient n of the series
+    _, building = minimal_equal_coordinate_building(n)
+    fan = weyl_fan_A(n)
+    counts = monomial_basis(building, fan).graded_counts(n)
+    assert counts == poincare(building, fan).total
+    assert qpoly(counts) == toric_poincare_series(n).coefficient(n)
 
 
 def test_degree_one_basis_past_the_greedy_dead_end(big_fan):
