@@ -16,14 +16,16 @@ subfan's Betti numbers are the Eulerian numbers of its component count c, and
 the (degree, c) pairs over its admissible functions are those of the 1630
 admissible forests on 7 leaves, and its contribution is, summed over its
 functions f, q^deg(f) times the hook-statistic polynomial of c letters.
-Prints each stage's wall time, then the peak RSS of the process, the hits
-of the solver's bounded plan cache, and what the fan's shared equal-sign
-resolver holds: lattices found, subfans and extensions (`poincare` and the
-oracle share it, so the oracle restricts no lattice `poincare` restricted);
-exits 1 on any mismatch.  Three runs took 3.1 to 3.5 s, median 3.4 s, the
-well-connectedness check 0.03 to 0.04 s, `poincare` 0.5 to 0.6 s and the
-per-support checks 0.1 to 0.2 s of it (Python 3.11, a shared 2-core host),
-too long for the tier-1 tests, which stop at n = 6.  The stages are one
+Prints each stage's wall time, then the peak RSS of the process, the
+closure's solver calls (counted by wrapping `wondertoric.layers.intersect`,
+5298 at n = 7), the hits of the solver's bounded plan cache, and what the
+fan's shared equal-sign resolver holds: lattices found, subfans and
+extensions (`poincare` and the oracle share it, so the oracle restricts no
+lattice `poincare` restricted); exits 1 on any mismatch.  Three runs took
+2.0 to 2.6 s, median 2.2 s, the poset and building set 0.9 to 1.1 s, the
+well-connectedness check 0.03 to 0.04 s, `poincare` 0.5 to 0.7 s and the
+per-support checks 0.1 s of it (Python 3.11, a shared 2-core host), too
+long for the tier-1 tests, which stop at n = 6.  The stages are one
 function, `check`, which `check_eqc8.py` runs at n = 8.
 """
 
@@ -38,6 +40,7 @@ from wondertoric import (
     betti_numbers,
     eulerian,
     is_well_connected,
+    layers,
     poincare,
     rank_via_blowup_recursion,
     toric_poincare_series,
@@ -45,7 +48,6 @@ from wondertoric import (
     weyl_fan_A,
 )
 from wondertoric.fans import resolve_bases
-from wondertoric.layers import _plan
 from wondertoric.typea import minimal_equal_coordinate_building
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -63,8 +65,19 @@ def check(n, elements, total, support_rows, forests) -> int:
         if got != want:
             failures.append(f"{what}: got {got!r}, expected {want!r}")
 
+    # count the closure's solver calls by wrapping the name it looks up
+    solved, intersect = [0], layers.intersect
+
+    def counted(a, b):
+        solved[0] += 1
+        return intersect(a, b)
+
     start = perf_counter()
-    poset, building = minimal_equal_coordinate_building(n)
+    layers.intersect = counted
+    try:
+        poset, building = minimal_equal_coordinate_building(n)
+    finally:
+        layers.intersect = intersect
     fan = weyl_fan_A(n)
     print(f"poset and building set: {perf_counter() - start:.1f} s")
     start = perf_counter()
@@ -88,7 +101,8 @@ def check(n, elements, total, support_rows, forests) -> int:
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MiB")
-    print(f"layers._plan: {_plan.cache_info()}")
+    print(f"closure intersect calls: {solved[0]}")
+    print(f"layers._plan: {layers._plan.cache_info()}")
     shared = resolve_bases(fan, fan.ambient_dim)
     print(
         f"shared equal-sign resolver: {len(shared._found)} lattices, "

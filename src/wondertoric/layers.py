@@ -15,8 +15,12 @@ for the 1024 most recent rows and shared by the poset closure and
 the values' common denominator.  The poset of layers is
 closed by intersecting each new element with the input layers only, and
 its containment is read off the edges of that closure: each component of
-cur & a lies in cur.  It stores the containment once, as bitmasks, so it
-answers intersections of its elements from those bits alone.
+cur & a lies in cur.  The poset stores the containment once, as
+bitmasks, so it answers intersections of its elements from those bits
+alone.  The closure skips the solver for x & a' when a rank-1 atom a met
+x in a single component c that a' is known to contain, and the characters
+of a and a' agree up to sign modulo Gamma_x: then x & a' has c's lattice
+and contains c, so it is c.
 """
 
 from __future__ import annotations
@@ -243,8 +247,16 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
     L1 & ... & L(k-1).  Each component of cur & a is recorded as lying in
     cur, and containment is the transitive closure of those edges.  That is
     complete: if y lies strictly inside x, some atom a contains y but not x,
-    so x & a was computed and its component containing y lies strictly
-    between them; induction on the rank finishes."""
+    so x & a was computed (or known, below) and its component containing y
+    lies strictly between them; induction on the rank finishes.
+
+    Some of those intersections are known without the solver.  When a
+    rank-1 atom of character psi met x in a single component c of rank
+    rank(x) + 1, Gamma_x + Z psi is saturated, so it is Gamma_c.  A later
+    rank-1 atom a' of character chi = +-psi modulo Gamma_x then has
+    Gamma_x + Z chi = Gamma_c, so x & a' is at most one translate of c's
+    subtorus; when a' is known to contain c, that translate is c, and the
+    edge is recorded without calling the solver."""
     for layer in layers:
         if layer.ambient_rank != torus_dim:
             raise ValidationError("layer ambient rank differs from torus dimension")
@@ -256,12 +268,29 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
     index = {el: k for k, el in enumerate(found)}
     over = [0] + [1 << bit for bit in range(len(atoms))]
     inside = [set(range(1, len(found)))] + [set() for _ in atoms]
+    chars = [a.gamma.basis[0] if a.rank == 1 else None for a in atoms]
     k = 1
     while k < len(found):
+        x = found[k]
+        # (c, psi): a rank-1 atom of character psi met x in c alone, of rank
+        # one more than x.  cover ORs their over[c]: while x is processed, an
+        # over[c] gains only bits already passed or in over[k]
+        met, cover = [], 0
         for bit, a in enumerate(atoms):
             if over[k] >> bit & 1:
                 continue
-            for comp in intersect(found[k], a):
+            chi = chars[bit]
+            if chi is not None and cover >> bit & 1:
+                same = [
+                    c
+                    for c, psi in met
+                    if over[c] >> bit & 1 and _same_meet(x.gamma, chi, psi)
+                ]
+                if same:
+                    over[same[0]] |= over[k] | 1 << bit
+                    continue
+            comps = intersect(x, a)
+            for comp in comps:
                 if comp not in index:
                     index[comp] = len(found)
                     found.append(comp)
@@ -270,6 +299,9 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
                 c = index[comp]
                 over[c] |= over[k] | 1 << bit
                 inside[k].add(c)
+            if len(comps) == 1 and chi is not None and comps[0].rank == x.rank + 1:
+                met.append((c, chi))
+                cover |= over[c]
         k += 1
     order = sorted(range(len(found)), key=lambda f: found[f].sort_key())
     position = {f: i for i, f in enumerate(order)}
@@ -280,6 +312,13 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
         for c in inside[order[i]]:
             below[i] |= below[position[c]]
     return LayerPoset(torus_dim, tuple(found[f] for f in order), tuple(below))
+
+
+def _same_meet(gamma: Sublattice, chi: Sequence[int], psi: Sequence[int]) -> bool:
+    """chi = +-psi modulo gamma."""
+    return any(
+        gamma.contains_vector([a + s * b for a, b in zip(chi, psi)]) for s in (-1, 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,78 @@ def test_closure_matches_all_pairs_reference():
         assert poset.below == below, label
 
 
+def _atom_loop_closure(torus_dim, layers):
+    """Reference closure: `poset_of_layers` before it reused solved
+    intersections, one `intersect` per element and atom not known to
+    contain it."""
+    torus = Layer.torus(torus_dim)
+    atoms = [a for a in dict.fromkeys(layers) if a != torus]
+    found = [torus, *atoms]
+    index = {el: k for k, el in enumerate(found)}
+    over = [0] + [1 << bit for bit in range(len(atoms))]
+    inside = [set(range(1, len(found)))] + [set() for _ in atoms]
+    k = 1
+    while k < len(found):
+        for bit, a in enumerate(atoms):
+            if over[k] >> bit & 1:
+                continue
+            for comp in intersect(found[k], a):
+                if comp not in index:
+                    index[comp] = len(found)
+                    found.append(comp)
+                    over.append(0)
+                    inside.append(set())
+                c = index[comp]
+                over[c] |= over[k] | 1 << bit
+                inside[k].add(c)
+        k += 1
+    order = sorted(range(len(found)), key=lambda f: found[f].sort_key())
+    position = {f: i for i, f in enumerate(order)}
+    below = [0] * len(order)
+    for i in reversed(range(len(order))):
+        below[i] = 1 << i
+        for c in inside[order[i]]:
+            below[i] |= below[position[c]]
+    return tuple(found[f] for f in order), tuple(below)
+
+
+def _atom_loop_cases():
+    yield from _closure_cases()
+    yield "eqc6", 5, equal_coordinate_arrangement(6)
+    rng = random.Random(23)
+    for n in (4, 5):
+        for k in range(5):
+            atoms = list(equal_coordinate_arrangement(n))
+            rng.shuffle(atoms)
+            yield f"eqc{n}-shuffle{k}", n - 1, atoms
+    for label, _, n, layers in random_cases(120, seed=23):
+        yield label, n, layers
+
+
+def test_closure_matches_atom_loop_reference():
+    for label, torus_dim, layers in _atom_loop_cases():
+        poset = poset_of_layers(torus_dim, layers)
+        elements, below = _atom_loop_closure(torus_dim, layers)
+        assert poset.elements == elements, label
+        assert poset.below == below, label
+
+
+def test_closure_keeps_a_torsion_point_of_a_reused_meet():
+    # t1^2 t2 = 1 meets t1 = 1 in the point (1, 1) alone, and t2 = 1 contains
+    # that point, but t2 is not t1 or 1/t1 modulo t1^2 t2: t1^2 t2 = 1 and
+    # t2 = 1 meet in two points, (1, 1) and (-1, 1)
+    layers = [
+        Layer.from_generators(2, [[1, 0]], [0]),
+        Layer.from_generators(2, [[2, 1]], [0]),
+        Layer.from_generators(2, [[0, 1]], [0]),
+    ]
+    poset = poset_of_layers(2, layers)
+    assert len(poset.elements) == 6
+    points = {el.phi for el in poset.elements if el.rank == 2}
+    assert points == {(0, 0), (HALF, 0)}
+    assert (poset.elements, poset.below) == _atom_loop_closure(2, layers)
+
+
 def _above_masks(poset):
     """Per element, the bitmask of the elements containing it."""
     m = len(poset.elements)
