@@ -4,10 +4,12 @@ divides, so each coefficient is a tuple of ints, in ascending powers of q.
 
 The tree series and the hook-statistic series are solved from their
 functional equations, coefficient by coefficient; nothing is enumerated to
-build them.  The enumerations they replace, `typea.admissible_trees` and
-the sum of `typea.lec` over permutations (`lec_series`), stay as
-independent oracles: the tests compare both routes, and `typea verify`
-keeps an enumerative equidistribution check through t^8.
+build them.  The enumerations they replace stay as independent oracles:
+`typea.admissible_trees`, and `lec_series`, which counts the hook statistic
+over every permutation through `typea.lec_counts`, visiting each one once
+from its right end with the scan state of `typea.hook_factorize`.  The
+tests compare both routes, and `typea verify` keeps an enumerative
+equidistribution check through t^8.
 
 The descent series reads the Eulerian polynomials of `typea.eulerian`, so
 the descent recurrence has one home.  Its checks stay independent of it:
@@ -18,15 +20,13 @@ series, with `hook_series`; the tests compare it with its closed form
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import comb
 
 from .errors import ValidationError
-from .typea import eulerian, lec
+from .typea import eulerian, lec_counts
 
 QPoly = tuple[int, ...]
 
@@ -228,7 +228,7 @@ def hook_series(order: int) -> TruncatedSeries:
     A permutation factors uniquely as an increasing word followed by hooks
     (`typea.hook_factorize`), and the hooks on a k-letter set have one each
     of the inversion counts 1..k-1.  Coefficient 0 is left empty, as in
-    `lec_series`, which sums the statistic over the permutations instead.
+    `lec_series`, which counts the statistic over the permutations instead.
     """
     # f = e^t + H f, and every coefficient of e^t is 1
     f: list[QPoly] = [qpoly(1)]
@@ -241,14 +241,11 @@ def hook_series(order: int) -> TruncatedSeries:
 
 
 def lec_series(order: int) -> TruncatedSeries:
-    """Hook-inversion statistic summed over every permutation, by size: the
-    enumerative route to `hook_series`."""
-    polys: list[QPoly] = [()]
-    for n in range(1, order + 1):
-        counts = Counter(lec(p) for p in permutations(range(1, n + 1)))
-        top = max(counts)
-        polys.append(qpoly(counts.get(d, 0) for d in range(top + 1)))
-    return make_series(order, polys)
+    """Hook-inversion statistic counted over every permutation, by size: the
+    enumerative route to `hook_series`.  Coefficient n reads
+    `typea.lec_counts(n)`, which visits each permutation once, from its
+    right end, with the scan state of `typea.hook_factorize`."""
+    return make_series(order, [()] + [lec_counts(n) for n in range(1, order + 1)])
 
 
 def eulerian_series(order: int) -> TruncatedSeries:

@@ -190,6 +190,39 @@ def lec(word: Sequence[int]) -> int:
     return sum(inversions(h) for h in hook_factorize(word).hooks)
 
 
+def lec_counts(n: int) -> tuple[int, ...]:
+    """Number of permutations of 1..n with each value 0, 1, ... of `lec`.
+
+    A depth-first walk builds every permutation once, prepending one unused
+    letter at a time, and carries the state of `hook_factorize`'s scan from
+    the right: the open increasing run, its head and the `lec` of the hooks
+    already closed.  A letter below the head extends the run; one above it
+    closes a hook, whose inversions are the run letters below it.
+    Permutations sharing a suffix share the walk's path over it, so its scan
+    is done once; letters and the run are bitmasks.
+    """
+    if n < 0:
+        raise ValidationError("need a nonnegative size")
+    counts = [0] * max(n, 1)
+    top = 1 << n  # the head after a hook closes: every letter extends the run
+
+    def walk(free: int, run: int, head: int, total: int) -> None:
+        if not free:
+            counts[total] += 1
+            return
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if bit < head:
+                walk(free ^ bit, run | bit, bit, total)
+            else:
+                walk(free ^ bit, 0, top, total + (run & (bit - 1)).bit_count())
+
+    walk(top - 1, 0, top, 0)
+    return tuple(counts)
+
+
 def hook_from_set(labels: Sequence[int], inversion_count: int) -> Word:
     """The unique hook on a label set with the requested inversion count."""
     s = tuple(sorted(labels))

@@ -153,6 +153,7 @@ def test_lec_series_small():
 
 def test_hook_series_matches_permutation_sum():
     assert hook_series(8) == lec_series(8)
+    assert hook_series(9) == lec_series(9)
     assert hook_series(0) == lec_series(0)
 
 

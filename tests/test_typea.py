@@ -24,6 +24,7 @@ from wondertoric.typea import (
     hook_from_set,
     inversions,
     lec,
+    lec_counts,
     make_forest,
     minimal_equal_coordinate_building,
     permutation_to_chain_monomial,
@@ -151,6 +152,18 @@ def test_lec_and_des_equidistributed():
         expected = eulerian(n)[1:]
         assert tuple(lec_dist[k] for k in range(n)) == expected
         assert tuple(des_dist[k] for k in range(n)) == expected
+
+
+def test_lec_counts_walk_matches_word_by_word():
+    for n in range(8):
+        word_by_word = Counter(lec(p) for p in permutations(range(1, n + 1)))
+        expected = tuple(word_by_word[d] for d in range(max(word_by_word) + 1))
+        assert lec_counts(n) == expected
+
+
+def test_lec_counts_rejects_negative_size():
+    with pytest.raises(ValidationError):
+        lec_counts(-1)
 
 
 @settings(max_examples=60, deadline=None)
