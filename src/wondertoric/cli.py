@@ -7,10 +7,11 @@ import argparse
 import difflib
 import json
 import os
+import re
 import sys
 from collections import Counter
 
-from .errors import FileFormatError, MathAssertionError, ValidationError
+from .errors import FileFormatError, ValidationError, WondertoricError
 from .fans import (
     EQUAL_SIGN_BOUND,
     EqualSignBases,
@@ -91,8 +92,13 @@ def _poly_text(coeffs, var: str = "q") -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _support_text(building: BuildingSet, support) -> str:
-    return "{" + ", ".join(building.label(i) for i in support) + "}"
+def _product_text(kind: str, indices) -> str:
+    """The product of the ray classes (kind "C") or member classes ("T")."""
+    return render_monomial(tuple((kind, i) for i in indices))
+
+
+def _support_text(support) -> str:
+    return "{" + ", ".join(_product_text("T", (i,)) for i in support) + "}"
 
 
 def _emit(args, text, as_json, *result) -> None:
@@ -168,9 +174,9 @@ def _poset_text(poset, edges) -> list[str]:
         f"elements: {len(poset.elements)}",
     ]
     for i, el in enumerate(poset.elements):
-        phi = "[" + ", ".join(str(v) for v in el.phi) + "]"
         lines.append(
-            f"L{i + 1}: codim {el.rank}, gamma {_fmt_rows(el.gamma.basis)}, phi {phi}"
+            f"L{i + 1}: codim {el.rank}, gamma {_fmt_rows(el.gamma.basis)}, "
+            f"phi {_fmt_word(el.phi)}"
         )
     lines.append("covers (containing layer -> contained layer):")
     for i, j in edges:
@@ -223,7 +229,7 @@ def _nested_text(building: BuildingSet, connect, nested) -> list[str]:
         f"well-connected: {'yes' if connect.ok else 'no'}",
         f"nested sets: {len(nested)}",
     ]
-    lines.extend(_support_text(building, s) for s in nested)
+    lines.extend(_support_text(s) for s in nested)
     return lines
 
 
@@ -235,17 +241,17 @@ def _nested_json(building: BuildingSet, connect, nested) -> dict:
     }
 
 
-def _admissible_text(building: BuildingSet, funcs) -> list[str]:
+def _admissible_text(funcs) -> list[str]:
     lines = [f"admissible functions: {len(funcs)}"]
     for k, f in enumerate(funcs, start=1):
         lines.append(
-            f"{k}: support {_support_text(building, f.support)}, "
+            f"{k}: support {_support_text(f.support)}, "
             f"values {_fmt(f.values)}, degree {f.degree}"
         )
     return lines
 
 
-def _admissible_json(building: BuildingSet, funcs) -> dict:
+def _admissible_json(funcs) -> dict:
     return {
         "functions": [
             {"support": list(f.support), "values": list(f.values)} for f in funcs
@@ -253,17 +259,11 @@ def _admissible_json(building: BuildingSet, funcs) -> dict:
     }
 
 
-def _ray_product_text(monomial) -> str:
-    return render_monomial(tuple(("C", ray) for ray in monomial))
+def _function_text(f) -> str:
+    return _product_text("T", (m for m, v in zip(f.support, f.values) for _ in range(v)))
 
 
-def _function_text(func) -> str:
-    return render_monomial(
-        tuple(("T", m) for m, v in zip(func.support, func.values) for _ in range(v))
-    )
-
-
-def _basis_text(building: BuildingSet, basis, graded) -> list[str]:
+def _basis_text(basis, graded) -> list[str]:
     lines = [f"basis elements: {len(basis.elements)}"]
     ambient_seen: Counter = Counter()
     for el in basis.elements:
@@ -273,13 +273,13 @@ def _basis_text(building: BuildingSet, basis, graded) -> list[str]:
             j = ambient_seen[(el.function, el.cohomology_degree)]
             lift = f"ambient class {j} of degree {el.cohomology_degree}"
         else:
-            lift = _ray_product_text(el.monomial)
+            lift = _product_text("C", el.monomial)
         lines.append(f"deg {el.degree}: function {func}, lift {lift}")
     lines.append(f"graded counts: {_fmt(graded)}")
     return lines
 
 
-def _basis_json(building: BuildingSet, basis, graded) -> dict:
+def _basis_json(basis, graded) -> dict:
     entries = [
         {
             "support": list(el.function.support),
@@ -293,12 +293,12 @@ def _basis_json(building: BuildingSet, basis, graded) -> dict:
     return {"elements": entries, "graded": list(graded)}
 
 
-def _poincare_text(building: BuildingSet, result, oracle) -> list[str]:
+def _poincare_text(result, oracle) -> list[str]:
     lines = []
     for row in result.rows:
         values = ", ".join(_fmt(f.values) for f in row.functions) or "-"
         lines.append(
-            f"support {_support_text(building, row.support)} | "
+            f"support {_support_text(row.support)} | "
             f"subfan Betti {_fmt(row.subfan_betti)} | values {values} | "
             f"contribution {_fmt(row.contribution)}"
         )
@@ -309,7 +309,7 @@ def _poincare_text(building: BuildingSet, result, oracle) -> list[str]:
     return lines
 
 
-def _poincare_json(building: BuildingSet, result, oracle) -> dict:
+def _poincare_json(result, oracle) -> dict:
     return {
         "rows": [
             {
@@ -326,7 +326,7 @@ def _poincare_json(building: BuildingSet, result, oracle) -> dict:
     }
 
 
-def _presentation_text(building: BuildingSet, ideal, full: bool) -> list[str]:
+def _presentation_text(ideal, full: bool) -> list[str]:
     a, b, c, d, e = ideal.class_sizes()
     lines = [
         f"variables: {ideal.variable_count} "
@@ -340,20 +340,19 @@ def _presentation_text(building: BuildingSet, ideal, full: bool) -> list[str]:
     ]
     if full:
         for mono in ideal.nonface_monomials:
-            lines.append("nonface: " + _ray_product_text(mono))
+            lines.append("nonface: " + _product_text("C", mono))
         for form in ideal.linear_forms:
             lines.append("linear: " + render_terms(form))
         for ray, member in ideal.ray_member_products:
-            lines.append(f"product: C{ray + 1}*{building.label(member)}")
+            lines.append("product: " + render_monomial((("C", ray), ("T", member))))
         for rel in ideal.member_relations:
-            above = _support_text(building, rel.above)
+            above = _support_text(rel.above)
             lines.append(
-                f"relation {building.label(rel.member)} above {above}: "
+                f"relation {_product_text('T', (rel.member,))} above {above}: "
                 + render_terms(rel.terms)
             )
         for subset in ideal.empty_intersection_products:
-            prod = "*".join(building.label(i) for i in subset)
-            lines.append(f"empty intersection: {prod}")
+            lines.append("empty intersection: " + _product_text("T", subset))
     return lines
 
 
@@ -364,7 +363,7 @@ def _terms_json(terms) -> list:
     return [[[[list(v), e] for v, e in mono], coeff] for mono, coeff in powers]
 
 
-def _presentation_json(building: BuildingSet, ideal, full: bool) -> dict:
+def _presentation_json(ideal, full: bool) -> dict:
     return {
         "variables": ideal.variable_count,
         "rayCount": ideal.ray_count,
@@ -422,8 +421,8 @@ def _parse_tree(text: str) -> tuple[TreeNode, str]:
         if not body.startswith("q^"):
             raise FileFormatError("expected q^<exponent> after '('")
         body = body[2:]
-        digits = _take_digits(body)
-        exponent, body = int(digits), body[len(digits) :].lstrip()
+        exponent, body = _take_number(body)
+        body = body.lstrip()
         if not body.startswith(":"):
             raise FileFormatError("expected ':' after the exponent")
         body = body[1:]
@@ -438,20 +437,18 @@ def _parse_tree(text: str) -> tuple[TreeNode, str]:
             if body.startswith(")"):
                 return TreeNode.branch(exponent, children), body[1:]
             raise FileFormatError("expected ',' or ')' in a branch")
-    digits = _take_digits(text)
-    return TreeNode.leaf(int(digits)), text[len(digits) :]
+    label, rest = _take_number(text)
+    return TreeNode.leaf(label), rest
 
 
-def _take_digits(text: str) -> str:
-    digits = ""
-    for ch in text:
-        if ch.isdigit():
-            digits += ch
-        else:
-            break
+def _take_number(text: str) -> tuple[int, str]:
+    digits = re.match(r"\d*", text)[0]
     if not digits:
         raise FileFormatError(f"expected a number at {text[:12]!r}")
-    return digits
+    try:
+        return int(digits), text[len(digits) :]
+    except ValueError as exc:  # more digits than int() converts
+        raise FileFormatError(f"cannot read the number at {text[:12]!r}: {exc}") from None
 
 
 # subcommand handlers
@@ -492,15 +489,15 @@ def _cmd_model(args) -> int:
         _emit(args, _nested_text, _nested_json, building, connect, nested)
     elif args.what == "admissible":
         funcs = enumerate_admissible(building)
-        _emit(args, _admissible_text, _admissible_json, building, funcs)
+        _emit(args, _admissible_text, _admissible_json, funcs)
     elif args.what == "basis":
         basis = monomial_basis(building, fan, bases)
         graded = basis.graded_counts(fan.ambient_dim + 1)
-        _emit(args, _basis_text, _basis_json, building, basis, graded)
+        _emit(args, _basis_text, _basis_json, basis, graded)
     else:
         result = poincare(building, fan, bases)
         oracle = rank_via_blowup_recursion(building, fan, bases)
-        _emit(args, _poincare_text, _poincare_json, building, result, oracle)
+        _emit(args, _poincare_text, _poincare_json, result, oracle)
         return 0 if result.total == oracle else 4
     return 0
 
@@ -508,7 +505,7 @@ def _cmd_model(args) -> int:
 def _cmd_model_presentation(args) -> int:
     building, bases = _model_inputs(args.arrfile, args.fanfile, args.bound)
     ideal = emit_presentation(building, bases.fan, bases, args.variant)
-    _emit(args, _presentation_text, _presentation_json, building, ideal, args.full)
+    _emit(args, _presentation_text, _presentation_json, ideal, args.full)
     return 0
 
 
@@ -543,6 +540,16 @@ def _cmd_typea_lec(args) -> int:
 
 
 def _cmd_typea_psi(args) -> int:
+    try:
+        lines, payload = _psi_report(args)
+    except RecursionError:
+        # parsing, comparing and printing a forest recurse once per level
+        raise FileFormatError("forest text nests too deeply") from None
+    _emit(args, lambda: lines, lambda: payload)
+    return 0
+
+
+def _psi_report(args) -> tuple[list[str], dict]:
     if args.invert:
         if args.sigma:
             raise ValidationError("--invert takes only --forest, not a permutation")
@@ -560,8 +567,7 @@ def _cmd_typea_psi(args) -> int:
             "smallerForest": forest_to_text(small),
             "permutation": list(word),
         }
-        _emit(args, lambda: lines, lambda: payload)
-        return 0
+        return lines, payload
     if not args.sigma:
         raise ValidationError("a permutation of the components is required")
     if args.forest is None:
@@ -581,8 +587,7 @@ def _cmd_typea_psi(args) -> int:
         "result": forest_to_text(grown),
         "degree": grown.degree,
     }
-    _emit(args, lambda: lines, lambda: payload)
-    return 0
+    return lines, payload
 
 
 def _cmd_typea_verify(args) -> int:
@@ -627,18 +632,17 @@ def reproduction_text(example_id: str) -> str:
         _nested_text(building, is_well_connected(building), enumerate_nested_sets(building))
     )
     lines.extend(["", "== admissible functions =="])
-    lines.extend(_admissible_text(building, enumerate_admissible(building)))
+    lines.extend(_admissible_text(enumerate_admissible(building)))
     lines.extend(["", "== poincare =="])
     lines.extend(
         _poincare_text(
-            building,
             poincare(building, fan, bases),
             rank_via_blowup_recursion(building, fan, bases),
         )
     )
     lines.extend(["", "== presentation =="])
     ideal = emit_presentation(building, fan, bases)
-    lines.extend(_presentation_text(building, ideal, False))
+    lines.extend(_presentation_text(ideal, False))
     return "\n".join(lines) + "\n"
 
 
@@ -788,15 +792,9 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, a shell's status for a writer the pipe killed
-    except FileFormatError as exc:
+    except WondertoricError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MathAssertionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -41,34 +41,38 @@ def _require(cond: bool, message: str) -> None:
         raise FileFormatError(message)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; `bool` is a subclass of `int` that JSON keeps apart."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _header(data, kind: str, version: int, dim_key: str, keys: tuple[str, ...]) -> int:
+    """The integer dimension of a file whose shape, keys and version check."""
+    _require(isinstance(data, dict), f"{kind} file must be a JSON object")
+    for key in ("formatVersion", dim_key, *keys):
+        _require(key in data, f"{kind} file missing key {key!r}")
+    _require(
+        data["formatVersion"] == version,
+        f"unsupported {kind} formatVersion {data['formatVersion']!r}",
+    )
+    _require(_is_int(data[dim_key]), f"{dim_key} must be an integer")
+    return data[dim_key]
+
+
 def _int_rows(obj, what: str) -> list[list[int]]:
     _require(isinstance(obj, list), f"{what} must be a list of rows")
-    rows = []
-    for row in obj:
-        _require(
-            isinstance(row, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in row),
-            f"{what} rows must be lists of integers",
-        )
-        rows.append(list(row))
-    return rows
+    _require(
+        all(isinstance(row, list) and all(_is_int(x) for x in row) for row in obj),
+        f"{what} rows must be lists of integers",
+    )
+    return [list(row) for row in obj]
 
 
 def fan_from_dict(data) -> Fan:
-    _require(isinstance(data, dict), "fan file must be a JSON object")
-    for key in ("formatVersion", "ambientDim", "rays", "maximalCones"):
-        _require(key in data, f"fan file missing key {key!r}")
-    _require(
-        data["formatVersion"] == FAN_FORMAT_VERSION,
-        f"unsupported fan formatVersion {data['formatVersion']!r}",
-    )
-    _require(
-        isinstance(data["ambientDim"], int) and not isinstance(data["ambientDim"], bool),
-        "ambientDim must be an integer",
-    )
+    n = _header(data, "fan", FAN_FORMAT_VERSION, "ambientDim", ("rays", "maximalCones"))
     rays = _int_rows(data["rays"], "rays")
     cones = _int_rows(data["maximalCones"], "maximalCones")
-    return Fan.make(data["ambientDim"], rays, cones)
+    return Fan.make(n, rays, cones)
 
 
 def fan_to_dict(fan: Fan) -> dict:
@@ -81,7 +85,7 @@ def fan_to_dict(fan: Fan) -> dict:
 
 
 def _fraction(text, what: str) -> Fraction:
-    _require(isinstance(text, (str, int)) and not isinstance(text, bool),
+    _require(isinstance(text, str) or _is_int(text),
              f"{what} must be strings like '1/2' or integers")
     try:
         return Fraction(text)
@@ -98,6 +102,12 @@ def _layer_from_dict(obj, torus_dim: int, what: str) -> Layer:
     values = [_fraction(v, f"{what}.phi") for v in obj["phi"]]
     _require(len(values) == len(rows), f"{what}: one phi value per gamma row")
     return Layer.from_generators(torus_dim, rows, values)
+
+
+def _layers(data: dict, key: str, torus_dim: int) -> tuple[Layer, ...]:
+    return tuple(
+        _layer_from_dict(obj, torus_dim, f"{key}[{i}]") for i, obj in enumerate(data[key])
+    )
 
 
 def _layer_to_dict(layer: Layer) -> dict:
@@ -119,28 +129,14 @@ class Arrangement:
 
 
 def arrangement_from_dict(data) -> Arrangement:
-    _require(isinstance(data, dict), "arrangement file must be a JSON object")
-    for key in ("formatVersion", "torusDim", "layers"):
-        _require(key in data, f"arrangement file missing key {key!r}")
-    _require(
-        data["formatVersion"] == ARRANGEMENT_FORMAT_VERSION,
-        f"unsupported arrangement formatVersion {data['formatVersion']!r}",
-    )
-    n = data["torusDim"]
-    _require(isinstance(n, int) and not isinstance(n, bool), "torusDim must be an integer")
+    n = _header(data, "arrangement", ARRANGEMENT_FORMAT_VERSION, "torusDim", ("layers",))
     _require(isinstance(data["layers"], list) and data["layers"],
              "layers must be a nonempty list")
-    layers = tuple(
-        _layer_from_dict(obj, n, f"layers[{i}]")
-        for i, obj in enumerate(data["layers"])
-    )
+    layers = _layers(data, "layers", n)
     building = None
     if "buildingSet" in data:
         _require(isinstance(data["buildingSet"], list), "buildingSet must be a list")
-        building = tuple(
-            _layer_from_dict(obj, n, f"buildingSet[{i}]")
-            for i, obj in enumerate(data["buildingSet"])
-        )
+        building = _layers(data, "buildingSet", n)
     bases = ()
     if "equalSignBases" in data:
         _require(isinstance(data["equalSignBases"], list),
@@ -169,12 +165,12 @@ def arrangement_to_dict(arr: Arrangement) -> dict:
 
 def _load_json(path):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int()'s digit limit
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

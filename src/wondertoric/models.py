@@ -10,6 +10,7 @@ codimension bookkeeping of each center.  They must agree coefficient-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, groupby, product
 from typing import Iterable, Sequence
 
@@ -36,11 +37,15 @@ def _padded_add(a: GradedCount, b: GradedCount, shift: int = 0) -> GradedCount:
 class BuildingSet:
     """Building set inside a layer poset; members canonically ordered, so the
     1-based member index is the stable human label.  `positions[i]` is the
-    poset index of member i."""
+    poset index of member i, and `member_positions` their set."""
 
     poset: LayerPoset
     members: tuple[Layer, ...]
     positions: tuple[int, ...]
+
+    @cached_property
+    def member_positions(self) -> frozenset[int]:
+        return frozenset(self.positions)
 
     @property
     def torus_dim(self) -> int:
@@ -67,8 +72,12 @@ class BuildingSet:
             raise MathAssertionError("enclosing intersection component is not unique")
         return around[0]
 
-    def label(self, i: int) -> str:
-        return f"T{i + 1}"
+    def transversal(self, subset: Sequence[int], component: int) -> bool:
+        """The members in `subset` meet transversally at `component`, one of
+        the components of their intersection: codimension adds up."""
+        return self.poset.elements[component].rank == sum(
+            self.members[i].rank for i in subset
+        )
 
 
 def build_building_set(
@@ -105,10 +114,9 @@ def build_building_set(
 
 def _building_defect(building: BuildingSet):
     poset = building.poset
-    member_at = set(building.positions)
     # element 0 is the torus
     for e in range(1, len(poset.elements)):
-        if e in member_at:
+        if e in building.member_positions:
             continue
         above = [i for i, p in enumerate(building.positions) if poset.contains(p, e)]
         minimal = [
@@ -116,12 +124,8 @@ def _building_defect(building: BuildingSet):
             for i in above
             if not any(o != i and building.contains(i, o) for o in above)
         ]
-        # every component of a transversal intersection has the summed rank
-        if (
-            not minimal
-            or e not in building.components(minimal)
-            or poset.elements[e].rank != sum(building.members[i].rank for i in minimal)
-        ):
+        # no members above leave the torus, which e is not
+        if e not in building.components(minimal) or not building.transversal(minimal, e):
             return False, poset.elements[e]
     return True, None
 
@@ -141,7 +145,7 @@ def is_well_connected(building: BuildingSet) -> WellConnectedness:
     components back to the building set.  The members' `below` masks, closed
     under AND in member order, give each distinct intersection once, at its
     colex-first subset: the cost follows the intersections, not 2^m subsets."""
-    poset, member_at = building.poset, set(building.positions)
+    poset, member_at = building.poset, building.member_positions
     reached = {(1 << len(poset.elements)) - 1: ()}
     for i, p in enumerate(building.positions):
         for common, subset in list(reached.items()):
@@ -163,10 +167,8 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
     A set is nested iff every antichain in it of size >= 2 has nonempty,
     connected, transversal intersection not belonging to the building set.
     """
-    members = building.members
-    elements = building.poset.elements
-    m = len(members)
-    member_at = set(building.positions)
+    m = len(building.members)
+    member_at = building.member_positions
     comparable = [
         [building.contains(i, j) or building.contains(j, i) for j in range(m)]
         for i in range(m)
@@ -177,7 +179,7 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
         return (
             len(comps) == 1
             and comps[0] not in member_at
-            and elements[comps[0]].rank == sum(members[i].rank for i in indices)
+            and building.transversal(indices, comps[0])
         )
 
     def nests(current: tuple[int, ...], nxt: int) -> bool:

@@ -109,22 +109,27 @@ def _set_partitions(items: Word):
         yield ((head,),) + part
 
 
+def _tree_choices(labels: Word, min_blocks: int):
+    """Every choice of one admissible tree per block, over the partitions of
+    the ascending labels into at least `min_blocks` blocks."""
+    for part in _set_partitions(labels):
+        if len(part) < min_blocks:
+            continue
+        pools = [admissible_trees(block) for block in part]
+        if all(pools):
+            yield from product(*pools)
+
+
 @lru_cache(maxsize=None)
 def admissible_trees(labels: Word) -> tuple[TreeNode, ...]:
     """All admissible trees carrying exactly the given ascending leaf labels."""
     if len(labels) == 1:
         return (TreeNode.leaf(labels[0]),)
-    out: list[TreeNode] = []
-    if len(labels) >= 3:
-        for part in _set_partitions(labels):
-            if len(part) < 3:
-                continue
-            pools = [admissible_trees(block) for block in part]
-            if any(not pool for pool in pools):
-                continue
-            for combo in product(*pools):
-                for e in range(1, len(part) - 1):
-                    out.append(TreeNode.branch(e, combo))
+    out = [
+        TreeNode.branch(e, combo)
+        for combo in _tree_choices(labels, 3)
+        for e in range(1, len(combo) - 1)
+    ]
     return tuple(sorted(out, key=_tree_key))
 
 
@@ -132,13 +137,7 @@ def enumerate_forests(n: int) -> tuple[AdmissibleForest, ...]:
     """All admissible forests on leaves 1..n, grouped by (degree, components)."""
     if n < 1:
         raise ValidationError("need at least one leaf")
-    out: list[AdmissibleForest] = []
-    for part in _set_partitions(tuple(range(1, n + 1))):
-        pools = [admissible_trees(block) for block in part]
-        if any(not pool for pool in pools):
-            continue
-        for combo in product(*pools):
-            out.append(make_forest(combo))
+    out = [make_forest(combo) for combo in _tree_choices(tuple(range(1, n + 1)), 1)]
     return tuple(sorted(out, key=lambda f: f.sort_key()))
 
 
@@ -160,11 +159,14 @@ class HookFactorization:
     prefix: Word
     hooks: tuple[Word, ...]
 
+    @classmethod
+    def of_hooks(cls, n: int, hooks: Sequence[Word]) -> HookFactorization:
+        """These hooks after the letters of 1..n in no hook, in ascending order."""
+        used = {x for hook in hooks for x in hook}
+        return cls(tuple(x for x in range(1, n + 1) if x not in used), tuple(hooks))
+
     def word(self) -> Word:
-        out = self.prefix
-        for hook in self.hooks:
-            out += hook
-        return out
+        return sum(self.hooks, self.prefix)
 
 
 def hook_factorize(word: Sequence[int]) -> HookFactorization:
@@ -305,9 +307,7 @@ def psi_inverse(forest: AdmissibleForest) -> tuple[AdmissibleForest, Word]:
     for node in chain:
         batch = sorted(index_of[c] for c in node.children if n not in c.leaves)
         hooks.append(hook_from_set(batch, node.exponent))
-    used = {i for hook in hooks for i in hook}
-    prefix = tuple(i for i in range(1, len(small.trees) + 1) if i not in used)
-    return small, HookFactorization(prefix, tuple(hooks)).word()
+    return small, HookFactorization.of_hooks(len(small.trees), hooks).word()
 
 
 def chain_monomial_to_permutation(
@@ -315,8 +315,7 @@ def chain_monomial_to_permutation(
 ) -> Word:
     """Permutation encoding a monomial supported on a strictly nested chain
     of subsets of 1..n, one hook per step."""
-    word: Word = ()
-    covered: set[int] = set()
+    hooks: list[Word] = []
     previous: frozenset[int] = frozenset()
     for labels, exponent in steps:
         current = frozenset(int(x) for x in labels)
@@ -329,11 +328,9 @@ def chain_monomial_to_permutation(
             raise ValidationError(
                 "exponent must be strictly below the relative codimension"
             )
-        word += hook_from_set(fresh, exponent)
-        covered |= current
+        hooks.append(hook_from_set(fresh, exponent))
         previous = current
-    prefix = tuple(i for i in range(1, n + 1) if i not in covered)
-    return prefix + word
+    return HookFactorization.of_hooks(n, hooks).word()
 
 
 def permutation_to_chain_monomial(perm: Sequence[int]) -> tuple[tuple[Word, int], ...]:

@@ -122,6 +122,27 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+# bytes that do not decode: not UTF-8, an integer past Python's 4,300-digit
+# limit, nesting past the recursion limit
+UNDECODABLE = {
+    "non-utf8": b'{"formatVersion": 1, "ambientDim": 2\xff}',
+    "long-integer": b'{"formatVersion": 1, "ambientDim": ' + b"9" * 5000 + b"}",
+    "deep-nesting": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", [["fan", "check"], ["arr", "poset"]], ids=" ".join)
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_file_exits_2(tmp_path, capsys, command, case):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNDECODABLE[case])
+    code, out, err = run(capsys, command + [str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_missing_key_exits_2(tmp_path, capsys):
     path = tmp_path / "incomplete.json"
     path.write_text(json.dumps({"formatVersion": 1, "ambientDim": 2}))
@@ -350,6 +371,40 @@ def test_arr_goodness(capsys):
     assert "good: yes" in out
 
 
+def test_arr_goodness_reports_a_lattice_without_an_equal_sign_basis(tmp_path, capsys):
+    # the lattice's only bases, (1, 0) and (-1, 0), take both signs on the cone
+    # of P2 spanned by (1, 0) and (-1, -1)
+    fan = tmp_path / "p2.json"
+    fan.write_text(
+        json.dumps(
+            fan_to_dict(Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]))
+        )
+    )
+    arr = tmp_path / "line.json"
+    arr.write_text(
+        json.dumps(
+            {"formatVersion": 1, "torusDim": 2, "layers": [{"gamma": [[1, 0]], "phi": ["0"]}]}
+        )
+    )
+    code, out, err = run(capsys, ["arr", "goodness", str(arr), str(fan)])
+    assert (code, err) == (3, "")
+    assert out == (
+        "character lattices checked: 1\n"
+        "gamma [(1, 0)]: no equal-sign basis within bound 8\n"
+        "good: no\n"
+    )
+    code, out, err = run(capsys, ["arr", "goodness", str(arr), str(fan), "--json"])
+    assert (code, err) == (3, "")
+    payload = {
+        "bases": [],
+        "bound": 8,
+        "failures": [[[1, 0]]],
+        "formatVersion": 1,
+        "good": False,
+    }
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 # supplied equal-sign bases that every command searching for bases rejects:
 # (new bases of the file, expected error)
 BAD_BASES = {
@@ -474,6 +529,11 @@ def test_model_presentation_full_listing(capsys):
 
 LINES_ARR = str(fixture_path("example_lines.arrangement.json"))
 LINES_FAN = str(fixture_path("p1x4_fan.json"))
+EXAMPLE_FILES = {
+    "a2": [A2_ARR, A2_FAN],
+    "lines": [LINES_ARR, LINES_FAN],
+    "main": [MAIN_ARR, GOOD_FAN],
+}
 
 # sha256 of the full basis and presentation listings; the JSON terms are
 # ordered by their (variable, exponent) lists, not as sorted variable tuples
@@ -501,11 +561,7 @@ LISTING_DIGESTS = {
 )
 def test_model_basis_and_presentation_listings_byte_for_byte(capsys, key):
     example, what, flag = key
-    files = {
-        "a2": [A2_ARR, A2_FAN],
-        "lines": [LINES_ARR, LINES_FAN],
-        "main": [MAIN_ARR, GOOD_FAN],
-    }[example]
+    files = EXAMPLE_FILES[example]
     if what == "basis":
         argv = ["model", "basis", *files, flag]
     else:
@@ -513,6 +569,28 @@ def test_model_basis_and_presentation_listings_byte_for_byte(capsys, key):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[key]
+
+
+# sha256 of the --json reports that no other test reads in full
+REPORT_DIGESTS = {
+    ("a2", "arr", "goodness"): "23094b77739c737a8bca543279c2186a845454ddbda71d9f00e4de5e719fb2f3",
+    ("a2", "model", "admissible"): "480ed8626cafd56e909ee984be9b3e668ce4d47a28d7daa9118f51ea50f0d8fb",
+    ("a2", "model", "poincare"): "9964697f3266df37bbc43404cba48e5a8bf903f2776ef6e555e74869a2a6c790",
+    ("lines", "arr", "goodness"): "c58ff12d6f7d4302ff783abe5720b121a97494e7a3b79e30c76c140b9dd8dfef",
+    ("lines", "model", "admissible"): "83b8f352ee0574120d6282e8e7ba90687ed566a3bf2800100dc0c0ebd7b8bdb7",
+    ("lines", "model", "poincare"): "b014702ad0513e26fff87ef7ad1bd920159d735e99578b384dae764ce0756847",
+    ("main", "arr", "goodness"): "5e7ed738d47f0bdd32be5efc6fd31167c0db0b6d091c314e3ec5b9267dedad70",
+    ("main", "model", "admissible"): "999a53a921aaa52ef58e08926edce19f0d82ef80d9402ad18ffaf63c1133a0c3",
+    ("main", "model", "poincare"): "9f5efca6b498bafc12c1873d4b0bc3a84dd3e6af6587795e80c2161114077c80",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS), ids="-".join)
+def test_json_reports_byte_for_byte(capsys, key):
+    example, *command = key
+    code, out, err = run(capsys, [*command, *EXAMPLE_FILES[example], "--json"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[key]
 
 
 def test_typea_eulerian(capsys):
@@ -604,11 +682,80 @@ def test_forest_from_text_rejects_garbage():
         forest_from_text("1 2")
 
 
+def _chain_text(depth: int) -> str:
+    """An admissible tree nested `depth` branches deep, as forest text."""
+    text = "".join(f"(q^1: {2 * k + 1}, {2 * k + 2}, " for k in range(depth))
+    return text + str(2 * depth + 1) + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "forest",
+    [
+        "(q^1: " * 3000,
+        # parses, but printing it recurses further than parsing did
+        _chain_text(sys.getrecursionlimit() // 2),
+        "(q^1: 1, 2, " + "3" * 5000 + ")",
+        "(q^1: 1, 2, \u00b2)",
+    ],
+    ids=["open-branches", "deep-chain", "long-label", "superscript-label"],
+)
+def test_unreadable_forest_text_exits_2(capsys, forest):
+    code, out, err = run(capsys, ["typea", "psi", "--invert", "--forest", forest])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_nested_forest_within_the_recursion_limit_still_inverts(capsys):
+    text = _chain_text(50)
+    code, out, _ = run(capsys, ["typea", "psi", "--invert", "--forest", text])
+    assert code == 0
+    assert out.splitlines()[0] == f"forest: {text}"
+
+
 @pytest.mark.parametrize("example", ["example-main", "example-lines", "example-a2"])
 def test_reproduce_matches_golden(capsys, example):
     code, out, _ = run(capsys, ["reproduce", example])
     assert code == 0
     assert "reproduction matches the recorded output" in out
+
+
+@pytest.fixture
+def tmp_goldens(tmp_path, monkeypatch):
+    """An empty directory that `reproduce` reads and writes as its goldens;
+    the inputs are still the bundled fixtures."""
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    bundled = cli.fixture_path
+    monkeypatch.setattr(
+        cli, "fixture_path", lambda name: golden if name == "golden" else bundled(name)
+    )
+    return golden
+
+
+def test_reproduce_prints_a_diff_and_exits_1_on_a_changed_golden(tmp_goldens, capsys):
+    text = cli.reproduction_text("example-a2")
+    (tmp_goldens / "example-a2.txt").write_text(text.replace("elements: 5", "elements: 6"))
+    code, out, err = run(capsys, ["reproduce", "example-a2"])
+    assert (code, err) == (1, "")
+    assert out.startswith("--- recorded\n+++ computed\n@@ ")
+    assert "\n-elements: 6\n+elements: 5\n" in out
+
+
+def test_reproduce_without_a_golden_exits_2(tmp_goldens, capsys):
+    code, out, err = run(capsys, ["reproduce", "example-a2"])
+    assert (code, out) == (2, "")
+    assert err == "error: no golden output bundled for 'example-a2'\n"
+
+
+def test_reproduce_update_golden_writes_the_report(tmp_goldens, capsys):
+    code, out, _ = run(capsys, ["reproduce", "example-lines", "--update-golden"])
+    golden = tmp_goldens / "example-lines.txt"
+    assert (code, out) == (0, f"wrote {golden}\n")
+    assert golden.read_text() == cli.reproduction_text("example-lines")
+    code, out, _ = run(capsys, ["reproduce", "example-lines"])
+    assert (code, out) == (0, "example-lines: reproduction matches the recorded output\n")
 
 
 def test_reproduce_is_deterministic():
