@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
+from operator import mul
 from typing import Iterable
 
 from .errors import MathAssertionError, ValidationError
 from .lattice import (
     IntMatrix,
     Sublattice,
-    dot,
     first_split_basis,
     hermite_form,
     identity_matrix,
@@ -216,10 +216,25 @@ def ray_indices(mask: int):
         mask ^= low
 
 
+def pairings(fan: Fan, chi) -> tuple[int, ...]:
+    """The pairings <chi, r> of the character `chi` with the rays r of `fan`,
+    in ray order: the one place a character meets the rays."""
+    if len(chi) != fan.ambient_dim:
+        raise ValueError(f"character of length {len(chi)} in dimension {fan.ambient_dim}")
+    return tuple(sum(map(mul, chi, ray)) for ray in fan.rays)
+
+
+def moved_rays(fan: Fan, rows) -> int:
+    """Bitmask of the rays that some character of `rows` pairs to nonzero,
+    that is the rays off the annihilator of the rows."""
+    columns = zip(*(pairings(fan, row) for row in rows))
+    return sum(1 << i for i, column in enumerate(columns) if any(column))
+
+
 def equal_sign_holds(fan: Fan, chi) -> bool:
     """True if on every maximal cone the values <chi, r> on the cone's rays r
     are all >= 0 or all <= 0."""
-    return _one_sign_per_cone(ray_masks(fan), [dot(chi, r) for r in fan.rays])
+    return _one_sign_per_cone(ray_masks(fan), pairings(fan, chi))
 
 
 def _one_sign_per_cone(masks: RayMasks, values) -> bool:
@@ -241,7 +256,7 @@ def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
     representative each), with the values on the rays checked incrementally."""
     s = len(basis)
     masks = ray_masks(fan)
-    ray_values = [tuple(dot(row, r) for r in fan.rays) for row in basis]
+    ray_values = [pairings(fan, row) for row in basis]
     out = []
     for coeffs in _coeff_vectors(s, height):
         if vector_gcd(coeffs) != 1:
@@ -322,7 +337,7 @@ def equal_sign_basis(
     # cheap path: the canonical basis often works as-is
     masks = ray_masks(fan)
     if lat.is_split_summand() and all(
-        _one_sign_per_cone(masks, [dot(row, r) for r in fan.rays]) for row in lat.basis
+        _one_sign_per_cone(masks, pairings(fan, row)) for row in lat.basis
     ):
         return lat.basis
     return extend_equal_sign_basis(fan, lat, (), bound)
@@ -348,15 +363,12 @@ def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
     the annihilator in faces).  The restriction is then a complete
     simplicial fan, so it is pure: its maximal cones are the restricted
     cones of full dimension.  `complete_bases` checks the first, and
-    `EqualSignBases.subfan` the other two.
-    """
+    `EqualSignBases.subfan` the other two.  The annihilator's rays,
+    `on_flagged`, are the complement of `moved_rays` of `gamma`'s basis."""
     kernel = gamma.kernel_lattice()
     m = kernel.rank
-    flagged = [
-        i
-        for i, ray in enumerate(fan.rays)
-        if all(dot(g, ray) == 0 for g in gamma.basis)
-    ]
+    on_flagged = ~moved_rays(fan, gamma.basis) & ((1 << len(fan.rays)) - 1)
+    flagged = list(ray_indices(on_flagged))
     new_rays = []
     for i in flagged:
         coords = kernel.solve(fan.rays[i])
@@ -366,7 +378,6 @@ def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
             raise MathAssertionError("restricted ray lost primitivity")
         new_rays.append(coords)
     reindex = {old: new for new, old in enumerate(flagged)}
-    on_flagged = sum(1 << i for i in flagged)
     restricted = {cone & on_flagged for cone in ray_masks(fan).cones}
     cones = [
         tuple(reindex[i] for i in ray_indices(cone))

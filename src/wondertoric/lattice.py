@@ -29,10 +29,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v, strict=True))
-
-
 def vector_gcd(v: Sequence[int]) -> int:
     g = 0
     for x in v:

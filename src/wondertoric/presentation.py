@@ -26,10 +26,12 @@ from .fans import (
     all_cones,
     betti_numbers,
     complete_bases,
+    moved_rays,
+    pairings,
     ray_indices,
     ray_masks,
 )
-from .lattice import dot, first_split_basis, image_and_kernel, splits
+from .lattice import first_split_basis, image_and_kernel, splits
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
 
 Var = tuple[str, int]
@@ -341,11 +343,9 @@ class PresentationIdeal:
         )
 
 
-def _direction_form(chi, rays) -> PolyTerms:
+def _direction_form(fan: Fan, chi) -> PolyTerms:
     """Sum of max(0, -pairing) C_r over all rays, for one character."""
-    return tuple(
-        ((("C", i),), -val) for i, ray in enumerate(rays) if (val := dot(chi, ray)) < 0
-    )
+    return tuple(((("C", i),), -v) for i, v in enumerate(pairings(fan, chi)) if v < 0)
 
 
 def emit_presentation(
@@ -357,7 +357,8 @@ def emit_presentation(
     """All generator classes of the cohomology presentation.
 
     Class list: (a) square-free non-face monomials, (b) one linear form per
-    ambient coordinate, (c) C_r T_G for rays outside the member's span,
+    ambient coordinate, (c) C_r T_G for the rays r that some character of
+    G's lattice pairs to nonzero, the rays not in G's subfan (`moved_rays`),
     (d) one relation per (member, set of strictly larger members), stored by
     its restriction factors over an equal-sign basis extension and expanded
     only when its `terms` are read, (e) products over member sets with empty
@@ -372,11 +373,11 @@ def emit_presentation(
     nonfaces = minimal_nonfaces(fan)
     linear = character_linear_forms(fan)
 
-    ray_products = []
-    for g, layer in enumerate(members):
-        for i, ray in enumerate(fan.rays):
-            if any(dot(chi, ray) for chi in layer.gamma.basis):
-                ray_products.append((i, g))
+    ray_products = [
+        (i, g)
+        for g, layer in enumerate(members)
+        for i in ray_indices(moved_rays(fan, layer.gamma.basis))
+    ]
 
     strictly_above = [
         tuple(h for h in range(m) if h != g and building.contains(h, g))
@@ -400,7 +401,7 @@ def emit_presentation(
                     raise MathAssertionError("member relation has unexpected degree")
                 for chi in chars:
                     if chi not in directions_of:
-                        directions_of[chi] = _direction_form(chi, fan.rays)
+                        directions_of[chi] = _direction_form(fan, chi)
                 directions = tuple(directions_of[chi] for chi in chars)
                 relations.append(MemberRelation(g, above, z, directions, variant))
 

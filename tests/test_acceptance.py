@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
 from smith import mat_mul
+from test_fans import dot
 from wondertoric.errors import ValidationError
 from wondertoric.fans import (
     EqualSignBases,
@@ -20,7 +21,7 @@ from wondertoric.fans import (
     weyl_fan_A,
 )
 from wondertoric.files import fixture_path, load_arrangement, load_fan
-from wondertoric.lattice import Sublattice, dot, smith_normal_form
+from wondertoric.lattice import Sublattice, smith_normal_form
 from wondertoric.layers import Layer, intersect, poset_of_layers
 from wondertoric.models import (
     build_building_set,

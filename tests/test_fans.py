@@ -27,14 +27,16 @@ from wondertoric.fans import (
     equal_sign_holds,
     extend_equal_sign_basis,
     f_vector,
+    moved_rays,
     orthant_fan,
+    pairings,
     subfan,
     validate,
     weyl_fan_A,
 )
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import _plan, _solve, poset_of_layers
-from wondertoric.lattice import Sublattice, dot, hermite_form, smith_normal_form
+from wondertoric.lattice import Sublattice, hermite_form, smith_normal_form
 from wondertoric.models import enumerate_admissible
 from wondertoric.presentation import minimal_nonfaces
 from wondertoric.typea import minimal_equal_coordinate_building
@@ -271,6 +273,44 @@ def test_kinds_and_minimal_nonfaces_match_references():
         else:
             with pytest.raises(ValidationError, match="not simplicial"):
                 minimal_nonfaces(fan)
+
+
+def dot(u, v):
+    """The pairing of two integer vectors, one ray at a time, as the library
+    wrote it before `pairings`; the length check is zip's."""
+    return sum(x * y for x, y in zip(u, v, strict=True))
+
+
+def test_pairings_and_moved_rays_match_a_per_ray_dot():
+    rng = random.Random(20261020)
+    masks = Counter()
+    for label, fan in _structure_cases():
+        n, rays = fan.ambient_dim, fan.rays
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        chars = [(0,) * n, *units]
+        chars += [tuple(sign * x for x in ray) for ray in rays for sign in (1, -1)]
+        chars += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(10)]
+        for chi in chars:
+            assert pairings(fan, chi) == tuple(dot(chi, r) for r in rays), (label, chi)
+        row_sets = [()] + [
+            tuple(rng.choice(chars) for _ in range(size))
+            for size in (1, 2, 3)
+            for _ in range(8)
+        ]
+        for rows in row_sets:
+            expected = sum(
+                1 << i for i, r in enumerate(rays) if any(dot(row, r) for row in rows)
+            )
+            assert moved_rays(fan, rows) == expected, (label, rows)
+            full = (1 << len(rays)) - 1
+            masks["none" if not expected else "all" if expected == full else "some"] += 1
+        too_short = [(1,) * (n - 1)] if n else []
+        for wrong in [(0,) * (n + 1), (1,) * (n + 2), *too_short]:
+            with pytest.raises(ValueError):
+                pairings(fan, wrong)
+            with pytest.raises(ValueError):
+                moved_rays(fan, [(0,) * n, wrong])
+    assert masks["none"] and masks["all"] and masks["some"], masks
 
 
 def _one_sign_per_cone_by_cones(fan, values):
