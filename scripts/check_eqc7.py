@@ -21,7 +21,8 @@ closure's solver calls (counted by wrapping `wondertoric.layers.intersect`,
 5298 at n = 7), the hits of the solver's bounded plan cache, and what the
 fan's shared equal-sign resolver holds: lattices found, subfans and
 extensions (`poincare` and the oracle share it, so the oracle restricts no
-lattice `poincare` restricted); exits 1 on any mismatch.  Three runs took
+lattice `poincare` restricted), and last the total wall time, counted from
+before `wondertoric` is imported; exits 1 on any mismatch.  Three runs took
 2.0 to 2.6 s, median 2.2 s, the poset and building set 0.9 to 1.1 s, the
 well-connectedness check 0.03 to 0.04 s, `poincare` 0.5 to 0.7 s and the
 per-support checks 0.1 s of it (Python 3.11, a shared 2-core host), too
@@ -36,7 +37,9 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from wondertoric import (
+STARTED = perf_counter()  # the total covers importing the library
+
+from wondertoric import (  # noqa: E402
     betti_numbers,
     eulerian,
     is_well_connected,
@@ -47,8 +50,8 @@ from wondertoric import (
     validate,
     weyl_fan_A,
 )
-from wondertoric.fans import resolve_bases
-from wondertoric.typea import minimal_equal_coordinate_building
+from wondertoric.fans import resolve_bases  # noqa: E402
+from wondertoric.typea import minimal_equal_coordinate_building  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from equal_coordinate import check_supports  # noqa: E402
@@ -122,6 +125,7 @@ def check(n, elements, total, support_rows, forests) -> int:
     expect(f"series coefficient {n}", toric_poincare_series(n).coefficient(n), total)
     for failure in failures:
         print(f"MISMATCH {failure}", file=sys.stderr)
+    print(f"total: {perf_counter() - STARTED:.1f} s")
     return 1 if failures else 0
 
 

@@ -1,8 +1,8 @@
 """Rational fans: validation, face counts, Betti numbers, subfans.
 
 A fan is stored as primitive integer rays plus maximal cones given by 0-based
-ray index tuples.  Simpliciality, smoothness and completeness are checked,
-not assumed.
+ray index tuples; the constructor refuses any other rays.  Simpliciality,
+smoothness and completeness are checked, not assumed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ EQUAL_SIGN_BOUND = 8  # default coefficient height of the equal-sign basis searc
 
 @dataclass(frozen=True)
 class Fan:
+    """Rays and maximal cones, checked when the fan is built: the rays are
+    primitive, distinct and each in a maximal cone, and each cone is a
+    strictly increasing tuple of ray indices."""
+
     ambient_dim: int
     rays: tuple[tuple[int, ...], ...]
     maximal_cones: tuple[tuple[int, ...], ...]
@@ -48,6 +52,16 @@ class Fan:
             for i in cone:
                 if not 0 <= i < len(self.rays):
                     raise ValidationError(f"ray index {i} out of range")
+        for i, ray in enumerate(self.rays):
+            if not is_primitive(ray):
+                raise ValidationError(
+                    f"ray {i} = {ray} is not primitive (gcd {vector_gcd(ray)})"
+                )
+        if len(set(self.rays)) != len(self.rays):
+            raise ValidationError("duplicate rays")
+        missing = sorted(set(range(len(self.rays))).difference(*self.maximal_cones))
+        if missing:
+            raise ValidationError(f"rays {missing} are not used by any maximal cone")
 
     @classmethod
     def make(cls, ambient_dim, rays, maximal_cones) -> Fan:
@@ -127,26 +141,10 @@ def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
 
 
 def validate(fan: Fan) -> FanReport:
-    """Structural checks plus a simplicial/smooth/complete/f-vector report.
-
-    Raises ValidationError for non-primitive rays, duplicate rays, or rays
-    that no maximal cone uses.  Simpliciality, smoothness and completeness
-    are reported, not required; the f-vector is None on a fan that is not
-    simplicial.
-    """
-    for i, ray in enumerate(fan.rays):
-        if not is_primitive(ray):
-            raise ValidationError(
-                f"ray {i} = {ray} is not primitive (gcd {vector_gcd(ray)})"
-            )
-    if len(set(fan.rays)) != len(fan.rays):
-        raise ValidationError("duplicate rays")
-    used = set()
-    for cone in fan.maximal_cones:
-        used.update(cone)
-    missing = sorted(set(range(len(fan.rays))) - used)
-    if missing:
-        raise ValidationError(f"rays {missing} are not used by any maximal cone")
+    """The simplicial/smooth/complete/f-vector report of a fan, whose rays
+    `Fan` checked when it was built.  Simpliciality, smoothness and
+    completeness are reported, not required; the f-vector is None on a fan
+    that is not simplicial."""
     simplicial, smooth, complete = _kinds(fan)
     return FanReport(
         simplicial, smooth, complete, f_vector(fan) if simplicial else None
@@ -163,15 +161,20 @@ def f_vector(fan: Fan) -> tuple[int, ...]:
     return tuple(counts.get(k, 0) for k in range(top + 1))
 
 
+def _require_smooth_complete(fan: Fan, what: str) -> None:
+    """The one test that `fan` is smooth and complete, as `what` require."""
+    _, smooth, complete = _kinds(fan)
+    if not smooth:
+        raise ValidationError(f"{what} require a smooth fan")
+    if not complete:
+        raise ValidationError(f"{what} require a complete fan")
+
+
 @lru_cache(maxsize=None)
 def betti_numbers(fan: Fan) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_2n) of the smooth complete toric
     variety of the fan; odd ones vanish."""
-    _, smooth, complete = _kinds(fan)
-    if not smooth:
-        raise ValidationError("Betti numbers require a smooth fan")
-    if not complete:
-        raise ValidationError("Betti numbers require a complete fan")
+    _require_smooth_complete(fan, "Betti numbers")
     n = fan.ambient_dim
     f = f_vector(fan)
     f = f + (0,) * (n + 1 - len(f))
@@ -190,7 +193,7 @@ def betti_numbers(fan: Fan) -> tuple[int, ...]:
 class RayMasks:
     """A fan's maximal cones as bitmasks of their rays (bit i for ray i),
     and for each ray the mask of the rays that share a maximal cone with
-    it, itself included; 0 for a ray that no maximal cone uses."""
+    it, itself included."""
 
     cones: tuple[int, ...]
     neighbours: tuple[int, ...]
@@ -492,13 +495,9 @@ def complete_bases(
     fan: Fan, torus_dim: int, bases: EqualSignBases | None = None
 ) -> EqualSignBases:
     """`resolve_bases` for a wonderful model, which also needs `fan` to be
-    complete and smooth: the one such check of the model computations."""
+    smooth and complete: the model computations' one such check."""
     bases = resolve_bases(fan, torus_dim, bases)
-    _, smooth, complete = _kinds(fan)
-    if not complete:
-        raise ValidationError("wonderful models require a complete fan")
-    if not smooth:
-        raise ValidationError("wonderful models require a smooth fan")
+    _require_smooth_complete(fan, "wonderful models")
     return bases
 
 

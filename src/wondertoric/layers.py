@@ -215,7 +215,7 @@ class LayerPoset:
         common = (1 << len(self.elements)) - 1
         for i in indices:
             common &= self.below[i]
-        return self._maximal(common)
+        return self.maximal(common)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j): elements[i] covers elements[j] under containment,
@@ -223,10 +223,10 @@ class LayerPoset:
         return tuple(
             (i, j)
             for i, mask in enumerate(self.below)
-            for j in self._maximal(mask & ~(1 << i))
+            for j in self.maximal(mask & ~(1 << i))
         )
 
-    def _maximal(self, mask: int) -> tuple[int, ...]:
+    def maximal(self, mask: int) -> tuple[int, ...]:
         """The maximal elements among those in the bitmask, in canonical
         order.  The lowest remaining index is maximal, since elements are in
         rank order; it is recorded and everything it contains is dropped."""

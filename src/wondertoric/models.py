@@ -151,7 +151,7 @@ def is_well_connected(building: BuildingSet) -> WellConnectedness:
         for common, subset in list(reached.items()):
             reached.setdefault(common & poset.below[p], subset + (i,))
     for common, subset in reached.items():
-        comps = poset._maximal(common)
+        comps = poset.maximal(common)
         missing = [c for c in comps if c not in member_at]
         if len(comps) >= 2 and missing:
             return WellConnectedness(False, subset, poset.elements[missing[0]])

@@ -116,16 +116,16 @@ def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Smallest ray sets spanning no cone; all proper subsets span one.
 
     Each is a nonempty face plus one ray above the face's largest index,
-    sorted by size, then as tuples.  A pair is two rays in cones but in no
-    common cone.  A larger set has all its pairs in cones, so a face F is
-    grown only by the rays above F's largest index that share a cone with
-    every ray of F."""
+    sorted by size, then as tuples.  A pair is two rays in no common cone
+    (`Fan` puts every ray in a cone).  A larger set has all its pairs in
+    cones, so a face F is grown only by the rays above F's largest index
+    that share a cone with every ray of F."""
     faces = all_cones(fan)
     neighbours = ray_masks(fan).neighbours
     found = [
         (a, b)
         for a, b in combinations(range(len(fan.rays)), 2)
-        if neighbours[a] and neighbours[b] and not neighbours[a] >> b & 1
+        if not neighbours[a] >> b & 1
     ]
     for face in faces:
         if len(face) < 2:

@@ -168,6 +168,50 @@ def test_semantic_fan_error_exits_3(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_every_fan_command_refuses_what_fan_check_refuses(tmp_path, capsys):
+    # P^1 x P^1 with each ray listed twice, its eight cones winding twice
+    # around the origin; and P^1 x P^1 plus a ray (1, 1) in no cone
+    square = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    bad = {
+        "duplicate rays": (square * 2, [[i, (i + 1) % 8] for i in range(8)]),
+        "rays [4] are not used by any maximal cone": (
+            square + [[1, 1]],
+            [[0, 1], [1, 2], [2, 3], [0, 3]],
+        ),
+    }
+    # the two curves t1 = 1 and t2 = 1
+    arr = tmp_path / "two_lines.json"
+    arr.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "torusDim": 2,
+                "layers": [
+                    {"gamma": [[1, 0]], "phi": ["0"]},
+                    {"gamma": [[0, 1]], "phi": ["0"]},
+                ],
+            }
+        )
+    )
+    for message, (rays, cones) in bad.items():
+        fan = tmp_path / "bad_rays.json"
+        fan.write_text(
+            json.dumps(
+                {"formatVersion": 1, "ambientDim": 2, "rays": rays, "maximalCones": cones}
+            )
+        )
+        code, out, refusal = run(capsys, ["fan", "check", str(fan)])
+        assert (code, out, refusal) == (3, "", f"error: {message}\n")
+        for command in (
+            ["model", "poincare"],
+            ["model", "basis"],
+            ["model", "presentation"],
+            ["arr", "goodness"],
+        ):
+            code, out, err = run(capsys, [*command, str(arr), str(fan)])
+            assert (code, out, err) == (3, "", refusal), (message, command)
+
+
 def test_incomplete_fan_exits_3(tmp_path, capsys):
     path = tmp_path / "halfplane.json"
     path.write_text(

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -223,7 +225,7 @@ def _minimal_nonfaces_by_definition(fan):
 
 def _structure_cases():
     """(label, fan) pairs: complete and incomplete, pure and not, simplicial
-    and not, with and without unused rays."""
+    and not."""
     for name in ("good_fan_3d.json", "p1x4_fan.json", "weyl_a3_fan.json"):
         yield name, load_fan(fixture_path(name))
     for n in range(1, 7):
@@ -259,7 +261,6 @@ def _structure_cases():
     )
     yield "point", Fan.make(0, (), ((),))
     yield "point without its cone", Fan.make(0, (), ())
-    yield "unused ray", Fan.make(2, P2.rays + ((1, 1),), P2.maximal_cones)
 
 
 def test_kinds_and_minimal_nonfaces_match_references():
@@ -273,6 +274,47 @@ def test_kinds_and_minimal_nonfaces_match_references():
         else:
             with pytest.raises(ValidationError, match="not simplicial"):
                 minimal_nonfaces(fan)
+
+
+def _negatives_per_cone(fan):
+    """The Betti numbers by a second route (Fulton, Introduction to Toric
+    Varieties, 5.2): the generic vector v = (1, 37, 37^2, ...) written in
+    each maximal cone's ray basis over Q, the cones counted by the number
+    of negative coordinates.  v lies on no cone's wall."""
+    n = fan.ambient_dim
+    counts = Counter()
+    for cone in fan.maximal_cones:
+        # rows [r_1 ... r_n | v] of the system sum_i c_i r_i = v, reduced
+        rows = [
+            [Fraction(fan.rays[i][j]) for i in cone] + [Fraction(37**j)]
+            for j in range(n)
+        ]
+        for col in range(n):
+            pivot = next(r for r in range(col, n) if rows[r][col])
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(n):
+                if r != col and rows[r][col]:
+                    f = rows[r][col] / rows[col][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        coords = [rows[i][n] / rows[i][i] for i in range(n)]
+        assert all(coords), (cone, coords)
+        counts[sum(c < 0 for c in coords)] += 1
+    return tuple(counts[k] for k in range(n + 1))
+
+
+def test_betti_numbers_match_the_generic_vector_count():
+    checked = 0
+    for label, fan in _structure_cases():
+        if not fan.ambient_dim or not all(fans._kinds(fan)):
+            continue
+        counts = _negatives_per_cone(fan)
+        # v lies in exactly one maximal cone
+        assert counts[0] == 1, (label, counts)
+        assert counts == betti_numbers(fan), label
+        checked += 1
+    # the fixture fans, Weyl A2..A6, the orthant fans and the smooth
+    # complete arrgen fans
+    assert checked >= 70, checked
 
 
 def dot(u, v):
@@ -407,6 +449,23 @@ def test_subfan_matches_the_cone_walk():
                 compared[fan.ambient_dim, len(fan.rays)] += 1
     # every Weyl fan A3..A6, the orthant fans 2 and 3 and the fixture fans
     assert len(compared) >= 7 and sum(compared.values()) > 200, compared
+
+
+def test_constructor_rejects_bad_rays():
+    # `validate` raises nothing of its own: these fans cannot be built
+    bad = (
+        ("ray 0 = (2, 0) is not primitive (gcd 2)", [(2, 0), (0, 1)], [(0, 1)]),
+        ("ray 1 = (0, 0) is not primitive (gcd 0)", [(1, 0), (0, 0)], [(0, 1)]),
+        ("duplicate rays", [(1, 0), (1, 0)], [(0, 1)]),
+        ("rays [2] are not used by any maximal cone", [(1, 0), (0, 1), (-1, 0)], [(0, 1)]),
+        # P^2 plus a ray in no cone
+        ("rays [3] are not used by any maximal cone", P2.rays + ((1, 1),), P2.maximal_cones),
+    )
+    for message, rays, cones in bad:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Fan.make(2, rays, cones)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Fan(2, tuple(rays), tuple(cones))
 
 
 def test_validate_rejects_bad_rays():
