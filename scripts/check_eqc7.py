@@ -16,18 +16,22 @@ subfan's Betti numbers are the Eulerian numbers of its component count c, and
 the (degree, c) pairs over its admissible functions are those of the 1630
 admissible forests on 7 leaves, and its contribution is, summed over its
 functions f, q^deg(f) times the hook-statistic polynomial of c letters.
-Prints each stage's wall time, then the peak RSS of the process, the
-closure's solver calls (counted by wrapping `wondertoric.layers.intersect`,
-5298 at n = 7), the hits of the solver's bounded plan cache, and what the
-fan's shared equal-sign resolver holds: lattices found, subfans and
-extensions (`poincare` and the oracle share it, so the oracle restricts no
-lattice `poincare` restricted), and last the total wall time, counted from
-before `wondertoric` is imported; exits 1 on any mismatch.  Three runs took
-2.0 to 2.6 s, median 2.2 s, the poset and building set 0.9 to 1.1 s, the
-well-connectedness check 0.03 to 0.04 s, `poincare` 0.5 to 0.7 s and the
-per-support checks 0.1 s of it (Python 3.11, a shared 2-core host), too
-long for the tier-1 tests, which stop at n = 6.  The stages are one
-function, `check`, which `check_eqc8.py` runs at n = 8.
+Prints each stage's wall time, the poset closure and the building set
+apart, then the peak RSS of the process, the closure's solver calls
+(counted by wrapping `wondertoric.layers.intersect`, 5298 at n = 7), the
+hits of the solver's bounded plan cache, how many plans took the
+saturation route (counted by wrapping `Sublattice.saturation`; 0, since
+every equal-coordinate lattice has a Hermite basis with unit pivots), and
+what the fan's shared equal-sign resolver holds: lattices found, subfans
+and extensions (`poincare` and the oracle share it, so the oracle
+restricts no lattice `poincare` restricted), and last the total wall time,
+counted from before `wondertoric` is imported; exits 1 on any mismatch.
+Three runs took 2.2 to 2.5 s, median 2.3 s: the poset closure 0.7 to
+0.9 s, the building set 0.1 s, the well-connectedness check 0.03 to
+0.04 s, `validate` 0.3 to 0.5 s, `poincare` 0.6 to 0.8 s and the
+per-support checks 0.1 s (Python 3.11, a shared 2-core host), too long
+for the tier-1 tests, which stop at n = 6.  The stages are one function,
+`check`, which `check_eqc8.py` runs at n = 8.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ from wondertoric import (  # noqa: E402
     validate,
     weyl_fan_A,
 )
+from wondertoric import typea  # noqa: E402
 from wondertoric.fans import resolve_bases  # noqa: E402
+from wondertoric.lattice import Sublattice  # noqa: E402
 from wondertoric.typea import minimal_equal_coordinate_building  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -68,21 +74,38 @@ def check(n, elements, total, support_rows, forests) -> int:
         if got != want:
             failures.append(f"{what}: got {got!r}, expected {want!r}")
 
-    # count the closure's solver calls by wrapping the name it looks up
-    solved, intersect = [0], layers.intersect
+    # time the closure, and count the solver calls and the plans that take
+    # the saturation route, by wrapping the names they are looked up under
+    solved, saturated, closure_s = [0], [0], [0.0]
+    intersect, saturation, closure = layers.intersect, Sublattice.saturation, typea.poset_of_layers
 
     def counted(a, b):
         solved[0] += 1
         return intersect(a, b)
 
+    def counted_saturation(lattice):
+        saturated[0] += 1
+        return saturation(lattice)
+
+    def timed_closure(*args):
+        begin = perf_counter()
+        try:
+            return closure(*args)
+        finally:
+            closure_s[0] = perf_counter() - begin
+
     start = perf_counter()
-    layers.intersect = counted
+    layers.intersect, Sublattice.saturation = counted, counted_saturation
+    typea.poset_of_layers = timed_closure
     try:
         poset, building = minimal_equal_coordinate_building(n)
     finally:
-        layers.intersect = intersect
+        layers.intersect, Sublattice.saturation = intersect, saturation
+        typea.poset_of_layers = closure
+    building_s = perf_counter() - start - closure_s[0]
     fan = weyl_fan_A(n)
-    print(f"poset and building set: {perf_counter() - start:.1f} s")
+    print(f"poset closure: {closure_s[0]:.1f} s")
+    print(f"building set: {building_s:.1f} s")
     start = perf_counter()
     connect = is_well_connected(building)
     print(f"well-connectedness: {perf_counter() - start:.2f} s")
@@ -106,6 +129,7 @@ def check(n, elements, total, support_rows, forests) -> int:
     print(f"peak RSS: {peak:.1f} MiB")
     print(f"closure intersect calls: {solved[0]}")
     print(f"layers._plan: {layers._plan.cache_info()}")
+    print(f"plans by the saturation route: {saturated[0]}")
     shared = resolve_bases(fan, fan.ambient_dim)
     print(
         f"shared equal-sign resolver: {len(shared._found)} lattices, "

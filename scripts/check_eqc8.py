@@ -10,11 +10,12 @@ and `poincare`, the blowup-recursion oracle and coefficient 8 of
 `toric_poincare_series(8)` all equal
 (1, 466, 13333, 63173, 63173, 13333, 466, 1).  The per-support checks cover
 its 8249 supports and the 14747 admissible forests on 8 leaves.  Prints each
-stage's wall time, the closure's solver calls (30771) and the total wall
-time, and exits 1 on any mismatch.  Three runs took 24.8 to 26.6 s, median
-25.6 s: the poset and building set 6.7 to 8.4 s, the well-connectedness
-check 0.75 to 0.88 s, `validate` 3.9 to 4.6 s, `poincare` 10.0 to 11.9 s
-(Python 3.11, a shared 2-core host); peak RSS 163 MiB.
+stage's wall time, the closure's solver calls (30771), the plans that took
+the saturation route (0) and the total wall time, and exits 1 on any
+mismatch.  Three runs took 31.0 to 31.8 s, median 31.1 s: the poset
+closure 4.9 to 6.1 s, the building set 0.8 s, the well-connectedness check
+0.95 to 1.22 s, `validate` 5.3 to 6.0 s, `poincare` 14.9 to 15.6 s (Python
+3.11, a shared 2-core host); peak RSS 163 MiB.
 """
 
 from __future__ import annotations

@@ -270,6 +270,15 @@ class Sublattice:
         return cls(ambient_rank, rows)
 
     @classmethod
+    def from_hermite_basis(cls, ambient_rank: int, basis: IntMatrix) -> Sublattice:
+        """The sublattice of `basis`, which the caller has already put in
+        canonical Hermite form; it is kept as given, not reduced again."""
+        lattice = object.__new__(cls)
+        object.__setattr__(lattice, "ambient_rank", ambient_rank)
+        object.__setattr__(lattice, "basis", basis)
+        return lattice
+
+    @classmethod
     def zero(cls, ambient_rank: int) -> Sublattice:
         return cls(ambient_rank, ())
 

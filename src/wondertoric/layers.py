@@ -6,13 +6,16 @@ a nonempty connected translate of a subtorus.  The solution set of any
 finite family of character equations splits into finitely many such
 components; one solver enumerates them by exact Hermite-form arithmetic,
 for a layer given by arbitrary generators and for an intersection of layers
-alike.  Its lattice half (the saturation of the generators, their
-coordinates in its Hermite basis by back-substitution, and the Hermite form
-of those coordinates with their row transform) depends on the generator
-rows alone, so it is kept
-for the 1024 most recent rows and shared by the poset closure and
-`Layer.from_generators`; its value half works in integer numerators over
-the values' common denominator.  The poset of layers is
+alike.  Its lattice half, the plan, depends on the generator rows alone:
+the saturation of the rows, and a triangular system with its row transform
+that relates them to its basis.  When each row reduces to zero or to a
+leading +-1 against the Hermite basis of the rows before it, one insertion
+pass gives both (a Hermite basis with unit pivots spans a split summand,
+and the system is the identity); otherwise the plan is read off the
+saturation and the Hermite form of the rows' coordinates in it beside an
+identity block.  Plans are kept for the 1024 most recent rows and shared by the poset
+closure and `Layer.from_generators`; the value half works in integer
+numerators over the values' common denominator.  The poset of layers is
 closed by intersecting each new element with the input layers only, and
 its containment is read off the edges of that closure: each component of
 cur & a lies in cur.  The poset stores the containment once, as
@@ -25,6 +28,7 @@ and contains c, so it is c.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,6 +80,8 @@ class Layer:
         """
         if len(rows) != len(values):
             raise ValidationError("one character value per generator required")
+        if any(len(row) != ambient_rank for row in rows):
+            raise ValidationError("generator length differs from ambient rank")
         sat, form = _plan(ambient_rank, tuple(map(tuple, rows)))
         residues = _residues(sat, form, [Fraction(v) for v in values])
         if residues is None:
@@ -141,10 +147,65 @@ def _solve(
 @lru_cache(maxsize=1024)
 def _plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix]:
     """The half of `_solve` that depends on the k rows alone: their
-    saturation, and the Hermite form of [coords | I_k], coords the rows'
-    coordinates in its basis: rank rows [T | u], T upper triangular, then
-    rows [0 | u], the relations.  The cache is bounded: a batch of small
+    saturation sat, and rank rows [T | u], then rows [0 | u].  With coords
+    the rows' coordinates in sat's basis, u @ coords = T in every row: T is
+    upper triangular with a positive diagonal, and the last rows' u span
+    the integer relations among the rows.  `_unit_pivot_plan` builds it
+    in one pass when each row, in order, reduces to zero or to a leading +-1
+    against the Hermite basis of the rows before it (then T = I), and
+    `_saturation_plan` otherwise.  The cache is bounded: a batch of small
     arrangements repeats its rows, while a large closure's rows rarely repeat."""
+    return _unit_pivot_plan(n, rows) or _saturation_plan(n, rows)
+
+
+def _unit_pivot_plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix] | None:
+    """The plan as [I | u] over the relation rows [0 | u], or None at the
+    first row that reduces to a leading entry other than +-1.
+
+    Each row in turn is reduced against a Hermite basis whose pivots are all
+    1, carrying its combination u of the generators.  A row reduced to zero
+    is a relation; one leading with +-1 joins the basis as +1, its column
+    cleared from the other rows.  Every step is a unimodular row operation,
+    so the relation rows span every integer relation among the generators.
+    With the unit vectors of the non-pivot columns, unit-pivot rows form a
+    unitriangular matrix, so they span a split summand: their lattice is its
+    own saturation."""
+    k = len(rows)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, [row | u]) in pivot order
+    relations = []
+    for j, g in enumerate(rows):
+        v = list(g) + [0] * k
+        v[n + j] = 1
+        for p, b in basis:
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, b)]
+        for lead in range(n):
+            if v[lead]:
+                break
+        else:
+            relations.append(v[n:])
+            continue
+        if v[lead] not in (1, -1):
+            return None
+        if v[lead] < 0:
+            v = [-x for x in v]
+        for i, (p, b) in enumerate(basis):
+            c = b[lead]
+            if c:
+                basis[i] = (p, [x - c * y for x, y in zip(b, v)])
+        insort(basis, (lead, v))
+    r = len(basis)
+    form = tuple(
+        (0,) * i + (1,) + (0,) * (r - 1 - i) + tuple(b[n:]) for i, (_, b) in enumerate(basis)
+    )
+    form += tuple((0,) * r + tuple(w) for w in relations)
+    return Sublattice.from_hermite_basis(n, tuple(tuple(b[:n]) for _, b in basis)), form
+
+
+def _saturation_plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix]:
+    """The plan from the rows' saturation sat and the Hermite form of
+    [coords | I_k], coords the rows' coordinates in sat's basis."""
     sat, k = Sublattice.from_rows(n, rows).saturation(), len(rows)
     augmented = [sat.coordinates_of(g) + e for g, e in zip(rows, identity_matrix(k))]
     form = hermite_form(augmented, sat.rank + k)

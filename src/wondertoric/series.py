@@ -38,16 +38,25 @@ def qpoly(values: Iterable[int] | int) -> QPoly:
     out = list(values)
     if not all(isinstance(v, int) for v in out):
         raise ValidationError("q-polynomial coefficients must be ints")
+    return _trim(out)
+
+
+def _trim(out: list[int]) -> QPoly:
+    """`out`, known to hold ints, as a q-polynomial: trailing zeros dropped.
+    The arithmetic below trims its results with it, and `qpoly` checks only
+    what comes from outside."""
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
 def _qp_add(a: QPoly, b: QPoly) -> QPoly:
-    n = max(len(a), len(b))
-    return qpoly(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim(out)
 
 
 def _qp_mul(a: QPoly, b: QPoly) -> QPoly:
@@ -57,7 +66,7 @@ def _qp_mul(a: QPoly, b: QPoly) -> QPoly:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return qpoly(out)
+    return _trim(out)
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,8 @@ class TruncatedSeries:
 
 def _binomial_term(n: int, k: int, a: QPoly, b: QPoly) -> QPoly:
     """comb(n, k) * a * b."""
-    return qpoly(comb(n, k) * c for c in _qp_mul(a, b))
+    c = comb(n, k)
+    return _trim([c * x for x in _qp_mul(a, b)])
 
 
 def _power_table(g: list[QPoly]) -> list[list[QPoly]]:

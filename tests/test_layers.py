@@ -21,7 +21,9 @@ from wondertoric.lattice import Sublattice, smith_normal_form
 from wondertoric.layers import (
     Layer,
     _plan,
+    _saturation_plan,
     _solve,
+    _unit_pivot_plan,
     goodness_check,
     intersect,
     mod1,
@@ -174,7 +176,7 @@ def _solver_cases():
 
 
 def test_solver_matches_fraction_reference():
-    sizes, off_diagonal_torsion = set(), False
+    sizes, off_diagonal_torsion, routes = set(), False, set()
     for n, rows, values in _solver_cases():
         got = _solve(n, rows, values)
         assert got == _reference_solve(n, rows, values), (n, rows, values)
@@ -183,10 +185,67 @@ def test_solver_matches_fraction_reference():
         off_diagonal_torsion |= any(
             form[i][i] > 1 and any(form[i][i + 1 : sat.rank]) for i in range(sat.rank)
         )
+        routes.add(_unit_pivot_plan(n, rows) is None)
     # empty, connected, and up to 16 torsion components all occur, and a
     # pivot above 1 meets a nonzero entry right of it in the triangle
     assert {0, 1, 2, 3, 4, 16} <= sizes, sizes
     assert off_diagonal_torsion
+    assert routes == {False, True}
+
+
+THIRD = Fraction(1, 3)
+DEPENDENT = ((0, 1, -1), (-1, -2, 0), (1, 3, -1))
+CLEARED = ((1, 1), (0, 1), (2, 3))
+TORSION = ((1, 1), (1, -1), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "unit, n, rows, values",
+    [
+        # a row leading with -1 and pivoting left of the first one, then a
+        # dependent row; values consistent, then off consistency
+        pytest.param(True, 3, DEPENDENT, (HALF, THIRD, Fraction(1, 6)), id="dependent"),
+        pytest.param(True, 3, DEPENDENT, (HALF, THIRD, THIRD), id="dependent-off"),
+        # the second pivot's column cleared from the first row
+        pytest.param(True, 2, CLEARED, (THIRD, HALF, Fraction(7, 6)), id="cleared"),
+        pytest.param(True, 2, CLEARED, (THIRD, HALF, 0), id="cleared-off"),
+        # split, but its Hermite pivot is 2
+        pytest.param(False, 2, ((2, 1),), (THIRD,), id="split-pivot-2"),
+        # the second row leads with -2 after the first: two components
+        pytest.param(False, 2, TORSION[:2], (HALF, 0), id="torsion"),
+        pytest.param(False, 2, TORSION, (HALF, 0, HALF), id="torsion-dependent"),
+        pytest.param(False, 2, TORSION, (HALF, 0, 0), id="torsion-dependent-off"),
+    ],
+)
+def test_plan_routes_match_the_reference(unit, n, rows, values):
+    """Each route of `_plan` gives the components of the Fraction reference,
+    consistent values or not, and the insertion pass agrees with the
+    saturation route wherever it applies."""
+    values = tuple(map(Fraction, values))
+    plan = _unit_pivot_plan(n, rows)
+    assert (plan is not None) == unit
+    if unit:
+        sat, form = _saturation_plan(n, rows)
+        assert plan[0] == sat
+        assert len(plan[1]) == len(form) == len(rows)
+    assert _solve(n, rows, values) == _reference_solve(n, rows, values)
+
+
+def test_equal_coordinate_closure_never_saturates(monkeypatch):
+    """Every equal-coordinate lattice has a unit-pivot Hermite basis, so no
+    plan of the n = 5 atoms or their closure takes the saturation route."""
+    saturated, saturation = [], Sublattice.saturation
+
+    def counted(lattice):
+        saturated.append(lattice)
+        return saturation(lattice)
+
+    monkeypatch.setattr(Sublattice, "saturation", counted)
+    _plan.cache_clear()
+    poset = poset_of_layers(4, equal_coordinate_arrangement(5))
+    assert len(poset.elements) == 52
+    assert _plan.cache_info().misses > 100
+    assert saturated == []
 
 
 def test_translates_share_one_plan():

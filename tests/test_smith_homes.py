@@ -1,9 +1,10 @@
 """Smith forms are built only for the cached split verdict.
 
 Split tests and kernels come from Hermite forms (`lattice.splits`,
-`Sublattice.kernel_lattice`), and so do transforms: the solver's plan reads
-its torsion components off the Hermite form of [coords | I], and the
-cohomology monomial basis reads its quotient map off a Hermite kernel.  The
+`Sublattice.kernel_lattice`), and so do transforms: the solver's plan
+inserts its generators one at a time into a Hermite basis with unit pivots,
+or else reads its torsion components off the Hermite form of [coords | I],
+and the cohomology monomial basis reads its quotient map off a Hermite kernel.  The
 one Smith form left is the cached verdict behind
 `Sublattice.is_split_summand`.  This walks the library's syntax trees, so a
 new caller fails here before it costs time anywhere.
