@@ -12,10 +12,10 @@ and `poincare`, the blowup-recursion oracle and coefficient 8 of
 its 8249 supports and the 14747 admissible forests on 8 leaves.  Prints each
 stage's wall time, the closure's solver calls (30771), the plans that took
 the saturation route (0) and the total wall time, and exits 1 on any
-mismatch.  Three runs took 31.0 to 31.8 s, median 31.1 s: the poset
-closure 4.9 to 6.1 s, the building set 0.8 s, the well-connectedness check
-0.95 to 1.22 s, `validate` 5.3 to 6.0 s, `poincare` 14.9 to 15.6 s (Python
-3.11, a shared 2-core host); peak RSS 163 MiB.
+mismatch.  Three runs took 17.7 to 18.3 s, median 18.2 s: the poset
+closure 2.7 to 2.9 s, the building set 0.4 to 0.5 s, the well-connectedness
+check 0.75 to 0.77 s, `validate` 2.7 to 3.0 s, `poincare` 9.0 to 9.8 s
+(Python 3.11, a shared 2-core host); peak RSS 157 MiB.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from .errors import MathAssertionError, ValidationError
 from .lattice import (
     IntMatrix,
     Sublattice,
+    determinant,
     first_split_basis,
     hermite_form,
     identity_matrix,
@@ -103,21 +104,30 @@ def all_cones(fan: Fan) -> frozenset[tuple[int, ...]]:
 def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
     """(simplicial, smooth, complete) from one walk over the maximal cones.
 
-    One Hermite form of each cone's ray columns: the cone is simplicial when
-    it has a row per ray, and smooth when it is the identity, that is when
-    the rays also span a split summand.  A simplicial fan is
-    complete when it has a cone, its cones are all full-dimensional, each
-    ridge lies on exactly two of them, and the cones are connected through
-    shared ridges.  Each cone is filed under its ridges once; those pairs
-    serve both tests."""
+    A cone of n rays in dimension n is simplicial when the rays' determinant
+    is nonzero, and smooth when it is +-1 (Fulton, Introduction to Toric
+    Varieties, 2.1).  Any other cone takes one Hermite form of its ray
+    columns: it is simplicial when the form has a row per ray, and smooth
+    when the form is the identity, that is when the rays also span a split
+    summand.  A simplicial fan is complete when it has a cone, its cones are
+    all full-dimensional, each ridge lies on exactly two of them, and the
+    cones are connected through shared ridges.  Each cone is filed under its
+    ridges once; those pairs serve both tests."""
     cones, n = fan.maximal_cones, fan.ambient_dim
     smooth = pure = True
     on_ridge: dict[tuple[int, ...], list[int]] = {}
     for idx, cone in enumerate(cones):
-        columns = hermite_form(list(zip(*(fan.rays[i] for i in cone))), len(cone))
-        if len(columns) != len(cone):
+        rays = [fan.rays[i] for i in cone]
+        if len(cone) == n:
+            det = determinant(rays)
+            simplicial, unimodular = det != 0, abs(det) == 1
+        else:
+            columns = hermite_form(list(zip(*rays)), len(cone))
+            simplicial = len(columns) == len(cone)
+            unimodular = columns == identity_matrix(len(cone))
+        if not simplicial:
             return False, False, False
-        smooth = smooth and columns == identity_matrix(len(cone))
+        smooth = smooth and unimodular
         pure = pure and len(cone) == n
         # in dimension 0 the one cone () has no ridges
         for ridge in combinations(cone, n - 1) if n else ():

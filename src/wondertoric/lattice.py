@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith and Hermite normal forms, sublattices of Z^n.
+"""Exact integer linear algebra: Smith and Hermite normal forms,
+determinants, sublattices of Z^n.
 
 Everything here is plain Python ints, no floats.  Matrices are sequences of
 rows.  Sublattices are stored via their row Hermite normal form, which makes
@@ -6,7 +7,9 @@ equality of lattices structural equality of the dataclass; membership and
 coordinates are back-substitution on that basis.  Hermite forms answer the
 split test (`splits`); one Hermite form beside an identity block gives both
 the image and the kernel of a map (`image_and_kernel`, which `kernel_lattice`
-reads).  A Smith form serves only the cached verdict `is_split_summand`.
+reads).  `determinant` is Bareiss's fraction-free elimination.  A Smith form
+serves only the cached verdict `is_split_summand`, and only for a Hermite
+basis with a pivot above 1: unit pivots decide it without one.
 """
 
 from __future__ import annotations
@@ -209,6 +212,33 @@ def splits(rows: Sequence[Sequence[int]]) -> bool:
     return hermite_form(list(zip(*rows, strict=True)), k) == identity_matrix(k)
 
 
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix; 1 for the 0 x 0 matrix.
+
+    Bareiss's fraction-free elimination (Cohen, GTM 138, section 2.2):
+    after step k every entry right of and below the pivot is a
+    (k + 1) x (k + 1) minor, so dividing by the previous pivot is exact.  A
+    zero pivot is swapped with a later row that is nonzero in its column, or
+    else the matrix is singular."""
+    mat = [list(map(int, row)) for row in rows]
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap], sign = mat[swap], mat[k], -sign
+        p, top = mat[k][k], mat[k][k + 1 :]
+        for row in mat[k + 1 :]:
+            c = row[k]
+            row[k + 1 :] = [(x * p - c * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = p
+    return sign * mat[-1][-1] if n else 1
+
+
 def image_and_kernel(rows: Sequence[Sequence[int]], n: int) -> tuple[IntMatrix, IntMatrix]:
     """Hermite bases of the image in Z^m, m = len(rows), and of the kernel in
     Z^n of v -> (<g, v> for g in rows).
@@ -328,6 +358,13 @@ class Sublattice:
         return Sublattice.from_rows(self.ambient_rank, self.basis + other.basis)
 
     def is_split_summand(self) -> bool:
+        """True when the lattice is a split summand of Z^n.
+
+        A Hermite basis whose rows all lead with 1 is one: with the unit
+        vectors of its non-pivot columns it forms a unitriangular matrix.
+        Any other basis is read off its cached Smith form."""
+        if all(next(a for a in row if a) == 1 for row in self.basis):
+            return True
         return _smith_of(self.basis, self.ambient_rank).unit_invariants
 
     def kernel_lattice(self) -> Sublattice:

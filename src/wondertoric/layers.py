@@ -235,9 +235,15 @@ def _components(
     """One layer per phi = z with T z = lv / den mod 1, solved from the last row
     up, a row with pivot p leaving p values of its z.  z is kept as numerators
     over den * index, index the product of T's diagonal; p divides index and
-    the later numerators, so dividing by p is exact.  Sorting them sorts layers."""
+    the later numerators, so dividing by p is exact.  Sorting them sorts layers.
+
+    When index is 1, T = I: Hermite reduction clears the entries above unit
+    pivots, and the unit-pivot plan builds I.  Then the one layer is
+    z = lv / den."""
     r = sat.rank
     index = prod(form[i][i] for i in range(r))
+    if index == 1:
+        return (Layer(sat, tuple(Fraction(y, den) for y in lv)),)
     big, phis = den * index, [()]
     for i in reversed(range(r)):
         p, grown = form[i][i], []

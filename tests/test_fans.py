@@ -38,7 +38,7 @@ from wondertoric.fans import (
 )
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import _plan, _solve, poset_of_layers
-from wondertoric.lattice import Sublattice, hermite_form, smith_normal_form
+from wondertoric.lattice import Sublattice, determinant, hermite_form, smith_normal_form
 from wondertoric.models import enumerate_admissible
 from wondertoric.presentation import minimal_nonfaces
 from wondertoric.typea import minimal_equal_coordinate_building
@@ -93,10 +93,12 @@ def _count_calls(monkeypatch, name, original):
 
 def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
+    det_calls = _count_calls(monkeypatch, "determinant", determinant)
     smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
     # other tests may have read these fans already
     fans._kinds.cache_clear()
-    # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3
+    # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3;
+    # every cone is full-dimensional, so each takes a determinant
     fan = Fan.make(
         2, ((1, 0), (1, 3), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
     )
@@ -104,10 +106,11 @@ def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     assert report.simplicial and report.complete and not report.smooth
     with pytest.raises(ValidationError, match="require a smooth fan"):
         betti_numbers(fan)
-    assert len(calls) == len(fan.maximal_cones)
+    assert len(det_calls) == len(fan.maximal_cones)
+    assert calls == []
     # three rays in one plane cone: neither simplicial nor smooth, which the
-    # first cone already shows
-    calls.clear()
+    # first cone, read off its one Hermite form, already shows
+    det_calls.clear()
     flat = Fan.make(
         2, ((1, 0), (1, 1), (0, 1), (-1, -1)), ((0, 1, 2), (0, 3), (2, 3))
     )
@@ -117,7 +120,19 @@ def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     with pytest.raises(ValidationError, match="require a smooth fan"):
         betti_numbers(flat)
     assert len(calls) == 1
+    assert det_calls == []
     assert smith_calls == []
+
+
+def test_kinds_of_a_full_dimensional_fan_make_no_hermite_form(monkeypatch):
+    # one determinant per cone of weyl_fan_A(5) (120 Hermite forms before)
+    calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
+    det_calls = _count_calls(monkeypatch, "determinant", determinant)
+    fans._kinds.cache_clear()
+    fan = weyl_fan_A(5)
+    assert fans._kinds(fan) == (True, True, True)
+    assert len(det_calls) == len(fan.maximal_cones) == 120
+    assert calls == []
 
 
 def test_validation_split_search_and_subfan_make_no_smith_form(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wondertoric.lattice
-from smith import mat_mul, smith_kernel
+from smith import mat_mul, smith_kernel, split_rank
 from wondertoric.errors import ValidationError
 from wondertoric.lattice import (
     Sublattice,
+    determinant,
     first_split_basis,
     hermite_form,
     identity_matrix,
@@ -335,3 +337,70 @@ def test_saturation_properties(rows):
     assert sat.saturation() == sat
     # rank + kernel rank = ambient rank
     assert lat.rank + lat.kernel_lattice().rank == 3
+
+
+def _fraction_determinant(m):
+    """Gaussian elimination over the rationals, one Fraction per entry."""
+    m = [[Fraction(x) for x in row] for row in m]
+    out = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], out = m[pivot], m[k], -out
+        out *= m[k][k]
+        for row in m[k + 1 :]:
+            q = row[k] / m[k][k]
+            row[k:] = [x - q * y for x, y in zip(row[k:], m[k][k:])]
+    return out
+
+
+def test_determinant_matches_fraction_elimination():
+    # seeded square matrices of size 0-5, entries -3..3; some get a zero
+    # leading entry, some a row that is a multiple of another.  The cofactor
+    # expansion `det` is a second reference
+    rng = random.Random(2901)
+    sizes, zero_lead, singular = set(), 0, 0
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            m[0][0] = 0
+        if n > 1 and rng.random() < 0.2:
+            a, b = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            m[a] = [c * x for x in m[b]]
+        got = determinant(m)
+        assert got == _fraction_determinant(m) == det(m), m
+        sizes.add(n)
+        zero_lead += bool(n and not m[0][0] and got)
+        singular += bool(n and not got)
+    assert sizes == set(range(6))
+    assert zero_lead > 20 and singular > 20
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError, match="not square"):
+        determinant([[1, 2]])
+
+
+def test_is_split_summand_matches_the_smith_verdict():
+    # seeded lattices of rank up to 4; (2, 1) splits though its pivot is 2,
+    # (2, 0) does not.  Unit-pivot bases never reach the Smith cache
+    rng = random.Random(2902)
+    lattices = [Sublattice.from_rows(2, [(2, 1)]), Sublattice.from_rows(2, [(2, 0)])]
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        lattices.append(Sublattice.from_rows(n, rows))
+    unit = [all(next(a for a in row if a) == 1 for row in lat.basis) for lat in lattices]
+    lookups, verdicts = wondertoric.lattice._smith_of.cache_info, []
+    for lat, u in zip(lattices, unit):
+        before = lookups()
+        verdicts.append(lat.is_split_summand())
+        assert verdicts[-1] == (split_rank(lat.basis) is not None), lat.basis
+        if u:
+            assert verdicts[-1] and lookups() == before, lat.basis
+    assert verdicts[:2] == [True, False]
+    kinds = {(u, v) for u, v in zip(unit, verdicts)}
+    assert kinds == {(True, True), (False, True), (False, False)}

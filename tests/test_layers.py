@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
 from arrgen import random_cases
+from wondertoric import lattice
 from wondertoric.errors import MathAssertionError, ValidationError
 from wondertoric.fans import (
     EqualSignBases,
@@ -176,7 +178,7 @@ def _solver_cases():
 
 
 def test_solver_matches_fraction_reference():
-    sizes, off_diagonal_torsion, routes = set(), False, set()
+    sizes, off_diagonal_torsion, routes, branches = set(), False, set(), set()
     for n, rows, values in _solver_cases():
         got = _solve(n, rows, values)
         assert got == _reference_solve(n, rows, values), (n, rows, values)
@@ -186,11 +188,15 @@ def test_solver_matches_fraction_reference():
             form[i][i] > 1 and any(form[i][i + 1 : sat.rank]) for i in range(sat.rank)
         )
         routes.add(_unit_pivot_plan(n, rows) is None)
+        if got:
+            # `_components` answers index 1 at once and walks T otherwise
+            branches.add(prod(form[i][i] for i in range(sat.rank)) == 1)
     # empty, connected, and up to 16 torsion components all occur, and a
     # pivot above 1 meets a nonzero entry right of it in the triangle
     assert {0, 1, 2, 3, 4, 16} <= sizes, sizes
     assert off_diagonal_torsion
     assert routes == {False, True}
+    assert branches == {False, True}
 
 
 THIRD = Fraction(1, 3)
@@ -246,6 +252,23 @@ def test_equal_coordinate_closure_never_saturates(monkeypatch):
     assert len(poset.elements) == 52
     assert _plan.cache_info().misses > 100
     assert saturated == []
+
+
+def test_equal_coordinate_closure_makes_no_smith_form(monkeypatch):
+    """Every equal-coordinate lattice has a unit-pivot Hermite basis, so no
+    split verdict on the n = 5 atoms or their closure needs a Smith form."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    lattice._smith_of.cache_clear()
+    _plan.cache_clear()
+    poset = poset_of_layers(4, equal_coordinate_arrangement(5))
+    assert len(poset.elements) == 52
+    assert calls == []
 
 
 def test_translates_share_one_plan():

@@ -6,8 +6,10 @@ inserts its generators one at a time into a Hermite basis with unit pivots,
 or else reads its torsion components off the Hermite form of [coords | I],
 and the cohomology monomial basis reads its quotient map off a Hermite kernel.  The
 one Smith form left is the cached verdict behind
-`Sublattice.is_split_summand`.  This walks the library's syntax trees, so a
-new caller fails here before it costs time anywhere.
+`Sublattice.is_split_summand`, and only for a Hermite basis with a pivot
+above 1: a basis whose rows all lead with 1 splits without one.  A fan's
+full-dimensional cones are read off determinants.  This walks the library's
+syntax trees, so a new caller fails here before it costs time anywhere.
 """
 
 from __future__ import annotations
