@@ -18,20 +18,24 @@ admissible forests on 7 leaves, and its contribution is, summed over its
 functions f, q^deg(f) times the hook-statistic polynomial of c letters.
 Prints each stage's wall time, the poset closure and the building set
 apart, then the peak RSS of the process, the closure's solver calls
-(counted by wrapping `wondertoric.layers.intersect`, 5298 at n = 7), the
-hits of the solver's bounded plan cache, how many plans took the
-saturation route (counted by wrapping `Sublattice.saturation`; 0, since
-every equal-coordinate lattice has a Hermite basis with unit pivots), and
-what the fan's shared equal-sign resolver holds: lattices found, subfans
-and extensions (`poincare` and the oracle share it, so the oracle
-restricts no lattice `poincare` restricted), and last the total wall time,
-counted from before `wondertoric` is imported; exits 1 on any mismatch.
-Three runs took 2.2 to 2.5 s, median 2.3 s: the poset closure 0.7 to
-0.9 s, the building set 0.1 s, the well-connectedness check 0.03 to
-0.04 s, `validate` 0.3 to 0.5 s, `poincare` 0.6 to 0.8 s and the
-per-support checks 0.1 s (Python 3.11, a shared 2-core host), too long
-for the tier-1 tests, which stop at n = 6.  The stages are one function,
-`check`, which `check_eqc8.py` runs at n = 8.
+(counted by wrapping `wondertoric.layers.intersect`; 0, since every
+equal-coordinate lattice has a Hermite basis with unit pivots and every
+atom has rank 1, so each meet is one reduction modulo Gamma_x), the meets
+that reduction answered (5298 at n = 7) and the shortcut hits, whose meet
+was already known (8835; both counted by wrapping the methods of
+`layers._RankOneMeets`), the hits of the solver's bounded plan cache, how
+many plans took the saturation route (counted by wrapping
+`Sublattice.saturation`; 0), and what the fan's shared equal-sign
+resolver holds: lattices found, subfans and extensions (`poincare` and
+the oracle share it, so the oracle restricts no lattice `poincare`
+restricted), and last the total wall time, counted from before
+`wondertoric` is imported; exits 1 on any mismatch.  Three runs took 1.3
+to 1.9 s, median 1.5 s: the poset closure 0.2 to 0.3 s, the building set
+0.0 to 0.1 s, the well-connectedness check 0.04 s, `validate` 0.2 to
+0.4 s, `poincare` 0.5 to 0.7 s and the per-support checks 0.1 to 0.2 s
+(Python 3.11, a shared 2-core host), too long for the tier-1 tests, which
+stop at n = 6.  The stages are one function, `check`, which
+`check_eqc8.py` runs at n = 8.
 """
 
 from __future__ import annotations
@@ -74,14 +78,27 @@ def check(n, elements, total, support_rows, forests) -> int:
         if got != want:
             failures.append(f"{what}: got {got!r}, expected {want!r}")
 
-    # time the closure, and count the solver calls and the plans that take
-    # the saturation route, by wrapping the names they are looked up under
-    solved, saturated, closure_s = [0], [0], [0.0]
+    # time the closure, and count the solver calls, the rank-1 reductions,
+    # the meets they answer without the solver and the plans that take the
+    # saturation route, by wrapping the names they are looked up under
+    solved, reduced, meets, direct, saturated = [0], [0], [0], [0], [0]
+    closure_s = [0.0]
     intersect, saturation, closure = layers.intersect, Sublattice.saturation, typea.poset_of_layers
+    reduce, meet = layers._RankOneMeets.reduce, layers._RankOneMeets.meet
 
     def counted(a, b):
         solved[0] += 1
         return intersect(a, b)
+
+    def counted_reduce(self, chi):
+        reduced[0] += 1
+        return reduce(self, chi)
+
+    def counted_meet(self, *args):
+        meets[0] += 1
+        comps = meet(self, *args)
+        direct[0] += comps is not None
+        return comps
 
     def counted_saturation(lattice):
         saturated[0] += 1
@@ -96,11 +113,13 @@ def check(n, elements, total, support_rows, forests) -> int:
 
     start = perf_counter()
     layers.intersect, Sublattice.saturation = counted, counted_saturation
+    layers._RankOneMeets.reduce, layers._RankOneMeets.meet = counted_reduce, counted_meet
     typea.poset_of_layers = timed_closure
     try:
         poset, building = minimal_equal_coordinate_building(n)
     finally:
         layers.intersect, Sublattice.saturation = intersect, saturation
+        layers._RankOneMeets.reduce, layers._RankOneMeets.meet = reduce, meet
         typea.poset_of_layers = closure
     building_s = perf_counter() - start - closure_s[0]
     fan = weyl_fan_A(n)
@@ -128,6 +147,9 @@ def check(n, elements, total, support_rows, forests) -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MiB")
     print(f"closure intersect calls: {solved[0]}")
+    print(f"closure direct meets: {direct[0]}")
+    # a reduction that reaches no `meet` is a shortcut hit
+    print(f"closure shortcut hits: {reduced[0] - meets[0]}")
     print(f"layers._plan: {layers._plan.cache_info()}")
     print(f"plans by the saturation route: {saturated[0]}")
     shared = resolve_bases(fan, fan.ambient_dim)

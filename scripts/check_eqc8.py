@@ -10,12 +10,14 @@ and `poincare`, the blowup-recursion oracle and coefficient 8 of
 `toric_poincare_series(8)` all equal
 (1, 466, 13333, 63173, 63173, 13333, 466, 1).  The per-support checks cover
 its 8249 supports and the 14747 admissible forests on 8 leaves.  Prints each
-stage's wall time, the closure's solver calls (30771), the plans that took
-the saturation route (0) and the total wall time, and exits 1 on any
-mismatch.  Three runs took 17.7 to 18.3 s, median 18.2 s: the poset
-closure 2.7 to 2.9 s, the building set 0.4 to 0.5 s, the well-connectedness
-check 0.75 to 0.77 s, `validate` 2.7 to 3.0 s, `poincare` 9.0 to 9.8 s
-(Python 3.11, a shared 2-core host); peak RSS 157 MiB.
+stage's wall time, the closure's solver calls (0), its meets by reduction
+modulo Gamma_x (30771) and shortcut hits (60565), the plans that took the
+saturation route (0) and the total wall time, and exits 1 on any
+mismatch.  Three runs took 16.1 to 21.3 s, median 20.6 s: the poset
+closure 1.3 to 2.1 s, the building set 0.4 to 0.8 s, the
+well-connectedness check 0.77 to 0.93 s, `validate` 2.8 to 4.3 s,
+`poincare` 8.5 to 11.8 s (Python 3.11, a shared 2-core host); peak RSS
+154 MiB.
 """
 
 from __future__ import annotations

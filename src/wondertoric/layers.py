@@ -20,10 +20,13 @@ closed by intersecting each new element with the input layers only, and
 its containment is read off the edges of that closure: each component of
 cur & a lies in cur.  The poset stores the containment once, as
 bitmasks, so it answers intersections of its elements from those bits
-alone.  The closure skips the solver for x & a' when a rank-1 atom a met
-x in a single component c that a' is known to contain, and the characters
-of a and a' agree up to sign modulo Gamma_x: then x & a' has c's lattice
-and contains c, so it is c.
+alone.  When x's Hermite basis has unit pivots, the closure meets a rank-1
+atom {chi = v} without the solver: one reduction of chi modulo Gamma_x
+gives the canonical representative chi' of its coset, and chi' = 0 means
+x lies in the atom or misses it, while a chi' leading with +-1 joins x's
+basis as the single component.  A later rank-1 atom a' whose chi' equals
+an earlier one up to sign, where that one met x in a single component c
+that a' is known to contain, meets x in c itself.
 """
 
 from __future__ import annotations
@@ -305,6 +308,85 @@ class LayerPoset:
         return tuple(out)
 
 
+class _RankOneMeets:
+    """The meets of a layer x with rank-1 atoms {chi = v}, when x's Hermite
+    basis b_1..b_r has pivots p_1..p_r all 1 (Cohen, GTM 138, section 2.4).
+
+    Then b_j[p_i] = 0 for j != i, so one reduction
+    chi' = chi - sum chi[p_i] b_i leaves chi' zero in every pivot column: it
+    is the canonical representative of chi + Gamma_x, and on x the atom's
+    equation reads chi'(t) = e^(2 pi i v') with v' = v - sum chi[p_i] phi_i.
+    phi_x is kept as integer numerators over its common denominator."""
+
+    def __init__(self, x: Layer, pivots: list[int]):
+        self.x, self.pivots = x, pivots
+        self.den = lcm(*(v.denominator for v in x.phi))
+        self.nums = [v.numerator * (self.den // v.denominator) for v in x.phi]
+
+    @classmethod
+    def of(cls, x: Layer) -> _RankOneMeets | None:
+        """x's meets, or None when a pivot of x's Hermite basis is above 1."""
+        pivots = []
+        for row in x.gamma.basis:
+            p = next(j for j, e in enumerate(row) if e)
+            if row[p] != 1:
+                return None
+            pivots.append(p)
+        return cls(x, pivots)
+
+    def reduce(self, chi: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(key, lead): lead is the leading entry of chi', 0 when chi' = 0,
+        and key is chi' times its sign.  chi = +-psi modulo Gamma_x exactly
+        when the keys of chi and psi are equal."""
+        rest = chi
+        for p, b in zip(self.pivots, self.x.gamma.basis):
+            c = chi[p]
+            if c:
+                rest = [e - c * f for e, f in zip(rest, b)]
+        lead = next((e for e in rest if e), 0)
+        return tuple(rest) if lead >= 0 else tuple(-e for e in rest), lead
+
+    def meet(
+        self, chi: Sequence[int], value: Fraction, key: tuple[int, ...], lead: int
+    ) -> tuple[Layer, ...] | None:
+        """Components of x & {chi = value}, chi reduced to (key, lead) by
+        `reduce`; None, for the solver, when lead is not 0 or +-1.
+
+        - lead 0: chi is in Gamma_x, so x lies in the atom when v' = 0 mod 1
+          and misses it otherwise.
+        - lead +-1: inserting key, of value lead * v', into x's basis and
+          clearing its lead column from the b_i, phi_i -= b_i[col] * that
+          value, gives a Hermite basis with unit pivots: it spans a split
+          summand, so the meet is that one layer."""
+        if lead not in (0, 1, -1):
+            return None
+        x, den = self.x, lcm(self.den, value.denominator)
+        scale = den // self.den
+        num = value.numerator * (den // value.denominator) - scale * sum(
+            chi[p] * y for p, y in zip(self.pivots, self.nums)
+        )
+        if not lead:
+            return (x,) if num % den == 0 else ()
+        num = lead * num % den
+        col = next(j for j, e in enumerate(key) if e)
+        basis, phi, at = [], [], 0
+        for p, b, y in zip(self.pivots, x.gamma.basis, self.nums):
+            c = b[col]
+            if c:
+                b = tuple(e - c * f for e, f in zip(b, key))
+            basis.append(b)
+            phi.append((y * scale - c * num) % den)
+            at += p < col
+        basis.insert(at, key)
+        phi.insert(at, num)
+        return (
+            Layer(
+                Sublattice.from_hermite_basis(x.ambient_rank, tuple(basis)),
+                tuple(Fraction(y, den) for y in phi),
+            ),
+        )
+
+
 def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
     """Close the arrangement under component-wise intersection.
 
@@ -317,13 +399,17 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
     so x & a was computed (or known, below) and its component containing y
     lies strictly between them; induction on the rank finishes.
 
-    Some of those intersections are known without the solver.  When a
-    rank-1 atom of character psi met x in a single component c of rank
-    rank(x) + 1, Gamma_x + Z psi is saturated, so it is Gamma_c.  A later
-    rank-1 atom a' of character chi = +-psi modulo Gamma_x then has
-    Gamma_x + Z chi = Gamma_c, so x & a' is at most one translate of c's
-    subtorus; when a' is known to contain c, that translate is c, and the
-    edge is recorded without calling the solver."""
+    When x's Hermite basis has unit pivots, a rank-1 atom {chi = v} is met
+    by one reduction of chi modulo Gamma_x (`_RankOneMeets`): it answers
+    containment, emptiness and, for a reduced chi' leading with +-1, the
+    single component; only another lead goes to the solver, as do rank-2
+    and higher atoms and an x with a pivot above 1.  And some meets are
+    known without either.  When a rank-1 atom met x in a single component c
+    of rank rank(x) + 1, Gamma_x + Z chi is saturated, so it is Gamma_c.  A
+    later rank-1 atom a' whose chi' equals that one up to sign then has the
+    same lattice, so x & a' is at most one translate of c's subtorus; when
+    a' is known to contain c, that translate is c, and the edge is recorded
+    at once."""
     for layer in layers:
         if layer.ambient_rank != torus_dim:
             raise ValidationError("layer ambient rank differs from torus dimension")
@@ -339,36 +425,36 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
     k = 1
     while k < len(found):
         x = found[k]
-        # (c, psi): a rank-1 atom of character psi met x in c alone, of rank
-        # one more than x.  cover ORs their over[c]: while x is processed, an
-        # over[c] gains only bits already passed or in over[k]
-        met, cover = [], 0
+        # x's rank-1 meets, built at its first rank-1 atom (False: a pivot
+        # above 1), and the key of a rank-1 atom that met x in a single
+        # component of rank one more than x -> that component
+        meets, met = None, {}
         for bit, a in enumerate(atoms):
             if over[k] >> bit & 1:
                 continue
-            chi = chars[bit]
-            if chi is not None and cover >> bit & 1:
-                same = [
-                    c
-                    for c, psi in met
-                    if over[c] >> bit & 1 and _same_meet(x.gamma, chi, psi)
-                ]
-                if same:
-                    over[same[0]] |= over[k] | 1 << bit
-                    continue
-            comps = intersect(x, a)
+            chi, comps, key = chars[bit], None, None
+            if chi is not None:
+                if meets is None:
+                    meets = _RankOneMeets.of(x) or False
+                if meets:
+                    key, lead = meets.reduce(chi)
+                    c = met.get(key)
+                    if c is not None and over[c] >> bit & 1:
+                        over[c] |= over[k] | 1 << bit
+                        continue
+                    comps = meets.meet(chi, a.phi[0], key, lead)
+            if comps is None:
+                comps = intersect(x, a)
             for comp in comps:
-                if comp not in index:
-                    index[comp] = len(found)
+                c = index.setdefault(comp, len(found))
+                if c == len(found):
                     found.append(comp)
                     over.append(0)
                     inside.append(set())
-                c = index[comp]
                 over[c] |= over[k] | 1 << bit
                 inside[k].add(c)
-            if len(comps) == 1 and chi is not None and comps[0].rank == x.rank + 1:
-                met.append((c, chi))
-                cover |= over[c]
+            if key is not None and len(comps) == 1 and comps[0].rank == x.rank + 1:
+                met.setdefault(key, c)
         k += 1
     order = sorted(range(len(found)), key=lambda f: found[f].sort_key())
     position = {f: i for i, f in enumerate(order)}
@@ -379,13 +465,6 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
         for c in inside[order[i]]:
             below[i] |= below[position[c]]
     return LayerPoset(torus_dim, tuple(found[f] for f in order), tuple(below))
-
-
-def _same_meet(gamma: Sublattice, chi: Sequence[int], psi: Sequence[int]) -> bool:
-    """chi = +-psi modulo gamma."""
-    return any(
-        gamma.contains_vector([a + s * b for a, b in zip(chi, psi)]) for s in (-1, 1)
-    )
 
 
 @dataclass(frozen=True)

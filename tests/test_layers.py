@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -23,6 +23,7 @@ from wondertoric.lattice import Sublattice, smith_normal_form
 from wondertoric.layers import (
     Layer,
     _plan,
+    _RankOneMeets,
     _saturation_plan,
     _solve,
     _unit_pivot_plan,
@@ -238,20 +239,85 @@ def test_plan_routes_match_the_reference(unit, n, rows, values):
 
 
 def test_equal_coordinate_closure_never_saturates(monkeypatch):
-    """Every equal-coordinate lattice has a unit-pivot Hermite basis, so no
-    plan of the n = 5 atoms or their closure takes the saturation route."""
-    saturated, saturation = [], Sublattice.saturation
+    """Every equal-coordinate lattice has a unit-pivot Hermite basis, and
+    every atom has rank 1, so the n = 5 closure meets each atom by one
+    reduction modulo Gamma_x: it calls the solver for no intersection and
+    saturates no lattice."""
+    solved, saturated, saturation = [], [], Sublattice.saturation
+
+    def counted_intersect(a, b):
+        solved.append((a, b))
+        return intersect(a, b)
 
     def counted(lattice):
         saturated.append(lattice)
         return saturation(lattice)
 
+    monkeypatch.setattr("wondertoric.layers.intersect", counted_intersect)
     monkeypatch.setattr(Sublattice, "saturation", counted)
     _plan.cache_clear()
     poset = poset_of_layers(4, equal_coordinate_arrangement(5))
     assert len(poset.elements) == 52
-    assert _plan.cache_info().misses > 100
+    assert solved == []
     assert saturated == []
+
+
+def _unit_pivot_layer(rng, values):
+    """A random layer of Z^n, n <= 5, whose Hermite basis has unit pivots:
+    1 at each pivot, 0 left of it and in the other pivot columns, entries
+    -2..2 elsewhere, and values drawn from `values`."""
+    n = rng.randint(1, 5)
+    pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = 1
+        for j in range(p + 1, n):
+            if j not in pivots:
+                row[j] = rng.randint(-2, 2)
+        rows.append(tuple(row))
+    gamma = Sublattice.from_rows(n, rows)
+    assert gamma.basis == tuple(rows)
+    return Layer(gamma, tuple(rng.choice(values) for _ in rows))
+
+
+def test_rank_one_meet_matches_the_solver():
+    """The closure's meet of a unit-pivot layer x with a rank-1 atom gives
+    the components of `_solve` and of the Fraction reference, or leaves the
+    atom to the solver.  Characters are primitive: drawn at random, or
+    combinations of x's rows (in Gamma_x), or such a combination plus a
+    random vector; values in {0, 1/2, 1/3, 2/5}, or phi_x on the
+    combination.  All four outcomes occur: x inside the atom, an empty
+    meet, one component inserted, and the solver's turn."""
+    values = (Fraction(0), HALF, THIRD, Fraction(2, 5))
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(600):
+        x = _unit_pivot_layer(rng, values)
+        n, rows = x.ambient_rank, x.gamma.basis
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        chi = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+        if not rows or rng.random() < 0.6:
+            chi = [e + rng.randint(-3, 3) for e in chi]
+        if not lattice.is_primitive(chi):
+            continue
+        value = rng.choice(values)
+        if rng.random() < 0.3:
+            value = mod1(sum(c * v for c, v in zip(coeffs, x.phi)))
+        atom = Layer.from_generators(n, [chi], [value])
+        chi, value = atom.gamma.basis[0], atom.phi[0]
+        meets = _RankOneMeets.of(x)
+        got = meets.meet(chi, value, *meets.reduce(chi))
+        want = _solve(n, rows + (chi,), x.phi + (value,))
+        assert want == _reference_solve(n, rows + (chi,), x.phi + (value,))
+        if got is None:
+            outcomes.add("solver")
+            continue
+        assert got == want, (x, chi, value)
+        outcomes.add(
+            "empty" if not got else "inside" if got == (x,) else "inserted"
+        )
+    assert outcomes == {"inside", "empty", "inserted", "solver"}
 
 
 def test_equal_coordinate_closure_makes_no_smith_form(monkeypatch):
@@ -519,6 +585,81 @@ def test_components_walk_matches_every_bit_reference():
         assert poset.components(subset) == _components_visit_every_bit(
             poset, above, subset
         ), subset
+
+
+def _characteristic_polynomial(poset):
+    """Coefficients, of q^0 up, of chi(q) = sum over the elements x of
+    mu(T, x) (q - 1)^dim x.  The Moebius function is read off `below`:
+    mu(T, T) = 1, and mu(T, x) is minus the sum of mu(T, y) over the y
+    properly containing x, which come before x."""
+    r, below = poset.torus_dim, poset.below
+    mu, coeffs = [], [0] * (r + 1)
+    for j, x in enumerate(poset.elements):
+        m = -sum(mu[i] for i in range(j) if below[i] >> j & 1) if j else 1
+        mu.append(m)
+        d = r - x.rank
+        for k in range(d + 1):
+            coeffs[k] += m * comb(d, k) * (-1) ** (d - k)
+    return coeffs
+
+
+def _points_off_atoms(torus_dim, atoms, q):
+    """Points of (F_q^*)^r on no atom, by brute force.  With t = g^e for a
+    generator g of F_q^*, and e^(2 pi i a/b) mapped to g^(a (q - 1)/b), an
+    equation chi(t) = e^(2 pi i v) reads <chi, e> = v (q - 1) mod q - 1."""
+    m = q - 1
+    equations = [
+        [(row, int(v * m)) for row, v in zip(a.gamma.basis, a.phi)] for a in atoms
+    ]
+    return sum(
+        1
+        for e in product(range(m), repeat=torus_dim)
+        if not any(
+            all(sum(c * y for c, y in zip(row, e)) % m == target for row, target in eq)
+            for eq in equations
+        )
+    )
+
+
+def test_characteristic_polynomial_of_the_equal_coordinate_closure():
+    """A point off the equal-coordinate arrangement of order n is n distinct
+    nonzero coordinates modulo the diagonal: chi(q) = (q - 2) ... (q - n)."""
+    for n in range(3, 7):
+        want = [1]
+        for a in range(2, n + 1):
+            # multiply by (q - a)
+            want = [(want[k - 1] if k else 0) - a * (want[k] if k < len(want) else 0)
+                    for k in range(len(want) + 1)]
+        poset = poset_of_layers(n - 1, equal_coordinate_arrangement(n))
+        assert _characteristic_polynomial(poset) == want, n
+
+
+def _point_count_cases():
+    for name in ("main", "lines", "a2"):
+        arr = load_arrangement(fixture_path(f"example_{name}.arrangement.json"))
+        yield name, arr.torus_dim, arr.layers
+    for label, _, n, layers in random_cases(20, seed=11):
+        yield label, n, layers
+
+
+def test_characteristic_polynomial_counts_points_over_finite_fields():
+    """The poset's chi(q) is the number of points of (F_q^*)^r on no atom
+    for each prime q = 1 modulo every denominator of the elements' phi
+    (Ehrenborg-Readdy-Slone; Moci), a count that uses no Hermite form and
+    no solver.  Checked at the first two such primes from 5."""
+    for label, torus_dim, layers in _point_count_cases():
+        poset = poset_of_layers(torus_dim, layers)
+        coeffs = _characteristic_polynomial(poset)
+        period = lcm(*(v.denominator for el in poset.elements for v in el.phi))
+        primes = [
+            q
+            for q in range(5, 200)
+            if (q - 1) % period == 0 and all(q % d for d in range(2, q))
+        ][:2]
+        assert len(primes) == 2, label
+        for q in primes:
+            count = _points_off_atoms(torus_dim, layers, q)
+            assert count == sum(c * q**k for k, c in enumerate(coeffs)), (label, q)
 
 
 def test_poset_main_example(main_arr, big_fan):
