@@ -25,16 +25,17 @@ that reduction answered (5298 at n = 7) and the shortcut hits, whose meet
 was already known (8835; both counted by wrapping the methods of
 `layers._RankOneMeets`), the hits of the solver's bounded plan cache, how
 many plans took the saturation route (counted by wrapping
-`Sublattice.saturation`; 0), and what the fan's shared equal-sign
-resolver holds: lattices found, subfans and extensions (`poincare` and
-the oracle share it, so the oracle restricts no lattice `poincare`
-restricted), and last the total wall time, counted from before
-`wondertoric` is imported; exits 1 on any mismatch.  Three runs took 1.3
-to 1.9 s, median 1.5 s: the poset closure 0.2 to 0.3 s, the building set
-0.0 to 0.1 s, the well-connectedness check 0.04 s, `validate` 0.2 to
-0.4 s, `poincare` 0.5 to 0.7 s and the per-support checks 0.1 to 0.2 s
-(Python 3.11, a shared 2-core host), too long for the tier-1 tests, which
-stop at n = 6.  The stages are one function, `check`, which
+`Sublattice.saturation`; 0), what the fan's shared equal-sign resolver
+holds: lattices found, subfan Betti numbers, subfans and extensions
+(`poincare` and the oracle share it and read only its Betti memo, so on
+a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
+the fan's flag verdict (`fans.is_flag`; True), and last the total wall
+time, counted from before `wondertoric` is imported; exits 1 on any
+mismatch.  Three runs took 0.9 to 1.4 s, median 0.9 s: the poset closure
+0.2 to 0.3 s, the building set 0.0 to 0.1 s, the well-connectedness
+check 0.03 to 0.04 s, `validate` 0.2 to 0.3 s, `poincare` 0.2 to 0.4 s
+and the per-support checks 0.1 s (Python 3.11, a shared 2-core host),
+too long for the tier-1 tests, which stop at n = 6.  The stages are one function, `check`, which
 `check_eqc8.py` runs at n = 8.
 """
 
@@ -59,7 +60,7 @@ from wondertoric import (  # noqa: E402
     weyl_fan_A,
 )
 from wondertoric import typea  # noqa: E402
-from wondertoric.fans import resolve_bases  # noqa: E402
+from wondertoric.fans import is_flag, resolve_bases  # noqa: E402
 from wondertoric.lattice import Sublattice  # noqa: E402
 from wondertoric.typea import minimal_equal_coordinate_building  # noqa: E402
 
@@ -155,8 +156,10 @@ def check(n, elements, total, support_rows, forests) -> int:
     shared = resolve_bases(fan, fan.ambient_dim)
     print(
         f"shared equal-sign resolver: {len(shared._found)} lattices, "
-        f"{len(shared._subfans)} subfans, {len(shared._extensions)} extensions"
+        f"{len(shared._betti)} subfan Betti numbers, {len(shared._subfans)} "
+        f"subfans, {len(shared._extensions)} extensions"
     )
+    print(f"fan is flag: {is_flag(fan)}")
     expect(
         "simplicial, smooth, complete",
         (report.simplicial, report.smooth, report.complete),

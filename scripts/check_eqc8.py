@@ -12,12 +12,13 @@ and `poincare`, the blowup-recursion oracle and coefficient 8 of
 its 8249 supports and the 14747 admissible forests on 8 leaves.  Prints each
 stage's wall time, the closure's solver calls (0), its meets by reduction
 modulo Gamma_x (30771) and shortcut hits (60565), the plans that took the
-saturation route (0) and the total wall time, and exits 1 on any
-mismatch.  Three runs took 16.1 to 21.3 s, median 20.6 s: the poset
-closure 1.3 to 2.1 s, the building set 0.4 to 0.8 s, the
-well-connectedness check 0.77 to 0.93 s, `validate` 2.8 to 4.3 s,
-`poincare` 8.5 to 11.8 s (Python 3.11, a shared 2-core host); peak RSS
-154 MiB.
+saturation route (0), the shared resolver's 871 subfan Betti numbers and
+0 subfans, the fan's flag verdict (True) and the total wall time, and
+exits 1 on any mismatch.  Three runs took 10.6 to 13.3 s, median 12.0 s:
+the poset closure 1.0 to 1.6 s, the building set 0.4 to 0.7 s, the
+well-connectedness check 0.73 to 0.87 s, `validate` 2.7 to 3.0 s,
+`poincare` 3.9 to 5.1 s, the per-support checks 1.0 to 1.3 s (Python
+3.11, a shared 2-core host); peak RSS 142 MiB.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 from operator import mul
@@ -185,8 +185,14 @@ def betti_numbers(fan: Fan) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_2n) of the smooth complete toric
     variety of the fan; odd ones vanish."""
     _require_smooth_complete(fan, "Betti numbers")
-    n = fan.ambient_dim
-    f = f_vector(fan)
+    return _betti_of_f_vector(f_vector(fan), fan.ambient_dim)
+
+
+def _betti_of_f_vector(f: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Even Betti numbers of a smooth complete toric variety of dimension n
+    from its fan's f-vector (Fulton, Introduction to Toric Varieties, 5.2):
+    b_2k = sum over i >= k of (-1)^(i-k) C(i, k) f_(n-i).  Checked to sum
+    to the top face count and to be palindromic."""
     f = f + (0,) * (n + 1 - len(f))
     betti = tuple(
         sum((-1) ** (i - k) * comb(i, k) * f[n - i] for i in range(k, n + 1))
@@ -227,6 +233,42 @@ def ray_indices(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def clique_counts(neighbours: tuple[int, ...], within: int) -> tuple[int, ...]:
+    """(c_0, c_1, ...): the number of cliques of each size among the rays of
+    the bitmask `within`, in the graph joining ray i to the rays of
+    `neighbours[i]`, as `ray_masks` gives them.  A depth-first walk grows
+    each clique only by common neighbours above its largest ray, so it meets
+    each clique once; the empty clique is counted."""
+    counts = [1]
+
+    def grow(size: int, candidates: int) -> None:
+        if len(counts) == size:
+            counts.append(0)
+        counts[size] += candidates.bit_count()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            common = candidates & neighbours[low.bit_length() - 1]
+            if common:
+                grow(size + 1, common)
+
+    if within:
+        grow(1, within)
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def is_flag(fan: Fan) -> bool:
+    """True if the faces of the simplicial fan `fan` are exactly the cliques
+    of its rays' neighbour graph, that is if its minimal nonfaces are all
+    pairs (Stanley, Combinatorics and Commutative Algebra).  Every face is a
+    clique, so this holds when both have the same count in each size.  Then
+    every subfan on a set of rays is flag too, and its faces are the
+    cliques among those rays."""
+    everything = (1 << len(fan.rays)) - 1
+    return clique_counts(ray_masks(fan).neighbours, everything) == f_vector(fan)
 
 
 def pairings(fan: Fan, chi) -> tuple[int, ...]:
@@ -407,8 +449,8 @@ class EqualSignBases:
     Supplied bases are verified here and nowhere else: as many rows as the
     rank of the lattice they span, every row equal-sign on `fan`.  Other
     lattices are searched with coefficient height up to `bound`.  Searches,
-    subfans and extensions are memoized and call this module's functions
-    through its globals, so rebinding those is seen.
+    subfans, subfan Betti numbers and extensions are memoized and call this
+    module's functions through its globals, so rebinding those is seen.
 
     A resolver built here, with or without supplied bases, is private to
     its caller.  The default one, which `resolve_bases` hands out when none
@@ -424,6 +466,7 @@ class EqualSignBases:
         self.fan, self.bound = fan, bound
         self._found: dict[Sublattice, IntMatrix | None] = {}
         self._subfans: dict[Sublattice, Subfan] = {}
+        self._betti: dict[Sublattice, tuple[int, ...]] = {}
         self._extensions: dict[tuple[Sublattice, Sublattice], IntMatrix] = {}
         for rows in supplied:
             frozen = tuple(tuple(int(x) for x in r) for r in rows)
@@ -452,17 +495,50 @@ class EqualSignBases:
             )
         return rows
 
+    def _check_restrictable(self, gamma: Sublattice) -> None:
+        """The checks under which the restriction along `gamma` is a fan:
+        the ambient rank, a split summand, an equal-sign basis."""
+        if gamma.ambient_rank != self.fan.ambient_dim:
+            raise ValidationError("character lattice has wrong ambient rank")
+        if not gamma.is_split_summand():
+            raise ValidationError("character lattice is not a split summand")
+        self.rows(gamma)
+
     def subfan(self, gamma: Sublattice) -> Subfan:
         """`subfan` along `gamma`, once `gamma` is checked to be split and
         to have an equal-sign basis."""
         if gamma not in self._subfans:
-            if gamma.ambient_rank != self.fan.ambient_dim:
-                raise ValidationError("character lattice has wrong ambient rank")
-            if not gamma.is_split_summand():
-                raise ValidationError("character lattice is not a split summand")
-            self.rows(gamma)
+            self._check_restrictable(gamma)
             self._subfans[gamma] = subfan(self.fan, gamma)
         return self._subfans[gamma]
+
+    @cached_property
+    def _flag_neighbours(self) -> tuple[int, ...] | None:
+        """The rays' neighbour masks when `fan` is smooth, complete and flag,
+        so that they give the faces of every subfan; None otherwise."""
+        if all(_kinds(self.fan)) and is_flag(self.fan):
+            return ray_masks(self.fan).neighbours
+        return None
+
+    def subfan_betti(self, gamma: Sublattice) -> tuple[int, ...]:
+        """`betti_numbers` of the subfan along `gamma`, under the checks of
+        `subfan`.  On a smooth complete flag fan the subfan's faces are the
+        cliques among the rays that `gamma` moves not (`moved_rays`), so the
+        f-vector is their `clique_counts` and no fan is restricted; on any
+        other fan the Betti numbers are read off `subfan`."""
+        if gamma not in self._betti:
+            neighbours = self._flag_neighbours
+            if neighbours is None:
+                self._betti[gamma] = betti_numbers(self.subfan(gamma).fan)
+            else:
+                self._check_restrictable(gamma)
+                everything = (1 << len(self.fan.rays)) - 1
+                flagged = ~moved_rays(self.fan, gamma.basis) & everything
+                self._betti[gamma] = _betti_of_f_vector(
+                    clique_counts(neighbours, flagged),
+                    self.fan.ambient_dim - gamma.rank,
+                )
+        return self._betti[gamma]
 
     def extension(self, outer: Sublattice, inner: Sublattice) -> IntMatrix:
         """Equal-sign characters completing the basis of `inner`, a split

@@ -64,8 +64,12 @@ class Layer:
             )
         if len(self.phi) != self.gamma.rank:
             raise ValidationError("one character value per basis row required")
+        # the type test skips the ABC check on exact Fractions; a Fraction's
+        # denominator is positive, so the integer test is 0 <= v < 1
         for v in self.phi:
-            if not isinstance(v, Fraction) or not 0 <= v < 1:
+            if (
+                type(v) is not Fraction and not isinstance(v, Fraction)
+            ) or not 0 <= v.numerator < v.denominator:
                 raise ValidationError("character values must be Fractions in [0,1)")
 
     @classmethod

@@ -5,6 +5,9 @@ Two independent routes compute the graded ranks of a model: `poincare` sums
 shifted Betti vectors of subfans over admissible functions, while
 `rank_via_blowup_recursion` walks the iterated-blowup tower and only uses the
 codimension bookkeeping of each center.  They must agree coefficient-wise.
+Both read a subfan's Betti numbers, and nothing else of it, from one memo per
+lattice, `EqualSignBases.subfan_betti`: on a flag fan it counts the faces as
+cliques of the rays' neighbour graph and restricts no fan.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations, groupby, product
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .fans import EqualSignBases, Fan, betti_numbers, complete_bases
+from .fans import EqualSignBases, Fan, complete_bases
 from .lattice import Sublattice
 from .layers import Layer, LayerPoset, poset_of_layers
 
@@ -280,14 +283,15 @@ def poincare(
     building: BuildingSet, fan: Fan, bases: EqualSignBases | None = None
 ) -> PoincareResult:
     """Graded ranks of the model: over each admissible function, the Betti
-    vector of the support's subfan shifted by the function's degree."""
+    vector of the support's subfan shifted by the function's degree.  The
+    Betti vectors come from `bases.subfan_betti`."""
     bases = complete_bases(fan, building.torus_dim, bases)
     n = fan.ambient_dim
     rows = []
     total: GradedCount = (0,) * (n + 1)
     for support, group in groupby(enumerate_admissible(building), lambda f: f.support):
         funcs = tuple(group)
-        betti = betti_numbers(bases.subfan(support_lattice(building, support)).fan)
+        betti = bases.subfan_betti(support_lattice(building, support))
         contribution: GradedCount = (0,) * (n + 1)
         for f in funcs:
             contribution = _padded_add(contribution, betti, shift=f.degree)
@@ -306,7 +310,9 @@ def rank_via_blowup_recursion(
     """Independent oracle: peel blowup centers off in an order refining
     inclusion (deepest first) and apply the graded rank bookkeeping of a
     single smooth blowup at each step.  Centers and their intersections are
-    poset indices; poset order breaks ties between equal ranks."""
+    poset indices; poset order breaks ties between equal ranks.  The Betti
+    numbers of each ambient come from `bases.subfan_betti`, the memo
+    `poincare` reads, so with one resolver no lattice is resolved twice."""
     bases = complete_bases(fan, building.torus_dim, bases)
     poset = building.poset
     elements = poset.elements
@@ -316,7 +322,7 @@ def rank_via_blowup_recursion(
 
     def ranks_of(ambient: int, centers: tuple[int, ...]) -> GradedCount:
         if not centers:
-            return betti_numbers(bases.subfan(elements[ambient].gamma).fan)
+            return bases.subfan_betti(elements[ambient].gamma)
         z, rest = centers[-1], centers[:-1]
         total = ranks_of(ambient, rest)
         codim = elements[z].rank - elements[ambient].rank

@@ -39,7 +39,11 @@ from wondertoric.fans import (
 from wondertoric.files import fixture_path, load_arrangement, load_fan
 from wondertoric.layers import _plan, _solve, poset_of_layers
 from wondertoric.lattice import Sublattice, determinant, hermite_form, smith_normal_form
-from wondertoric.models import enumerate_admissible
+from wondertoric.models import (
+    enumerate_admissible,
+    poincare,
+    rank_via_blowup_recursion,
+)
 from wondertoric.presentation import minimal_nonfaces
 from wondertoric.typea import minimal_equal_coordinate_building
 
@@ -466,6 +470,81 @@ def test_subfan_matches_the_cone_walk():
     assert len(compared) >= 7 and sum(compared.values()) > 200, compared
 
 
+def test_subfan_betti_matches_the_restricted_fan():
+    compared = 0
+    for fan, bases, elements in _resolved_lattices():
+        # so the memo takes the clique route; the other has its own test
+        assert fans.is_flag(fan)
+        for gamma in {element.gamma for element in elements}:
+            betti = betti_numbers(subfan(fan, gamma).fan)
+            assert bases.subfan_betti(gamma) == betti, gamma
+            compared += 1
+    assert compared > 200, compared
+
+
+def test_flag_verdict_matches_the_minimal_nonfaces():
+    verdicts = Counter()
+    for label, fan in _structure_cases():
+        if not fans._kinds(fan)[0]:
+            continue
+        if not fan.maximal_cones:
+            # without the zero cone the one minimal nonface is the empty
+            # set, which `minimal_nonfaces` does not list
+            assert not fans.is_flag(fan), label
+            continue
+        pairs = all(len(nonface) == 2 for nonface in minimal_nonfaces(fan))
+        assert fans.is_flag(fan) == pairs, label
+        verdicts[pairs] += 1
+    assert verdicts[True] > 70 and verdicts[False] >= 2, verdicts
+
+
+def _counting_restrictions(monkeypatch) -> list:
+    """The lattices `fans.subfan` is called with from now on."""
+    restricted = []
+    restrict = fans.subfan
+
+    def counted(fan, gamma):
+        restricted.append(gamma)
+        return restrict(fan, gamma)
+
+    monkeypatch.setattr(fans, "subfan", counted)
+    return restricted
+
+
+def test_subfan_betti_of_fans_that_are_not_flag_restrict_them(monkeypatch):
+    restricted = _counting_restrictions(monkeypatch)
+    # P^2 x P^1: its subfan along the P^1 characters is P^2
+    p2_line = Fan.make(
+        3,
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [cone + (line,) for cone in P2.maximal_cones for line in (3, 4)],
+    )
+    assert not fans.is_flag(P2) and not fans.is_flag(p2_line)
+    assert minimal_nonfaces(P2) == ((0, 1, 2),)
+    # no character of P^2 is equal-sign
+    for fan, rows, betti in (
+        (P2, [], (1, 1, 1)),
+        (p2_line, [], (1, 2, 2, 1)),
+        (p2_line, [(0, 0, 1)], (1, 1, 1)),
+    ):
+        gamma = Sublattice.from_rows(fan.ambient_dim, rows)
+        assert EqualSignBases(fan).subfan_betti(gamma) == betti, (fan, rows)
+        assert restricted == [gamma]
+        assert betti_numbers(subfan(fan, gamma).fan) == betti, (fan, rows)
+        restricted.clear()
+
+
+def test_model_ranks_on_a_flag_fan_restrict_no_fan(monkeypatch):
+    restricted = _counting_restrictions(monkeypatch)
+    _, building = minimal_equal_coordinate_building(4)
+    fan = weyl_fan_A(4)
+    assert fans.is_flag(fan)
+    bases = EqualSignBases(fan)
+    total = poincare(building, fan, bases).total
+    assert total == rank_via_blowup_recursion(building, fan, bases) == (1, 16, 16, 1)
+    assert bases._betti and restricted == []
+
+
 def test_constructor_rejects_bad_rays():
     # `validate` raises nothing of its own: these fans cannot be built
     bad = (
@@ -605,13 +684,29 @@ def test_subfan_degenerate_cases(big_fan):
 
 
 def test_subfan_requires_equal_sign():
-    with pytest.raises(ValidationError, match="equal-sign"):
-        EqualSignBases(P2).subfan(Sublattice.from_rows(2, [(1, 0)]))
+    # P^2 takes the restriction route and the orthant fan the clique route
+    for fan, rows in ((P2, [(1, 0)]), (orthant_fan(2), [(1, 1)])):
+        gamma = Sublattice.from_rows(2, rows)
+        with pytest.raises(ValidationError, match="equal-sign"):
+            EqualSignBases(fan).subfan(gamma)
+        with pytest.raises(ValidationError, match="equal-sign"):
+            EqualSignBases(fan).subfan_betti(gamma)
 
 
 def test_subfan_rejects_nonsplit(big_fan):
+    gamma = Sublattice.from_rows(3, [(2, 0, 0)])
     with pytest.raises(ValidationError, match="split"):
-        EqualSignBases(big_fan).subfan(Sublattice.from_rows(3, [(2, 0, 0)]))
+        EqualSignBases(big_fan).subfan(gamma)
+    with pytest.raises(ValidationError, match="split"):
+        EqualSignBases(big_fan).subfan_betti(gamma)
+
+
+def test_subfan_rejects_a_lattice_of_another_rank(big_fan):
+    gamma = Sublattice.from_rows(2, [(1, 0)])
+    with pytest.raises(ValidationError, match="wrong ambient rank"):
+        EqualSignBases(big_fan).subfan(gamma)
+    with pytest.raises(ValidationError, match="wrong ambient rank"):
+        EqualSignBases(big_fan).subfan_betti(gamma)
 
 
 def test_subfan_of_orthant_fan():

@@ -78,6 +78,19 @@ def test_inconsistent_values_rejected():
             Layer.from_generators(n, rows, values)
 
 
+def test_layer_values_must_be_fractions_in_the_unit_interval():
+    class Tagged(Fraction):
+        pass
+
+    gamma = Sublattice.from_rows(2, [[1, 0]])
+    for value in (Fraction(0), HALF, Fraction(99, 100), Tagged(1, 3)):
+        assert Layer(gamma, (value,)).phi == (value,)
+    refused = (0, 1, True, 0.5, 0.0, "1/2", None, Fraction(1), Fraction(-1, 2))
+    for value in refused + (Fraction(3, 2), Tagged(1), Tagged(-1, 3)):
+        with pytest.raises(ValidationError, match=r"Fractions in \[0,1\)"):
+            Layer(gamma, (value,))
+
+
 def test_nonsplit_gamma_rejected():
     with pytest.raises(ValidationError, match="split"):
         Layer.from_generators(2, [[2, 0]], [HALF])

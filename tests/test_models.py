@@ -356,11 +356,11 @@ def _relation_factors(ideal):
 
 
 def test_default_resolver_is_shared_by_the_model_computations(monkeypatch):
-    # each search, restriction and extension by its arguments; an extension
-    # made inside a search is part of that search
-    searched, restricted, extended = Counter(), Counter(), Counter()
+    # each search, subfan Betti resolution and extension by its arguments;
+    # an extension made inside a search is part of that search
+    searched, resolved, extended = Counter(), Counter(), Counter()
     in_search = []
-    search, restrict = fans.equal_sign_basis, fans.subfan
+    search, betti = fans.equal_sign_basis, EqualSignBases.subfan_betti
     extend = fans.extend_equal_sign_basis
 
     def counted_search(fan, lat, bound):
@@ -371,9 +371,11 @@ def test_default_resolver_is_shared_by_the_model_computations(monkeypatch):
         finally:
             in_search.pop()
 
-    def counted_restrict(fan, gamma):
-        restricted[fan, gamma] += 1
-        return restrict(fan, gamma)
+    def counted_betti(bases, gamma):
+        # a lattice missing from the resolver's memo is resolved by this call
+        if gamma not in bases._betti:
+            resolved[bases.fan, gamma] += 1
+        return betti(bases, gamma)
 
     def counted_extend(fan, outer, inner_rows, bound):
         if not in_search:
@@ -381,7 +383,7 @@ def test_default_resolver_is_shared_by_the_model_computations(monkeypatch):
         return extend(fan, outer, inner_rows, bound)
 
     monkeypatch.setattr(fans, "equal_sign_basis", counted_search)
-    monkeypatch.setattr(fans, "subfan", counted_restrict)
+    monkeypatch.setattr(EqualSignBases, "subfan_betti", counted_betti)
     monkeypatch.setattr(fans, "extend_equal_sign_basis", counted_extend)
     # earlier tests may have left lattices resolved in the shared resolvers
     fans._shared_bases.cache_clear()
@@ -397,11 +399,12 @@ def test_default_resolver_is_shared_by_the_model_computations(monkeypatch):
             fan, poset.torus_dim
         ), label
     # every lattice of both posets is searched, the goodness check asks for
-    # them all; each one once, and each restriction and extension once
+    # them all; each one once, and each subfan Betti resolution and
+    # extension once
     assert set(searched) == {
         (fan, el.gamma) for _, fan, building in cases for el in building.poset.elements
     }
-    for seen in (searched, restricted, extended):
+    for seen in (searched, resolved, extended):
         assert seen and set(seen.values()) == {1}, seen
 
 
