@@ -157,7 +157,9 @@ def hermite_form(rows: Sequence[Sequence[int]], width: int | None = None) -> Int
 
     Pivots are positive and strictly to the right as rows descend; entries
     above a pivot are reduced into [0, pivot).  Two row sets generate the same
-    sublattice of Z^n iff their Hermite forms are equal.
+    sublattice of Z^n iff their Hermite forms are equal.  Each step's pivot
+    is the first row of least |entry| in its column; the scan for it stops
+    at the first +-1, which nothing beats.
     """
     if width is None:
         if not rows:
@@ -170,10 +172,15 @@ def hermite_form(rows: Sequence[Sequence[int]], width: int | None = None) -> Int
     row = 0
     for col in range(width):
         while True:
-            nonzero = [i for i in range(row, len(mat)) if mat[i][col]]
-            if not nonzero:
+            p = best = 0
+            for i in range(row, len(mat)):
+                a = abs(mat[i][col])
+                if a and (a < best or not best):
+                    p, best = i, a
+                    if a == 1:
+                        break
+            if not best:
                 break
-            p = min(nonzero, key=lambda i: (abs(mat[i][col]), i))
             mat[row], mat[p] = mat[p], mat[row]
             done = True
             for i in range(row + 1, len(mat)):

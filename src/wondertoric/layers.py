@@ -8,14 +8,14 @@ components; one solver enumerates them by exact Hermite-form arithmetic,
 for a layer given by arbitrary generators and for an intersection of layers
 alike.  Its lattice half, the plan, depends on the generator rows alone:
 the saturation of the rows, and a triangular system with its row transform
-that relates them to its basis.  When each row reduces to zero or to a
-leading +-1 against the Hermite basis of the rows before it, one insertion
-pass gives both (a Hermite basis with unit pivots spans a split summand,
-and the system is the identity); otherwise the plan is read off the
-saturation and the Hermite form of the rows' coordinates in it beside an
-identity block.  Plans are kept for the 1024 most recent rows and shared by the poset
-closure and `Layer.from_generators`; the value half works in integer
-numerators over the values' common denominator.  The poset of layers is
+that relates them to its basis.  One Hermite form of the rows beside an
+identity block gives the rows' Hermite basis with the transform and the
+relations among the rows; when that basis spans a split summand it is the
+saturation and the system is the identity, and otherwise the system is read
+off the Hermite form of the rows' coordinates in the saturation beside an
+identity block.  Plans are kept for the 1024 most recent rows and shared
+by the poset closure and `Layer.from_generators`; the value half works in
+integer numerators over the values' common denominator.  The poset of layers is
 closed by intersecting each new element with the input layers only, and
 its containment is read off the edges of that closure: each component of
 cur & a lies in cur.  The poset stores the containment once, as
@@ -31,7 +31,6 @@ that a' is known to contain, meets x in c itself.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -157,65 +156,28 @@ def _plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix]:
     saturation sat, and rank rows [T | u], then rows [0 | u].  With coords
     the rows' coordinates in sat's basis, u @ coords = T in every row: T is
     upper triangular with a positive diagonal, and the last rows' u span
-    the integer relations among the rows.  `_unit_pivot_plan` builds it
-    in one pass when each row, in order, reduces to zero or to a leading +-1
-    against the Hermite basis of the rows before it (then T = I), and
-    `_saturation_plan` otherwise.  The cache is bounded: a batch of small
-    arrangements repeats its rows, while a large closure's rows rarely repeat."""
-    return _unit_pivot_plan(n, rows) or _saturation_plan(n, rows)
+    the integer relations among the rows.
 
+    Row-reducing [rows | I_k] to Hermite form applies a unimodular transform,
+    recorded in the last k columns (Cohen, GTM 138, section 2.4): the rows
+    with a pivot among the first n columns are the rows' Hermite basis, each
+    beside its combination u of the rows, and the rest are the relations
+    [0 | u].  When that basis spans a split summand it is sat, and its rows'
+    coordinates in it are the unit vectors, so T = I.  Otherwise T is read
+    off the Hermite form of [coords | I_k] in the saturation of that lattice.
 
-def _unit_pivot_plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix] | None:
-    """The plan as [I | u] over the relation rows [0 | u], or None at the
-    first row that reduces to a leading entry other than +-1.
-
-    Each row in turn is reduced against a Hermite basis whose pivots are all
-    1, carrying its combination u of the generators.  A row reduced to zero
-    is a relation; one leading with +-1 joins the basis as +1, its column
-    cleared from the other rows.  Every step is a unimodular row operation,
-    so the relation rows span every integer relation among the generators.
-    With the unit vectors of the non-pivot columns, unit-pivot rows form a
-    unitriangular matrix, so they span a split summand: their lattice is its
-    own saturation."""
-    k = len(rows)
-    basis: list[tuple[int, list[int]]] = []  # (pivot, [row | u]) in pivot order
-    relations = []
-    for j, g in enumerate(rows):
-        v = list(g) + [0] * k
-        v[n + j] = 1
-        for p, b in basis:
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, b)]
-        for lead in range(n):
-            if v[lead]:
-                break
-        else:
-            relations.append(v[n:])
-            continue
-        if v[lead] not in (1, -1):
-            return None
-        if v[lead] < 0:
-            v = [-x for x in v]
-        for i, (p, b) in enumerate(basis):
-            c = b[lead]
-            if c:
-                basis[i] = (p, [x - c * y for x, y in zip(b, v)])
-        insort(basis, (lead, v))
-    r = len(basis)
-    form = tuple(
-        (0,) * i + (1,) + (0,) * (r - 1 - i) + tuple(b[n:]) for i, (_, b) in enumerate(basis)
-    )
-    form += tuple((0,) * r + tuple(w) for w in relations)
-    return Sublattice.from_hermite_basis(n, tuple(tuple(b[:n]) for _, b in basis)), form
-
-
-def _saturation_plan(n: int, rows: IntMatrix) -> tuple[Sublattice, IntMatrix]:
-    """The plan from the rows' saturation sat and the Hermite form of
-    [coords | I_k], coords the rows' coordinates in sat's basis."""
-    sat, k = Sublattice.from_rows(n, rows).saturation(), len(rows)
-    augmented = [sat.coordinates_of(g) + e for g, e in zip(rows, identity_matrix(k))]
-    form = hermite_form(augmented, sat.rank + k)
+    The cache is bounded: the rows that repeat are those of a batch of small
+    arrangements, or of one arrangement solved again, whose atoms and meets
+    recur; the equal-coordinate closures call no solver at all."""
+    k, eye = len(rows), identity_matrix(len(rows))
+    reduced = hermite_form([g + e for g, e in zip(rows, eye)], n + k)
+    r = sum(1 for row in reduced if any(row[:n]))
+    lat = Sublattice.from_hermite_basis(n, tuple(row[:n] for row in reduced[:r]))
+    if lat.is_split_summand():
+        form = tuple(e + row[n:] for e, row in zip(identity_matrix(r), reduced))
+        return lat, form + tuple((0,) * r + row[n:] for row in reduced[r:])
+    sat = lat.saturation()
+    form = hermite_form([sat.coordinates_of(g) + e for g, e in zip(rows, eye)], sat.rank + k)
     if not all(form[i][i] for i in range(sat.rank)):
         raise MathAssertionError("saturation changed the rank")
     return sat, form
@@ -245,7 +207,7 @@ def _components(
     the later numerators, so dividing by p is exact.  Sorting them sorts layers.
 
     When index is 1, T = I: Hermite reduction clears the entries above unit
-    pivots, and the unit-pivot plan builds I.  Then the one layer is
+    pivots, and a plan whose rows split builds I.  Then the one layer is
     z = lv / den."""
     r = sat.rank
     index = prod(form[i][i] for i in range(r))

@@ -106,6 +106,90 @@ def test_hermite_canonical():
     assert h1 == ((2, 1), (0, 3))
 
 
+def _min_pivot_hermite(rows, width, ops):
+    """`hermite_form` as it was before its pivot scan: the pivot is the
+    `min` over the list of nonzero rows, by (|entry|, index).  Each row
+    operation is appended to `ops` as (row, pivot row) before it is made."""
+    mat = [list(map(int, r)) for r in rows]
+    row = 0
+    for col in range(width):
+        while True:
+            nonzero = [i for i in range(row, len(mat)) if mat[i][col]]
+            if not nonzero:
+                break
+            p = min(nonzero, key=lambda i: (abs(mat[i][col]), i))
+            mat[row], mat[p] = mat[p], mat[row]
+            done = True
+            for i in range(row + 1, len(mat)):
+                if mat[i][col]:
+                    q = mat[i][col] // mat[row][col]
+                    ops.append((tuple(mat[i]), tuple(mat[row])))
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[row])]
+                    done = done and not mat[i][col]
+            if done:
+                break
+        if row < len(mat) and mat[row][col]:
+            if mat[row][col] < 0:
+                mat[row] = [-x for x in mat[row]]
+            for i in range(row):
+                q = mat[i][col] // mat[row][col]
+                if q:
+                    ops.append((tuple(mat[i]), tuple(mat[row])))
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[row])]
+            row += 1
+    return tuple(tuple(r) for r in mat[:row])
+
+
+def _pivot_scan_cases():
+    """Seeded matrices of three kinds: [rows | I_k] with entries -3..3; a
+    first column of entries 2..5 in size with +-1 below them, -1 and 1 in
+    either order; and entries mostly 0 and +-1, with a row or a column
+    zeroed at times, and no rows at all."""
+    rng = random.Random(32)
+    for case in range(600):
+        kind = case % 3
+        if kind == 0:
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            yield [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)], n + k
+            continue
+        width, m = rng.randint(1, 5), rng.randint(0 if kind == 2 else 2, 6)
+        entries = (0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -5)
+        rows = [[rng.choice(entries) for _ in range(width)] for _ in range(m)]
+        if kind == 1:
+            lead = [rng.choice((2, -2, 3, -3, 4, 5)) for _ in range(m)]
+            for i in rng.sample(range(1, m), rng.randint(1, min(2, m - 1))):
+                lead[i] = rng.choice((1, -1))
+            for row, a in zip(rows, lead):
+                row[0] = a
+        elif m and rng.random() < 0.4:
+            rows[rng.randrange(m)] = [0] * width
+        if kind == 2 and rng.random() < 0.4:
+            j = rng.randrange(width)
+            for row in rows:
+                row[j] = 0
+        yield rows, width
+
+
+def test_hermite_pivot_scan_keeps_every_step(monkeypatch):
+    """The pivot scan that stops at the first +-1 picks the row the old
+    `min` picked, the first of least |entry|: the form and every row
+    operation on the way to it are the old ones.  The library's operations
+    are recorded through the `zip` that each of them calls."""
+    got_ops = []
+
+    def recording_zip(a, b):
+        got_ops.append((tuple(a), tuple(b)))
+        return zip(a, b)
+
+    monkeypatch.setattr(wondertoric.lattice, "zip", recording_zip, raising=False)
+    for rows, width in _pivot_scan_cases():
+        want_ops, got_ops[:] = [], []
+        want = _min_pivot_hermite(rows, width, want_ops)
+        assert hermite_form(rows, width) == want, rows
+        assert got_ops == want_ops, rows
+
+
 def test_hermite_zero_rows_dropped():
     assert hermite_form([[0, 0, 0]], 3) == ()
     assert hermite_form([], 2) == ()

@@ -24,9 +24,7 @@ from wondertoric.layers import (
     Layer,
     _plan,
     _RankOneMeets,
-    _saturation_plan,
     _solve,
-    _unit_pivot_plan,
     goodness_check,
     intersect,
     mod1,
@@ -191,17 +189,35 @@ def _solver_cases():
         yield n, tuple(map(tuple, rows)), tuple(values)
 
 
-def test_solver_matches_fraction_reference():
+def _count_saturations(monkeypatch) -> list:
+    """The lattices `Sublattice.saturation` is called on from now on."""
+    saturated, saturation = [], Sublattice.saturation
+
+    def counted(lattice):
+        saturated.append(lattice)
+        return saturation(lattice)
+
+    monkeypatch.setattr(Sublattice, "saturation", counted)
+    return saturated
+
+
+def test_solver_matches_fraction_reference(monkeypatch):
+    saturated = _count_saturations(monkeypatch)
     sizes, off_diagonal_torsion, routes, branches = set(), False, set(), set()
     for n, rows, values in _solver_cases():
+        # on a cleared cache, `_plan` saturates the rows exactly when their
+        # Hermite basis does not span a split summand
+        _plan.cache_clear()
+        saturated.clear()
         got = _solve(n, rows, values)
+        routes.add(len(saturated))
+        assert len(saturated) == (not Sublattice.from_rows(n, rows).is_split_summand())
         assert got == _reference_solve(n, rows, values), (n, rows, values)
         sizes.add(len(got))
         sat, form = _plan(n, rows)
         off_diagonal_torsion |= any(
             form[i][i] > 1 and any(form[i][i + 1 : sat.rank]) for i in range(sat.rank)
         )
-        routes.add(_unit_pivot_plan(n, rows) is None)
         if got:
             # `_components` answers index 1 at once and walks T otherwise
             branches.add(prod(form[i][i] for i in range(sat.rank)) == 1)
@@ -209,7 +225,7 @@ def test_solver_matches_fraction_reference():
     # pivot above 1 meets a nonzero entry right of it in the triangle
     assert {0, 1, 2, 3, 4, 16} <= sizes, sizes
     assert off_diagonal_torsion
-    assert routes == {False, True}
+    assert routes == {0, 1}
     assert branches == {False, True}
 
 
@@ -220,7 +236,7 @@ TORSION = ((1, 1), (1, -1), (2, 0))
 
 
 @pytest.mark.parametrize(
-    "unit, n, rows, values",
+    "split, n, rows, values",
     [
         # a row leading with -1 and pivoting left of the first one, then a
         # dependent row; values consistent, then off consistency
@@ -230,24 +246,29 @@ TORSION = ((1, 1), (1, -1), (2, 0))
         pytest.param(True, 2, CLEARED, (THIRD, HALF, Fraction(7, 6)), id="cleared"),
         pytest.param(True, 2, CLEARED, (THIRD, HALF, 0), id="cleared-off"),
         # split, but its Hermite pivot is 2
-        pytest.param(False, 2, ((2, 1),), (THIRD,), id="split-pivot-2"),
+        pytest.param(True, 2, ((2, 1),), (THIRD,), id="split-pivot-2"),
         # the second row leads with -2 after the first: two components
         pytest.param(False, 2, TORSION[:2], (HALF, 0), id="torsion"),
         pytest.param(False, 2, TORSION, (HALF, 0, HALF), id="torsion-dependent"),
         pytest.param(False, 2, TORSION, (HALF, 0, 0), id="torsion-dependent-off"),
     ],
 )
-def test_plan_routes_match_the_reference(unit, n, rows, values):
+def test_plan_routes_match_the_reference(split, n, rows, values, monkeypatch):
     """Each route of `_plan` gives the components of the Fraction reference,
-    consistent values or not, and the insertion pass agrees with the
-    saturation route wherever it applies."""
+    consistent values or not.  Rows whose Hermite basis spans a split
+    summand take it as their saturation, with T = I and no saturation
+    computed; other rows are saturated once.  Either way the plan's lattice
+    is the rows' saturation, and it has one row per generator."""
     values = tuple(map(Fraction, values))
-    plan = _unit_pivot_plan(n, rows)
-    assert (plan is not None) == unit
-    if unit:
-        sat, form = _saturation_plan(n, rows)
-        assert plan[0] == sat
-        assert len(plan[1]) == len(form) == len(rows)
+    saturated = _count_saturations(monkeypatch)
+    _plan.cache_clear()
+    sat, form = _plan(n, rows)
+    assert len(saturated) == (not split)
+    assert sat == Sublattice.from_rows(n, rows).saturation()
+    assert len(form) == len(rows)
+    if split:
+        triangle = tuple(row[: sat.rank] for row in form[: sat.rank])
+        assert triangle == lattice.identity_matrix(sat.rank)
     assert _solve(n, rows, values) == _reference_solve(n, rows, values)
 
 

@@ -2,9 +2,10 @@
 
 Split tests and kernels come from Hermite forms (`lattice.splits`,
 `Sublattice.kernel_lattice`), and so do transforms: the solver's plan
-inserts its generators one at a time into a Hermite basis with unit pivots,
-or else reads its torsion components off the Hermite form of [coords | I],
-and the cohomology monomial basis reads its quotient map off a Hermite kernel.  The
+reads its generators' Hermite basis and relations off one Hermite form of
+[rows | I], and its torsion components, when that basis does not split, off
+the Hermite form of [coords | I]; the cohomology monomial basis reads its
+quotient map off a Hermite kernel.  The
 one Smith form left is the cached verdict behind
 `Sublattice.is_split_summand`, and only for a Hermite basis with a pivot
 above 1: a basis whose rows all lead with 1 splits without one.  A fan's
