@@ -29,9 +29,9 @@ many plans took the saturation route (counted by wrapping
 holds: lattices found, subfan Betti numbers, subfans and extensions
 (`poincare` and the oracle share it and read only its Betti memo, so on
 a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
-the fan's flag verdict (`fans.is_flag`; True), and last the total wall
-time, counted from before `wondertoric` is imported; exits 1 on any
-mismatch.  Three runs took 0.9 to 1.4 s, median 0.9 s: the poset closure
+the fan's flag verdict (`Fan.is_flag`, an attribute the fan computes once;
+True), and last the total wall time, counted from before `wondertoric` is
+imported; exits 1 on any mismatch.  Three runs took 0.9 to 1.4 s, median 0.9 s: the poset closure
 0.2 to 0.3 s, the building set 0.0 to 0.1 s, the well-connectedness
 check 0.03 to 0.04 s, `validate` 0.2 to 0.3 s, `poincare` 0.2 to 0.4 s
 and the per-support checks 0.1 s (Python 3.11, a shared 2-core host),
@@ -60,7 +60,7 @@ from wondertoric import (  # noqa: E402
     weyl_fan_A,
 )
 from wondertoric import typea  # noqa: E402
-from wondertoric.fans import is_flag, resolve_bases  # noqa: E402
+from wondertoric.fans import resolve_bases  # noqa: E402
 from wondertoric.lattice import Sublattice  # noqa: E402
 from wondertoric.typea import minimal_equal_coordinate_building  # noqa: E402
 
@@ -159,7 +159,7 @@ def check(n, elements, total, support_rows, forests) -> int:
         f"{len(shared._betti)} subfan Betti numbers, {len(shared._subfans)} "
         f"subfans, {len(shared._extensions)} extensions"
     )
-    print(f"fan is flag: {is_flag(fan)}")
+    print(f"fan is flag: {fan.is_flag}")
     expect(
         "simplicial, smooth, complete",
         (report.simplicial, report.smooth, report.complete),

@@ -14,11 +14,11 @@ stage's wall time, the closure's solver calls (0), its meets by reduction
 modulo Gamma_x (30771) and shortcut hits (60565), the plans that took the
 saturation route (0), the shared resolver's 871 subfan Betti numbers and
 0 subfans, the fan's flag verdict (True) and the total wall time, and
-exits 1 on any mismatch.  Three runs took 10.6 to 13.3 s, median 12.0 s:
-the poset closure 1.0 to 1.6 s, the building set 0.4 to 0.7 s, the
-well-connectedness check 0.73 to 0.87 s, `validate` 2.7 to 3.0 s,
-`poincare` 3.9 to 5.1 s, the per-support checks 1.0 to 1.3 s (Python
-3.11, a shared 2-core host); peak RSS 142 MiB.
+exits 1 on any mismatch.  Three runs took 8.4 to 8.7 s, median 8.6 s:
+the poset closure 0.9 to 1.1 s, the building set 0.4 s, the
+well-connectedness check 0.66 to 0.69 s, `validate` 2.4 to 2.7 s,
+`poincare` 2.4 to 2.5 s, the oracle 0.2 s, the per-support checks 0.9 s
+(Python 3.11, a shared 2-core host); peak RSS 142 MiB.
 """
 
 from __future__ import annotations

@@ -2,17 +2,20 @@
 
 A fan is stored as primitive integer rays plus maximal cones given by 0-based
 ray index tuples; the constructor refuses any other rays.  Simpliciality,
-smoothness and completeness are checked, not assumed.
+smoothness and completeness are checked, not assumed.  The tables read off
+one fan (its kinds, faces, ray bitmasks, flag verdict and minimal nonfaces)
+are cached attributes of the `Fan` itself, computed on first use; reading
+one hashes nothing, and an equal fan built separately computes its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
-from operator import mul
+from operator import and_, mul
 from typing import Iterable
 
 from .errors import MathAssertionError, ValidationError
@@ -75,6 +78,125 @@ class Fan:
             tuple(cones),
         )
 
+    @cached_property
+    def kinds(self) -> tuple[bool, bool, bool]:
+        """(simplicial, smooth, complete) from one walk over the maximal cones.
+
+        A cone of n rays in dimension n is simplicial when the rays'
+        determinant is nonzero, and smooth when it is +-1 (Fulton,
+        Introduction to Toric Varieties, 2.1).  Any other cone takes one
+        Hermite form of its ray columns: it is simplicial when the form has a
+        row per ray, and smooth when the form is the identity, that is when
+        the rays also span a split summand.  A simplicial fan is complete when
+        it has a cone, its cones are all full-dimensional, each ridge lies on
+        exactly two of them, and the cones are connected through shared
+        ridges.  Each cone is filed under its ridges once; those pairs serve
+        both tests."""
+        cones, n = self.maximal_cones, self.ambient_dim
+        smooth = pure = True
+        on_ridge: dict[tuple[int, ...], list[int]] = {}
+        for idx, cone in enumerate(cones):
+            rays = [self.rays[i] for i in cone]
+            if len(cone) == n:
+                det = determinant(rays)
+                simplicial, unimodular = det != 0, abs(det) == 1
+            else:
+                columns = hermite_form(list(zip(*rays)), len(cone))
+                simplicial = len(columns) == len(cone)
+                unimodular = columns == identity_matrix(len(cone))
+            if not simplicial:
+                return False, False, False
+            smooth = smooth and unimodular
+            pure = pure and len(cone) == n
+            # in dimension 0 the one cone () has no ridges
+            for ridge in combinations(cone, n - 1) if n else ():
+                on_ridge.setdefault(ridge, []).append(idx)
+        if not (cones and pure):
+            return True, smooth, False
+        neighbors: list[list[int]] = [[] for _ in cones]
+        for pair in on_ridge.values():
+            if len(pair) != 2:
+                return True, smooth, False
+            a, b = pair
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        seen, stack = {0}, [0]
+        while stack:
+            for other in neighbors[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return True, smooth, len(seen) == len(cones)
+
+    @cached_property
+    def faces(self) -> frozenset[tuple[int, ...]]:
+        """Every face of every maximal cone, as sorted ray index tuples.
+
+        Includes the zero cone ().  Requires the fan to be simplicial so that
+        faces are exactly the subsets of each maximal cone's ray set.
+        """
+        if not self.kinds[0]:
+            raise ValidationError("fan is not simplicial; face lattice unsupported")
+        faces: set[tuple[int, ...]] = set()
+        for cone in self.maximal_cones:
+            for k in range(len(cone) + 1):
+                faces.update(combinations(cone, k))
+        return frozenset(faces)
+
+    @cached_property
+    def cone_masks(self) -> tuple[int, ...]:
+        """The maximal cones as bitmasks of their rays (bit i for ray i)."""
+        return tuple(sum(1 << i for i in cone) for cone in self.maximal_cones)
+
+    @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """For each ray the mask of the rays that share a maximal cone with
+        it, itself included."""
+        neighbours = [0] * len(self.rays)
+        for cone, mask in zip(self.maximal_cones, self.cone_masks):
+            for i in cone:
+                neighbours[i] |= mask
+        return tuple(neighbours)
+
+    @cached_property
+    def is_flag(self) -> bool:
+        """True if the faces of the simplicial fan are exactly the cliques
+        of its rays' neighbour graph, that is if its minimal nonfaces are all
+        pairs (Stanley, Combinatorics and Commutative Algebra).  Every face
+        is a clique, so this holds when both have the same count in each
+        size.  Then every subfan on a set of rays is flag too, and its faces
+        are the cliques among those rays."""
+        everything = (1 << len(self.rays)) - 1
+        return clique_counts(self.neighbours, everything) == f_vector(self)
+
+    @cached_property
+    def minimal_nonfaces(self) -> tuple[tuple[int, ...], ...]:
+        """Smallest ray sets spanning no cone; all proper subsets span one.
+
+        Each is a nonempty face plus one ray above the face's largest index,
+        sorted by size, then as tuples.  A pair is two rays in no common cone
+        (`Fan` puts every ray in a cone).  A larger set has all its pairs in
+        cones, so a face F is grown only by the rays above F's largest index
+        that share a cone with every ray of F."""
+        faces, neighbours = self.faces, self.neighbours
+        found = [
+            (a, b)
+            for a, b in combinations(range(len(self.rays)), 2)
+            if not neighbours[a] >> b & 1
+        ]
+        for face in faces:
+            if len(face) < 2:
+                continue
+            # -(2 << k) clears bits 0..k: the common neighbours above face[-1]
+            above = reduce(and_, (neighbours[i] for i in face)) & -(2 << face[-1])
+            for r in ray_indices(above):
+                grown = face + (r,)
+                if grown not in faces and all(
+                    grown[:k] + grown[k + 1 :] in faces for k in range(len(face))
+                ):
+                    found.append(grown)
+        return tuple(sorted(found, key=lambda t: (len(t), t)))
+
 
 @dataclass(frozen=True)
 class FanReport:
@@ -84,78 +206,12 @@ class FanReport:
     f_vector: tuple[int, ...] | None  # None unless simplicial
 
 
-@lru_cache(maxsize=None)
-def all_cones(fan: Fan) -> frozenset[tuple[int, ...]]:
-    """Every face of every maximal cone, as sorted ray index tuples.
-
-    Includes the zero cone ().  Requires the fan to be simplicial so that
-    faces are exactly the subsets of each maximal cone's ray set.
-    """
-    if not _kinds(fan)[0]:
-        raise ValidationError("fan is not simplicial; face lattice unsupported")
-    faces: set[tuple[int, ...]] = set()
-    for cone in fan.maximal_cones:
-        for k in range(len(cone) + 1):
-            faces.update(combinations(cone, k))
-    return frozenset(faces)
-
-
-@lru_cache(maxsize=None)
-def _kinds(fan: Fan) -> tuple[bool, bool, bool]:
-    """(simplicial, smooth, complete) from one walk over the maximal cones.
-
-    A cone of n rays in dimension n is simplicial when the rays' determinant
-    is nonzero, and smooth when it is +-1 (Fulton, Introduction to Toric
-    Varieties, 2.1).  Any other cone takes one Hermite form of its ray
-    columns: it is simplicial when the form has a row per ray, and smooth
-    when the form is the identity, that is when the rays also span a split
-    summand.  A simplicial fan is complete when it has a cone, its cones are
-    all full-dimensional, each ridge lies on exactly two of them, and the
-    cones are connected through shared ridges.  Each cone is filed under its
-    ridges once; those pairs serve both tests."""
-    cones, n = fan.maximal_cones, fan.ambient_dim
-    smooth = pure = True
-    on_ridge: dict[tuple[int, ...], list[int]] = {}
-    for idx, cone in enumerate(cones):
-        rays = [fan.rays[i] for i in cone]
-        if len(cone) == n:
-            det = determinant(rays)
-            simplicial, unimodular = det != 0, abs(det) == 1
-        else:
-            columns = hermite_form(list(zip(*rays)), len(cone))
-            simplicial = len(columns) == len(cone)
-            unimodular = columns == identity_matrix(len(cone))
-        if not simplicial:
-            return False, False, False
-        smooth = smooth and unimodular
-        pure = pure and len(cone) == n
-        # in dimension 0 the one cone () has no ridges
-        for ridge in combinations(cone, n - 1) if n else ():
-            on_ridge.setdefault(ridge, []).append(idx)
-    if not (cones and pure):
-        return True, smooth, False
-    neighbors: list[list[int]] = [[] for _ in cones]
-    for pair in on_ridge.values():
-        if len(pair) != 2:
-            return True, smooth, False
-        a, b = pair
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    seen, stack = {0}, [0]
-    while stack:
-        for other in neighbors[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return True, smooth, len(seen) == len(cones)
-
-
 def validate(fan: Fan) -> FanReport:
     """The simplicial/smooth/complete/f-vector report of a fan, whose rays
     `Fan` checked when it was built.  Simpliciality, smoothness and
     completeness are reported, not required; the f-vector is None on a fan
     that is not simplicial."""
-    simplicial, smooth, complete = _kinds(fan)
+    simplicial, smooth, complete = fan.kinds
     return FanReport(
         simplicial, smooth, complete, f_vector(fan) if simplicial else None
     )
@@ -166,14 +222,14 @@ def f_vector(fan: Fan) -> tuple[int, ...]:
 
     f_0 = 1 counts the zero cone, a face of every maximal cone; a fan with
     no maximal cones has no zero cone either, and its f-vector is (0,)."""
-    counts = Counter(len(c) for c in all_cones(fan))
+    counts = Counter(len(c) for c in fan.faces)
     top = max(counts) if counts else 0
     return tuple(counts.get(k, 0) for k in range(top + 1))
 
 
 def _require_smooth_complete(fan: Fan, what: str) -> None:
     """The one test that `fan` is smooth and complete, as `what` require."""
-    _, smooth, complete = _kinds(fan)
+    _, smooth, complete = fan.kinds
     if not smooth:
         raise ValidationError(f"{what} require a smooth fan")
     if not complete:
@@ -205,28 +261,6 @@ def _betti_of_f_vector(f: tuple[int, ...], n: int) -> tuple[int, ...]:
     return betti
 
 
-@dataclass(frozen=True)
-class RayMasks:
-    """A fan's maximal cones as bitmasks of their rays (bit i for ray i),
-    and for each ray the mask of the rays that share a maximal cone with
-    it, itself included."""
-
-    cones: tuple[int, ...]
-    neighbours: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def ray_masks(fan: Fan) -> RayMasks:
-    """The ray bitmasks of `fan`, built once per fan.  Look them up once per
-    search or listing: each lookup hashes every cone of the fan."""
-    cones = tuple(sum(1 << i for i in cone) for cone in fan.maximal_cones)
-    neighbours = [0] * len(fan.rays)
-    for cone, mask in zip(fan.maximal_cones, cones):
-        for i in cone:
-            neighbours[i] |= mask
-    return RayMasks(cones, tuple(neighbours))
-
-
 def ray_indices(mask: int):
     """The rays of a ray bitmask, in increasing order."""
     while mask:
@@ -238,7 +272,7 @@ def ray_indices(mask: int):
 def clique_counts(neighbours: tuple[int, ...], within: int) -> tuple[int, ...]:
     """(c_0, c_1, ...): the number of cliques of each size among the rays of
     the bitmask `within`, in the graph joining ray i to the rays of
-    `neighbours[i]`, as `ray_masks` gives them.  A depth-first walk grows
+    `neighbours[i]`, as `Fan.neighbours` gives them.  A depth-first walk grows
     each clique only by common neighbours above its largest ray, so it meets
     each clique once; the empty clique is counted."""
     counts = [1]
@@ -259,18 +293,6 @@ def clique_counts(neighbours: tuple[int, ...], within: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
-def is_flag(fan: Fan) -> bool:
-    """True if the faces of the simplicial fan `fan` are exactly the cliques
-    of its rays' neighbour graph, that is if its minimal nonfaces are all
-    pairs (Stanley, Combinatorics and Commutative Algebra).  Every face is a
-    clique, so this holds when both have the same count in each size.  Then
-    every subfan on a set of rays is flag too, and its faces are the
-    cliques among those rays."""
-    everything = (1 << len(fan.rays)) - 1
-    return clique_counts(ray_masks(fan).neighbours, everything) == f_vector(fan)
-
-
 def pairings(fan: Fan, chi) -> tuple[int, ...]:
     """The pairings <chi, r> of the character `chi` with the rays r of `fan`,
     in ray order: the one place a character meets the rays."""
@@ -289,16 +311,16 @@ def moved_rays(fan: Fan, rows) -> int:
 def equal_sign_holds(fan: Fan, chi) -> bool:
     """True if on every maximal cone the values <chi, r> on the cone's rays r
     are all >= 0 or all <= 0."""
-    return _one_sign_per_cone(ray_masks(fan), pairings(fan, chi))
+    return _one_sign_per_cone(fan.neighbours, pairings(fan, chi))
 
 
-def _one_sign_per_cone(masks: RayMasks, values) -> bool:
+def _one_sign_per_cone(neighbours: tuple[int, ...], values) -> bool:
     """True if no maximal cone has rays with values of both signs, that is
     if no ray with a positive value shares a cone with one with a negative."""
     near_positive = negative = 0
     for i, v in enumerate(values):
         if v > 0:
-            near_positive |= masks.neighbours[i]
+            near_positive |= neighbours[i]
         elif v < 0:
             negative |= 1 << i
     return not near_positive & negative
@@ -310,7 +332,6 @@ def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
     coefficient vectors have max |entry| exactly `height` (one sign
     representative each), with the values on the rays checked incrementally."""
     s = len(basis)
-    masks = ray_masks(fan)
     ray_values = [pairings(fan, row) for row in basis]
     out = []
     for coeffs in _coeff_vectors(s, height):
@@ -320,7 +341,7 @@ def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
             sum(coeffs[i] * ray_values[i][j] for i in range(s))
             for j in range(len(fan.rays))
         ]
-        if _one_sign_per_cone(masks, values):
+        if _one_sign_per_cone(fan.neighbours, values):
             chi = tuple(
                 sum(coeffs[i] * basis[i][j] for i in range(s))
                 for j in range(len(basis[0]))
@@ -390,10 +411,7 @@ def equal_sign_basis(
     if lat.rank == 0:
         return ()
     # cheap path: the canonical basis often works as-is
-    masks = ray_masks(fan)
-    if lat.is_split_summand() and all(
-        _one_sign_per_cone(masks, pairings(fan, row)) for row in lat.basis
-    ):
+    if lat.is_split_summand() and all(equal_sign_holds(fan, row) for row in lat.basis):
         return lat.basis
     return extend_equal_sign_basis(fan, lat, (), bound)
 
@@ -433,7 +451,7 @@ def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
             raise MathAssertionError("restricted ray lost primitivity")
         new_rays.append(coords)
     reindex = {old: new for new, old in enumerate(flagged)}
-    restricted = {cone & on_flagged for cone in ray_masks(fan).cones}
+    restricted = {cone & on_flagged for cone in fan.cone_masks}
     cones = [
         tuple(reindex[i] for i in ray_indices(cone))
         for cone in restricted
@@ -449,8 +467,10 @@ class EqualSignBases:
     Supplied bases are verified here and nowhere else: as many rows as the
     rank of the lattice they span, every row equal-sign on `fan`.  Other
     lattices are searched with coefficient height up to `bound`.  Searches,
-    subfans, subfan Betti numbers and extensions are memoized and call this
-    module's functions through its globals, so rebinding those is seen.
+    subfans, subfan Betti numbers and extensions are memoized per lattice and
+    call this module's functions through its globals, so rebinding those is
+    seen.  The fan's own tables (`Fan.kinds`, `Fan.is_flag`,
+    `Fan.neighbours`) are its cached attributes, so no lookup hashes it.
 
     A resolver built here, with or without supplied bases, is private to
     its caller.  The default one, which `resolve_bases` hands out when none
@@ -512,14 +532,6 @@ class EqualSignBases:
             self._subfans[gamma] = subfan(self.fan, gamma)
         return self._subfans[gamma]
 
-    @cached_property
-    def _flag_neighbours(self) -> tuple[int, ...] | None:
-        """The rays' neighbour masks when `fan` is smooth, complete and flag,
-        so that they give the faces of every subfan; None otherwise."""
-        if all(_kinds(self.fan)) and is_flag(self.fan):
-            return ray_masks(self.fan).neighbours
-        return None
-
     def subfan_betti(self, gamma: Sublattice) -> tuple[int, ...]:
         """`betti_numbers` of the subfan along `gamma`, under the checks of
         `subfan`.  On a smooth complete flag fan the subfan's faces are the
@@ -527,17 +539,15 @@ class EqualSignBases:
         f-vector is their `clique_counts` and no fan is restricted; on any
         other fan the Betti numbers are read off `subfan`."""
         if gamma not in self._betti:
-            neighbours = self._flag_neighbours
-            if neighbours is None:
-                self._betti[gamma] = betti_numbers(self.subfan(gamma).fan)
-            else:
+            fan = self.fan
+            if all(fan.kinds) and fan.is_flag:
                 self._check_restrictable(gamma)
-                everything = (1 << len(self.fan.rays)) - 1
-                flagged = ~moved_rays(self.fan, gamma.basis) & everything
+                flagged = ~moved_rays(fan, gamma.basis) & ((1 << len(fan.rays)) - 1)
                 self._betti[gamma] = _betti_of_f_vector(
-                    clique_counts(neighbours, flagged),
-                    self.fan.ambient_dim - gamma.rank,
+                    clique_counts(fan.neighbours, flagged), fan.ambient_dim - gamma.rank
                 )
+            else:
+                self._betti[gamma] = betti_numbers(self.subfan(gamma).fan)
         return self._betti[gamma]
 
     def extension(self, outer: Sublattice, inner: Sublattice) -> IntMatrix:

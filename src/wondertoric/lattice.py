@@ -9,7 +9,7 @@ split test (`splits`); one Hermite form beside an identity block gives both
 the image and the kernel of a map (`image_and_kernel`, which `kernel_lattice`
 reads).  `determinant` is Bareiss's fraction-free elimination.  A Smith form
 serves only the cached verdict `is_split_summand`, and only for a Hermite
-basis with a pivot above 1: unit pivots decide it without one.
+basis with a pivot above 1: unit pivots (`unit_pivots`) decide it without one.
 """
 
 from __future__ import annotations
@@ -219,6 +219,18 @@ def splits(rows: Sequence[Sequence[int]]) -> bool:
     return hermite_form(list(zip(*rows, strict=True)), k) == identity_matrix(k)
 
 
+def unit_pivots(basis: IntMatrix) -> list[int] | None:
+    """The pivot columns of a Hermite basis whose rows all lead with 1, in
+    row order; None when some row leads with more."""
+    pivots = []
+    for row in basis:
+        p = next(j for j, a in enumerate(row) if a)
+        if row[p] != 1:
+            return None
+        pivots.append(p)
+    return pivots
+
+
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix; 1 for the 0 x 0 matrix.
 
@@ -370,14 +382,15 @@ class Sublattice:
         A Hermite basis whose rows all lead with 1 is one: with the unit
         vectors of its non-pivot columns it forms a unitriangular matrix.
         Any other basis is read off its cached Smith form."""
-        if all(next(a for a in row if a) == 1 for row in self.basis):
+        if unit_pivots(self.basis) is not None:
             return True
         return _smith_of(self.basis, self.ambient_rank).unit_invariants
 
     def kernel_lattice(self) -> Sublattice:
-        """{v in Z^n : <g, v> = 0 for every generator g}; always saturated."""
+        """{v in Z^n : <g, v> = 0 for every generator g}; always saturated.
+        `image_and_kernel` gives its Hermite basis, kept as it is."""
         n = self.ambient_rank
-        return Sublattice(n, image_and_kernel(self.basis, n)[1])
+        return Sublattice.from_hermite_basis(n, image_and_kernel(self.basis, n)[1])
 
     def saturation(self) -> Sublattice:
         """Smallest split summand of Z^n containing this lattice."""

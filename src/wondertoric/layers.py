@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
 from .fans import EqualSignBases, Fan, resolve_bases
-from .lattice import IntMatrix, Sublattice, hermite_form, identity_matrix
+from .lattice import IntMatrix, Sublattice, hermite_form, identity_matrix, unit_pivots
 
 
 def mod1(x: Fraction | int) -> Fraction:
@@ -190,12 +190,17 @@ def _residues(
     u @ values mod 1 on the first rank rows of `form`; None when a later
     row, a relation among the generators, gets a nonzero value."""
     r = sat.rank
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    den, nums = _over_common_denominator(values)
     lv = [sum(c * x for c, x in zip(row[r:], nums)) % den for row in form]
     if any(lv[r:]):
         return None
     return den, lv[:r]
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator den of `values`, and their numerators over den."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _components(
@@ -286,19 +291,13 @@ class _RankOneMeets:
 
     def __init__(self, x: Layer, pivots: list[int]):
         self.x, self.pivots = x, pivots
-        self.den = lcm(*(v.denominator for v in x.phi))
-        self.nums = [v.numerator * (self.den // v.denominator) for v in x.phi]
+        self.den, self.nums = _over_common_denominator(x.phi)
 
     @classmethod
     def of(cls, x: Layer) -> _RankOneMeets | None:
         """x's meets, or None when a pivot of x's Hermite basis is above 1."""
-        pivots = []
-        for row in x.gamma.basis:
-            p = next(j for j, e in enumerate(row) if e)
-            if row[p] != 1:
-                return None
-            pivots.append(p)
-        return cls(x, pivots)
+        pivots = unit_pivots(x.gamma.basis)
+        return None if pivots is None else cls(x, pivots)
 
     def reduce(self, chi: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """(key, lead): lead is the leading entry of chi', 0 when chi' = 0,

@@ -23,13 +23,11 @@ from .fans import (
     EqualSignBases,
     Fan,
     Subfan,
-    all_cones,
     betti_numbers,
     complete_bases,
     moved_rays,
     pairings,
     ray_indices,
-    ray_masks,
 )
 from .lattice import first_split_basis, image_and_kernel, splits
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
@@ -109,36 +107,6 @@ def render_terms(terms: PolyTerms) -> str:
         else:
             pieces.append(("- " if c < 0 else "+ ") + body)
     return " ".join(pieces)
-
-
-@lru_cache(maxsize=None)
-def minimal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """Smallest ray sets spanning no cone; all proper subsets span one.
-
-    Each is a nonempty face plus one ray above the face's largest index,
-    sorted by size, then as tuples.  A pair is two rays in no common cone
-    (`Fan` puts every ray in a cone).  A larger set has all its pairs in
-    cones, so a face F is grown only by the rays above F's largest index
-    that share a cone with every ray of F."""
-    faces = all_cones(fan)
-    neighbours = ray_masks(fan).neighbours
-    found = [
-        (a, b)
-        for a, b in combinations(range(len(fan.rays)), 2)
-        if not neighbours[a] >> b & 1
-    ]
-    for face in faces:
-        if len(face) < 2:
-            continue
-        # -(2 << k) clears bits 0..k: the common neighbours above face[-1]
-        above = reduce(and_, (neighbours[i] for i in face)) & -(2 << face[-1])
-        for r in ray_indices(above):
-            grown = face + (r,)
-            if grown not in faces and all(
-                grown[:k] + grown[k + 1 :] in faces for k in range(len(face))
-            ):
-                found.append(grown)
-    return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +338,6 @@ def emit_presentation(
     members = building.members
     m = len(members)
 
-    nonfaces = minimal_nonfaces(fan)
     linear = character_linear_forms(fan)
 
     ray_products = [
@@ -418,7 +385,7 @@ def emit_presentation(
     return PresentationIdeal(
         ray_count=len(fan.rays),
         member_count=m,
-        nonface_monomials=nonfaces,
+        nonface_monomials=fan.minimal_nonfaces,
         linear_forms=linear,
         ray_member_products=tuple(ray_products),
         member_relations=tuple(relations),

@@ -23,7 +23,6 @@ from wondertoric.fans import (
     Fan,
     FanReport,
     Subfan,
-    all_cones,
     betti_numbers,
     equal_sign_basis,
     equal_sign_holds,
@@ -44,7 +43,6 @@ from wondertoric.models import (
     poincare,
     rank_via_blowup_recursion,
 )
-from wondertoric.presentation import minimal_nonfaces
 from wondertoric.typea import minimal_equal_coordinate_building
 
 P2 = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
@@ -99,8 +97,6 @@ def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
     det_calls = _count_calls(monkeypatch, "determinant", determinant)
     smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
-    # other tests may have read these fans already
-    fans._kinds.cache_clear()
     # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3;
     # every cone is full-dimensional, so each takes a determinant
     fan = Fan.make(
@@ -132,16 +128,14 @@ def test_kinds_of_a_full_dimensional_fan_make_no_hermite_form(monkeypatch):
     # one determinant per cone of weyl_fan_A(5) (120 Hermite forms before)
     calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
     det_calls = _count_calls(monkeypatch, "determinant", determinant)
-    fans._kinds.cache_clear()
     fan = weyl_fan_A(5)
-    assert fans._kinds(fan) == (True, True, True)
+    assert fan.kinds == (True, True, True)
     assert len(det_calls) == len(fan.maximal_cones) == 120
     assert calls == []
 
 
 def test_validation_split_search_and_subfan_make_no_smith_form(monkeypatch):
     smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
-    fans._kinds.cache_clear()
     lattice._smith_of.cache_clear()
     fan = weyl_fan_A(4)
     assert validate(fan).smooth
@@ -284,15 +278,15 @@ def _structure_cases():
 
 def test_kinds_and_minimal_nonfaces_match_references():
     for label, fan in _structure_cases():
-        kinds = fans._kinds(fan)
+        kinds = fan.kinds
         assert kinds == _reference_kinds(fan), label
         if kinds[0]:
-            assert minimal_nonfaces(fan) == _minimal_nonfaces_by_definition(
+            assert fan.minimal_nonfaces == _minimal_nonfaces_by_definition(
                 fan
             ), label
         else:
             with pytest.raises(ValidationError, match="not simplicial"):
-                minimal_nonfaces(fan)
+                fan.minimal_nonfaces
 
 
 def _negatives_per_cone(fan):
@@ -324,7 +318,7 @@ def _negatives_per_cone(fan):
 def test_betti_numbers_match_the_generic_vector_count():
     checked = 0
     for label, fan in _structure_cases():
-        if not fan.ambient_dim or not all(fans._kinds(fan)):
+        if not fan.ambient_dim or not all(fan.kinds):
             continue
         counts = _negatives_per_cone(fan)
         # v lies in exactly one maximal cone
@@ -458,7 +452,7 @@ def _resolved_lattices():
 
 
 def test_subfan_matches_the_cone_walk():
-    smooth_complete = {fan for _, fan in _structure_cases() if all(fans._kinds(fan))}
+    smooth_complete = {fan for _, fan in _structure_cases() if all(fan.kinds)}
     compared = Counter()
     for fan, bases, elements in _resolved_lattices():
         assert fan in smooth_complete
@@ -474,7 +468,7 @@ def test_subfan_betti_matches_the_restricted_fan():
     compared = 0
     for fan, bases, elements in _resolved_lattices():
         # so the memo takes the clique route; the other has its own test
-        assert fans.is_flag(fan)
+        assert fan.is_flag
         for gamma in {element.gamma for element in elements}:
             betti = betti_numbers(subfan(fan, gamma).fan)
             assert bases.subfan_betti(gamma) == betti, gamma
@@ -485,15 +479,15 @@ def test_subfan_betti_matches_the_restricted_fan():
 def test_flag_verdict_matches_the_minimal_nonfaces():
     verdicts = Counter()
     for label, fan in _structure_cases():
-        if not fans._kinds(fan)[0]:
+        if not fan.kinds[0]:
             continue
         if not fan.maximal_cones:
             # without the zero cone the one minimal nonface is the empty
             # set, which `minimal_nonfaces` does not list
-            assert not fans.is_flag(fan), label
+            assert not fan.is_flag, label
             continue
-        pairs = all(len(nonface) == 2 for nonface in minimal_nonfaces(fan))
-        assert fans.is_flag(fan) == pairs, label
+        pairs = all(len(nonface) == 2 for nonface in fan.minimal_nonfaces)
+        assert fan.is_flag == pairs, label
         verdicts[pairs] += 1
     assert verdicts[True] > 70 and verdicts[False] >= 2, verdicts
 
@@ -519,8 +513,8 @@ def test_subfan_betti_of_fans_that_are_not_flag_restrict_them(monkeypatch):
         [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
         [cone + (line,) for cone in P2.maximal_cones for line in (3, 4)],
     )
-    assert not fans.is_flag(P2) and not fans.is_flag(p2_line)
-    assert minimal_nonfaces(P2) == ((0, 1, 2),)
+    assert not P2.is_flag and not p2_line.is_flag
+    assert P2.minimal_nonfaces == ((0, 1, 2),)
     # no character of P^2 is equal-sign
     for fan, rows, betti in (
         (P2, [], (1, 1, 1)),
@@ -538,7 +532,7 @@ def test_model_ranks_on_a_flag_fan_restrict_no_fan(monkeypatch):
     restricted = _counting_restrictions(monkeypatch)
     _, building = minimal_equal_coordinate_building(4)
     fan = weyl_fan_A(4)
-    assert fans.is_flag(fan)
+    assert fan.is_flag
     bases = EqualSignBases(fan)
     total = poincare(building, fan, bases).total
     assert total == rank_via_blowup_recursion(building, fan, bases) == (1, 16, 16, 1)
@@ -574,7 +568,7 @@ def test_validate_rejects_bad_rays():
 
 
 def test_all_cones_counts():
-    cones = all_cones(P2)
+    cones = P2.faces
     assert () in cones
     assert len(cones) == 1 + 3 + 3
     assert f_vector(P2) == (1, 3, 3)

@@ -272,6 +272,30 @@ def test_plan_routes_match_the_reference(split, n, rows, values, monkeypatch):
     assert _solve(n, rows, values) == _reference_solve(n, rows, values)
 
 
+def test_saturation_keeps_the_hermite_kernels(monkeypatch):
+    """A plan whose rows do not split saturates them through two kernels;
+    each kernel's Hermite basis comes off `image_and_kernel` and is kept as
+    it is, not reduced again (which took a Hermite form of () and of the
+    identity)."""
+    calls, hermite_form = [], lattice.hermite_form
+
+    def counted(rows, width=None):
+        calls.append(tuple(map(tuple, rows)))
+        return hermite_form(rows, width)
+
+    monkeypatch.setattr(lattice, "hermite_form", counted)
+    monkeypatch.setattr("wondertoric.layers.hermite_form", counted)
+    _plan.cache_clear()
+    sat, _ = _plan(2, ((1, 1), (1, -1)))
+    assert sat.basis == ((1, 0), (0, 1))
+    assert calls == [
+        ((1, 1, 1, 0), (1, -1, 0, 1)),  # [rows | I]: basis (1, 1), (0, 2)
+        ((1, 0, 1, 0), (1, 2, 0, 1)),  # its kernel: ()
+        ((1, 0), (0, 1)),  # the kernel of (): Z^2
+        ((1, 1, 1, 0), (1, -1, 0, 1)),  # [coords | I] in Z^2
+    ]
+
+
 def test_equal_coordinate_closure_never_saturates(monkeypatch):
     """Every equal-coordinate lattice has a unit-pivot Hermite basis, and
     every atom has rank 1, so the n = 5 closure meets each atom by one

@@ -37,7 +37,6 @@ from wondertoric.presentation import (
     emit_presentation,
     _face_monomials,
     _relation_rows,
-    minimal_nonfaces,
     mono_mul,
     mono_powers,
     monomial_basis,
@@ -121,13 +120,13 @@ def test_face_monomial_counts_match_f_vector(fan):
 
 
 def test_minimal_nonfaces_projective_plane():
-    assert minimal_nonfaces(P2) == ((0, 1, 2),)
+    assert P2.minimal_nonfaces == ((0, 1, 2),)
 
 
 def test_minimal_nonfaces_product_of_lines():
     fan = orthant_fan(2)
     # rays ordered (1,0),(-1,0),(0,1),(0,-1): opposite pairs never span a cone
-    assert minimal_nonfaces(fan) == ((0, 1), (2, 3))
+    assert fan.minimal_nonfaces == ((0, 1), (2, 3))
 
 
 def test_linear_forms_projective_plane():
