@@ -6,7 +6,11 @@ Builds the poset of the equal-coordinate arrangement of order 7 and its
 building set of single-block layers, checks that the building set is well
 connected, then validates the Weyl fan of A6 as its own stage: simplicial,
 smooth and complete, with Betti numbers the Eulerian numbers of order 7.
-It then checks that the poset has 877 elements and that `poincare`, the
+It then checks that the poset has 877 elements, that its characteristic
+polynomial sum_x mu(T, x) (q - 1)^dim x, read off the poset by
+`characteristic_polynomial` of `tests/equal_coordinate.py` with no solver,
+is (q - 2)(q - 3)...(q - 7) (a point off the arrangement is 7 distinct
+nonzero coordinates modulo the diagonal), and that `poincare`, the
 blowup-recursion oracle and coefficient 7 of `toric_poincare_series(7)` all
 equal (1, 219, 3292, 7723, 3292, 219, 1), on that fan.  On the `poincare`
 result it already has, it runs the
@@ -16,11 +20,12 @@ subfan's Betti numbers are the Eulerian numbers of its component count c, and
 the (degree, c) pairs over its admissible functions are those of the 1630
 admissible forests on 7 leaves, and its contribution is, summed over its
 functions f, q^deg(f) times the hook-statistic polynomial of c letters.
-Prints each stage's wall time, the poset closure and the building set
-apart, then the peak RSS of the process, the closure's solver calls
-(counted by wrapping `wondertoric.layers.intersect`; 0, since every
-equal-coordinate lattice has a Hermite basis with unit pivots and every
-atom has rank 1, so each meet is one reduction modulo Gamma_x), the meets
+Prints each stage's wall time, the poset closure, the building set and the
+characteristic polynomial apart, then the peak RSS of the process, the
+closure's solver calls (counted by wrapping `wondertoric.layers.intersect`;
+0, since every equal-coordinate lattice has a Hermite basis with unit
+pivots and every atom has rank 1, so each meet is one reduction modulo
+Gamma_x), the meets
 that reduction answered (5298 at n = 7) and the shortcut hits, whose meet
 was already known (8835; both counted by wrapping the methods of
 `layers._RankOneMeets`), the hits of the solver's bounded plan cache, how
@@ -31,12 +36,12 @@ holds: lattices found, subfan Betti numbers, subfans and extensions
 a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
 the fan's flag verdict (`Fan.is_flag`, an attribute the fan computes once;
 True), and last the total wall time, counted from before `wondertoric` is
-imported; exits 1 on any mismatch.  Three runs took 0.9 to 1.4 s, median 0.9 s: the poset closure
-0.2 to 0.3 s, the building set 0.0 to 0.1 s, the well-connectedness
-check 0.03 to 0.04 s, `validate` 0.2 to 0.3 s, `poincare` 0.2 to 0.4 s
-and the per-support checks 0.1 s (Python 3.11, a shared 2-core host),
-too long for the tier-1 tests, which stop at n = 6.  The stages are one function, `check`, which
-`check_eqc8.py` runs at n = 8.
+imported; exits 1 on any mismatch.  Three runs took 0.7 s each: the poset
+closure 0.1 s, the building set under 0.05 s, the characteristic
+polynomial 0.01 s, the well-connectedness check 0.02 s, `validate` 0.2 s,
+`poincare` 0.2 s and the per-support checks 0.1 s (Python 3.11, a shared
+2-core host), too long for the tier-1 tests, which stop at n = 6.  The
+stages are one function, `check`, which `check_eqc8.py` runs at n = 8.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ from wondertoric.lattice import Sublattice  # noqa: E402
 from wondertoric.typea import minimal_equal_coordinate_building  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from equal_coordinate import check_supports  # noqa: E402
+from equal_coordinate import characteristic_polynomial, check_supports  # noqa: E402
+from wondertoric.series import _qp_mul  # noqa: E402
 
 def check(n, elements, total, support_rows, forests) -> int:
     """Run every stage of the order-`n` check against the expected poset
@@ -127,6 +133,9 @@ def check(n, elements, total, support_rows, forests) -> int:
     print(f"poset closure: {closure_s[0]:.1f} s")
     print(f"building set: {building_s:.1f} s")
     start = perf_counter()
+    chi = tuple(characteristic_polynomial(poset))
+    print(f"characteristic polynomial: {perf_counter() - start:.2f} s")
+    start = perf_counter()
     connect = is_well_connected(building)
     print(f"well-connectedness: {perf_counter() - start:.2f} s")
     start = perf_counter()
@@ -167,6 +176,12 @@ def check(n, elements, total, support_rows, forests) -> int:
     )
     expect("fan Betti numbers", betti_numbers(fan), eulerian(n)[1:])
     expect("poset elements", len(poset.elements), elements)
+    # a point off the arrangement is n distinct nonzero coordinates modulo
+    # the diagonal: chi(q) = (q - 2)(q - 3)...(q - n), ascending in q
+    closed = (1,)
+    for a in range(2, n + 1):
+        closed = _qp_mul(closed, (-a, 1))
+    expect("chi(q) = (q - 2)...(q - n)", chi, closed)
     expect("well connected", connect.ok, True)
     expect("poincare", result.total, total)
     expect("support rows and admissible forests", counts, (support_rows, forests))

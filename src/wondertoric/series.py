@@ -4,11 +4,11 @@ divides, so each coefficient is a tuple of ints, in ascending powers of q.
 
 The tree series and the hook-statistic series are solved from their
 functional equations, coefficient by coefficient; nothing is enumerated to
-build them.  The enumerations they replace stay as independent oracles:
+build them.  Two independent routes stay as oracles: the enumeration
 `typea.admissible_trees`, and `lec_series`, which counts the hook statistic
-over every permutation through `typea.lec_counts`, visiting each one once
-from its right end with the scan state of `typea.hook_factorize`.  The
-tests compare both routes, and `typea verify` keeps an enumerative
+by its definition through `typea.lec_counts`, over the 2^n relabelled scan
+states of `typea.hook_factorize` rather than the n! permutations.  The
+tests compare both routes, and `typea verify` keeps the counted
 equidistribution check through t^8.
 
 The descent series reads the Eulerian polynomials of `typea.eulerian`, so
@@ -251,10 +251,11 @@ def hook_series(order: int) -> TruncatedSeries:
 
 
 def lec_series(order: int) -> TruncatedSeries:
-    """Hook-inversion statistic counted over every permutation, by size: the
-    enumerative route to `hook_series`.  Coefficient n reads
-    `typea.lec_counts(n)`, which visits each permutation once, from its
-    right end, with the scan state of `typea.hook_factorize`."""
+    """Hook-inversion statistic counted over the permutations, by size: the
+    route to `hook_series` by the definition of `lec`.  Coefficient n reads
+    `typea.lec_counts(n)`, which counts the permutations of 1..n over the
+    relabelled scan states of `typea.hook_factorize`, at most 2^n of
+    them."""
     return make_series(order, [()] + [lec_counts(n) for n in range(1, order + 1)])
 
 
@@ -285,8 +286,9 @@ def verify_main_identity(order: int) -> bool:
 
     Since λ = t + O(t^3) is invertible under composition, this also shows
     hook = descent through t^order: the hook-statistic and descent series
-    are equidistributed at the full order.  Only their link to the
-    enumerated `lec` (`lec_series`) stops at t^8 in `typea verify`."""
+    are equidistributed at the full order.  Only their link to `lec`
+    counted by its definition (`lec_series`) stops at t^8 in
+    `typea verify`."""
     lam = tree_series(order + 1)
     # the forest series is e^lambda - 1, whose constant vanishes under d/dt
     direct = lam.exp().derivative_t().sub(series_one(order))

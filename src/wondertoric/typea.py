@@ -195,34 +195,49 @@ def lec(word: Sequence[int]) -> int:
 def lec_counts(n: int) -> tuple[int, ...]:
     """Number of permutations of 1..n with each value 0, 1, ... of `lec`.
 
-    A depth-first walk builds every permutation once, prepending one unused
-    letter at a time, and carries the state of `hook_factorize`'s scan from
-    the right: the open increasing run, its head and the `lec` of the hooks
-    already closed.  A letter below the head extends the run; one above it
-    closes a hook, whose inversions are the run letters below it.
-    Permutations sharing a suffix share the walk's path over it, so its scan
-    is done once; letters and the run are bitmasks.
+    `hook_factorize` scans a word from the right.  Prepending a letter b to
+    the scanned suffix either extends the open increasing run, when b is
+    below the run's head, or closes a hook, adding the run letters below b
+    to `lec` and leaving the run empty.  So the `lec` still to come depends
+    only on the relative order of the free letters and the run letters, and
+    the k free letters can be relabelled 0..k-1.  The state is then
+    (h, tail): h free letters lie below the head, and tail[j] run letters
+    lie below free letter h + j.  Picking i < h extends the run, to
+    (i, (1,) * (h - i - 1) + (p + 1 for p in tail)); picking h + j closes a
+    hook, adding tail[j], to (k - 1, ()).
+
+    A state is a word in free and run letters, read upwards to the top free
+    letter: k free letters, at most n - k run letters, ending in a free one.
+    Padded with run letters to length n these words stay distinct, so there
+    are at most 2^n states (exactly 2^n for n <= 10), against n! leaves for
+    a walk over the permutations.  Each state's counts are computed once,
+    in a memo that lives for this call only.
     """
     if n < 0:
         raise ValidationError("need a nonnegative size")
-    counts = [0] * max(n, 1)
-    top = 1 << n  # the head after a hook closes: every letter extends the run
+    memo: dict[tuple[int, Word], Word] = {}
 
-    def walk(free: int, run: int, head: int, total: int) -> None:
-        if not free:
-            counts[total] += 1
-            return
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if bit < head:
-                walk(free ^ bit, run | bit, bit, total)
-            else:
-                walk(free ^ bit, 0, top, total + (run & (bit - 1)).bit_count())
+    def add(out: list[int], counts: Word, shift: int) -> None:
+        out.extend([0] * (shift + len(counts) - len(out)))
+        for d, c in enumerate(counts, start=shift):
+            out[d] += c
 
-    walk(top - 1, 0, top, 0)
-    return tuple(counts)
+    def count(h: int, tail: Word) -> Word:
+        if not h and not tail:
+            return (1,)  # every letter is placed
+        key = (h, tail)
+        if key not in memo:
+            out = [0]
+            for i in range(h):
+                add(out, count(i, (1,) * (h - i - 1) + tuple(p + 1 for p in tail)), 0)
+            if tail:
+                fresh = count(h + len(tail) - 1, ())
+                for p in tail:
+                    add(out, fresh, p)
+            memo[key] = tuple(out)
+        return memo[key]
+
+    return count(n, ())
 
 
 def hook_from_set(labels: Sequence[int], inversion_count: int) -> Word:

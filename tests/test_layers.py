@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm, prod
+from math import lcm, prod
 
 import pytest
 
 from arrgen import random_cases
+from equal_coordinate import characteristic_polynomial
 from wondertoric import lattice
 from wondertoric.errors import MathAssertionError, ValidationError
 from wondertoric.fans import (
@@ -645,22 +646,6 @@ def test_components_walk_matches_every_bit_reference():
         ), subset
 
 
-def _characteristic_polynomial(poset):
-    """Coefficients, of q^0 up, of chi(q) = sum over the elements x of
-    mu(T, x) (q - 1)^dim x.  The Moebius function is read off `below`:
-    mu(T, T) = 1, and mu(T, x) is minus the sum of mu(T, y) over the y
-    properly containing x, which come before x."""
-    r, below = poset.torus_dim, poset.below
-    mu, coeffs = [], [0] * (r + 1)
-    for j, x in enumerate(poset.elements):
-        m = -sum(mu[i] for i in range(j) if below[i] >> j & 1) if j else 1
-        mu.append(m)
-        d = r - x.rank
-        for k in range(d + 1):
-            coeffs[k] += m * comb(d, k) * (-1) ** (d - k)
-    return coeffs
-
-
 def _points_off_atoms(torus_dim, atoms, q):
     """Points of (F_q^*)^r on no atom, by brute force.  With t = g^e for a
     generator g of F_q^*, and e^(2 pi i a/b) mapped to g^(a (q - 1)/b), an
@@ -689,7 +674,7 @@ def test_characteristic_polynomial_of_the_equal_coordinate_closure():
             want = [(want[k - 1] if k else 0) - a * (want[k] if k < len(want) else 0)
                     for k in range(len(want) + 1)]
         poset = poset_of_layers(n - 1, equal_coordinate_arrangement(n))
-        assert _characteristic_polynomial(poset) == want, n
+        assert characteristic_polynomial(poset) == want, n
 
 
 def _point_count_cases():
@@ -707,7 +692,7 @@ def test_characteristic_polynomial_counts_points_over_finite_fields():
     no solver.  Checked at the first two such primes from 5."""
     for label, torus_dim, layers in _point_count_cases():
         poset = poset_of_layers(torus_dim, layers)
-        coeffs = _characteristic_polynomial(poset)
+        coeffs = characteristic_polynomial(poset)
         period = lcm(*(v.denominator for el in poset.elements for v in el.phi))
         primes = [
             q

@@ -157,6 +157,10 @@ def test_hook_series_matches_permutation_sum():
     assert hook_series(0) == lec_series(0)
 
 
+def test_hook_series_matches_the_counted_statistic_at_order_12():
+    assert hook_series(12) == lec_series(12)
+
+
 def test_series_coefficients_are_ints():
     for series in (tree_series, hook_series, eulerian_series, toric_poincare_series):
         s = series(10)
