@@ -28,19 +28,22 @@ pivots and every atom has rank 1, so each meet is one reduction modulo
 Gamma_x), the meets
 that reduction answered (5298 at n = 7) and the shortcut hits, whose meet
 was already known (8835; both counted by wrapping the methods of
-`layers._RankOneMeets`), the hits of the solver's bounded plan cache, how
-many plans took the saturation route (counted by wrapping
+`layers._RankOneMeets`), the layers the closure built (856, counted by
+wrapping `Layer.__post_init__`: the torus and one per element that is
+neither it nor an atom, since the closure keys its elements by integers
+and builds a layer only for a new key), the hits of the solver's bounded
+plan cache, how many plans took the saturation route (counted by wrapping
 `Sublattice.saturation`; 0), what the fan's shared equal-sign resolver
 holds: lattices found, subfan Betti numbers, subfans and extensions
 (`poincare` and the oracle share it and read only its Betti memo, so on
 a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
 the fan's flag verdict (`Fan.is_flag`, an attribute the fan computes once;
 True), and last the total wall time, counted from before `wondertoric` is
-imported; exits 1 on any mismatch.  Three runs took 0.7 s each: the poset
-closure 0.1 s, the building set under 0.05 s, the characteristic
-polynomial 0.01 s, the well-connectedness check 0.02 s, `validate` 0.2 s,
-`poincare` 0.2 s and the per-support checks 0.1 s (Python 3.11, a shared
-2-core host), too long for the tier-1 tests, which stop at n = 6.  The
+imported; exits 1 on any mismatch.  Three runs took 0.8 to 0.9 s: the
+poset closure 0.1 s, the building set under 0.05 s, the characteristic
+polynomial 0.01 s, the well-connectedness check 0.03 s, `validate` 0.2 s,
+`poincare` 0.2 to 0.3 s and the per-support checks 0.1 s (Python 3.11, a
+shared 2-core host), too long for the tier-1 tests, which stop at n = 6.  The
 stages are one function, `check`, which `check_eqc8.py` runs at n = 8.
 """
 
@@ -86,11 +89,13 @@ def check(n, elements, total, support_rows, forests) -> int:
             failures.append(f"{what}: got {got!r}, expected {want!r}")
 
     # time the closure, and count the solver calls, the rank-1 reductions,
-    # the meets they answer without the solver and the plans that take the
-    # saturation route, by wrapping the names they are looked up under
-    solved, reduced, meets, direct, saturated = [0], [0], [0], [0], [0]
+    # the meets they answer without the solver, the layers the closure
+    # builds and the plans that take the saturation route, by wrapping the
+    # names they are looked up under
+    solved, reduced, meets, direct, built, saturated = [0], [0], [0], [0], [0], [0]
     closure_s = [0.0]
     intersect, saturation, closure = layers.intersect, Sublattice.saturation, typea.poset_of_layers
+    post_init = layers.Layer.__post_init__
     reduce, meet = layers._RankOneMeets.reduce, layers._RankOneMeets.meet
 
     def counted(a, b):
@@ -111,12 +116,18 @@ def check(n, elements, total, support_rows, forests) -> int:
         saturated[0] += 1
         return saturation(lattice)
 
+    def counted_post_init(layer):
+        built[0] += 1
+        post_init(layer)
+
     def timed_closure(*args):
+        layers.Layer.__post_init__ = counted_post_init
         begin = perf_counter()
         try:
             return closure(*args)
         finally:
             closure_s[0] = perf_counter() - begin
+            layers.Layer.__post_init__ = post_init
 
     start = perf_counter()
     layers.intersect, Sublattice.saturation = counted, counted_saturation
@@ -160,6 +171,7 @@ def check(n, elements, total, support_rows, forests) -> int:
     print(f"closure direct meets: {direct[0]}")
     # a reduction that reaches no `meet` is a shortcut hit
     print(f"closure shortcut hits: {reduced[0] - meets[0]}")
+    print(f"closure layers built: {built[0]}")
     print(f"layers._plan: {layers._plan.cache_info()}")
     print(f"plans by the saturation route: {saturated[0]}")
     shared = resolve_bases(fan, fan.ambient_dim)

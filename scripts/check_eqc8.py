@@ -12,15 +12,18 @@ and `poincare`, the blowup-recursion oracle and coefficient 8 of
 (1, 466, 13333, 63173, 63173, 13333, 466, 1).  The per-support checks cover
 its 8249 supports and the 14747 admissible forests on 8 leaves.  Prints each
 stage's wall time, the closure's solver calls (0), its meets by reduction
-modulo Gamma_x (30771) and shortcut hits (60565), the plans that took the
+modulo Gamma_x (30771) and shortcut hits (60565), the layers it built
+(4112: the torus and its 4111 new elements), the plans that took the
 saturation route (0), the shared resolver's 871 subfan Betti numbers and
 0 subfans, the fan's flag verdict (True) and the total wall time, and
-exits 1 on any mismatch.  Three runs took 8.6 to 9.5 s, median 9.5 s:
-the poset closure 1.0 to 1.2 s, the building set 0.4 s, the
-characteristic polynomial 0.06 s, the well-connectedness check 0.68 to
-0.78 s, `validate` 2.5 to 2.9 s, `poincare` 2.3 to 2.7 s, the oracle
-0.2 s, the per-support checks 0.9 to 1.3 s (Python 3.11, a shared 2-core
-host); peak RSS 142 MiB.
+exits 1 on any mismatch.  Three runs took 10.2 to 11.6 s, median 11.2 s:
+the poset closure 0.7 to 0.8 s, the building set 0.4 to 0.5 s, the
+characteristic polynomial 0.06 to 0.08 s, the well-connectedness check
+0.84 to 1.0 s, `validate` 3.1 to 3.7 s, `poincare` 2.6 to 3.3 s, the
+oracle 0.2 to 0.3 s, the per-support checks 1.3 to 1.5 s (Python 3.11, a
+shared 2-core host, where three runs of the same script with a `Layer`
+built per meet took 9.9 to 11.8 s, the closure 1.1 to 1.5 s); peak RSS
+142 MiB.
 """
 
 from __future__ import annotations

@@ -596,7 +596,7 @@ def _cmd_typea_verify(args) -> int:
         raise ValidationError(f"series order {order} is below 1")
     recurrence = verify_lambda_recurrence(order)
     identity = verify_main_identity(order)
-    stat_order = min(order, 8)
+    stat_order = min(order, 12)
     equidistributed = lec_series(stat_order) == eulerian_series(stat_order)
     checks = [
         (f"tree-series recurrence through t^{order}", recurrence),

@@ -428,7 +428,7 @@ class Subfan:
     parent_rays: tuple[int, ...]
 
 
-def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
+def subfan(fan: Fan, gamma: Sublattice, moved: int | None = None) -> Subfan:
     """Restrict `fan` to the faces lying in the annihilator of `gamma`.
 
     `fan` is trusted to be complete, and `gamma` to be a split summand of
@@ -437,10 +437,13 @@ def subfan(fan: Fan, gamma: Sublattice) -> Subfan:
     simplicial fan, so it is pure: its maximal cones are the restricted
     cones of full dimension.  `complete_bases` checks the first, and
     `EqualSignBases.subfan` the other two.  The annihilator's rays,
-    `on_flagged`, are the complement of `moved_rays` of `gamma`'s basis."""
+    `on_flagged`, are the complement of `moved`, the `moved_rays` of
+    `gamma`'s basis, computed here when not passed."""
     kernel = gamma.kernel_lattice()
     m = kernel.rank
-    on_flagged = ~moved_rays(fan, gamma.basis) & ((1 << len(fan.rays)) - 1)
+    if moved is None:
+        moved = moved_rays(fan, gamma.basis)
+    on_flagged = ~moved & ((1 << len(fan.rays)) - 1)
     flagged = list(ray_indices(on_flagged))
     new_rays = []
     for i in flagged:
@@ -467,7 +470,8 @@ class EqualSignBases:
     Supplied bases are verified here and nowhere else: as many rows as the
     rank of the lattice they span, every row equal-sign on `fan`.  Other
     lattices are searched with coefficient height up to `bound`.  Searches,
-    subfans, subfan Betti numbers and extensions are memoized per lattice and
+    moved-ray masks, subfans, subfan Betti numbers and extensions are
+    memoized per lattice and
     call this module's functions through its globals, so rebinding those is
     seen.  The fan's own tables (`Fan.kinds`, `Fan.is_flag`,
     `Fan.neighbours`) are its cached attributes, so no lookup hashes it.
@@ -485,6 +489,7 @@ class EqualSignBases:
             raise ValidationError(f"equal-sign search bound {bound} is below 1")
         self.fan, self.bound = fan, bound
         self._found: dict[Sublattice, IntMatrix | None] = {}
+        self._moved: dict[Sublattice, int] = {}
         self._subfans: dict[Sublattice, Subfan] = {}
         self._betti: dict[Sublattice, tuple[int, ...]] = {}
         self._extensions: dict[tuple[Sublattice, Sublattice], IntMatrix] = {}
@@ -524,25 +529,32 @@ class EqualSignBases:
             raise ValidationError("character lattice is not a split summand")
         self.rows(gamma)
 
+    def moved(self, gamma: Sublattice) -> int:
+        """`moved_rays` of `gamma`'s basis: the rays off its annihilator,
+        which its subfan leaves out."""
+        if gamma not in self._moved:
+            self._moved[gamma] = moved_rays(self.fan, gamma.basis)
+        return self._moved[gamma]
+
     def subfan(self, gamma: Sublattice) -> Subfan:
         """`subfan` along `gamma`, once `gamma` is checked to be split and
         to have an equal-sign basis."""
         if gamma not in self._subfans:
             self._check_restrictable(gamma)
-            self._subfans[gamma] = subfan(self.fan, gamma)
+            self._subfans[gamma] = subfan(self.fan, gamma, self.moved(gamma))
         return self._subfans[gamma]
 
     def subfan_betti(self, gamma: Sublattice) -> tuple[int, ...]:
         """`betti_numbers` of the subfan along `gamma`, under the checks of
         `subfan`.  On a smooth complete flag fan the subfan's faces are the
-        cliques among the rays that `gamma` moves not (`moved_rays`), so the
+        cliques among the rays that `gamma` moves not (`moved`), so the
         f-vector is their `clique_counts` and no fan is restricted; on any
         other fan the Betti numbers are read off `subfan`."""
         if gamma not in self._betti:
             fan = self.fan
             if all(fan.kinds) and fan.is_flag:
                 self._check_restrictable(gamma)
-                flagged = ~moved_rays(fan, gamma.basis) & ((1 << len(fan.rays)) - 1)
+                flagged = ~self.moved(gamma) & ((1 << len(fan.rays)) - 1)
                 self._betti[gamma] = _betti_of_f_vector(
                     clique_counts(fan.neighbours, flagged), fan.ambient_dim - gamma.rank
                 )

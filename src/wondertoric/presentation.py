@@ -25,7 +25,6 @@ from .fans import (
     Subfan,
     betti_numbers,
     complete_bases,
-    moved_rays,
     pairings,
     ray_indices,
 )
@@ -326,7 +325,8 @@ def emit_presentation(
 
     Class list: (a) square-free non-face monomials, (b) one linear form per
     ambient coordinate, (c) C_r T_G for the rays r that some character of
-    G's lattice pairs to nonzero, the rays not in G's subfan (`moved_rays`),
+    G's lattice pairs to nonzero, the rays not in G's subfan (the mask
+    `bases.moved`, shared with the subfans and their Betti numbers),
     (d) one relation per (member, set of strictly larger members), stored by
     its restriction factors over an equal-sign basis extension and expanded
     only when its `terms` are read, (e) products over member sets with empty
@@ -343,7 +343,7 @@ def emit_presentation(
     ray_products = [
         (i, g)
         for g, layer in enumerate(members)
-        for i in ray_indices(moved_rays(fan, layer.gamma.basis))
+        for i in ray_indices(bases.moved(layer.gamma))
     ]
 
     strictly_above = [

@@ -9,7 +9,7 @@ build them.  Two independent routes stay as oracles: the enumeration
 by its definition through `typea.lec_counts`, over the 2^n relabelled scan
 states of `typea.hook_factorize` rather than the n! permutations.  The
 tests compare both routes, and `typea verify` keeps the counted
-equidistribution check through t^8.
+equidistribution check through t^12.
 
 The descent series reads the Eulerian polynomials of `typea.eulerian`, so
 the descent recurrence has one home.  Its checks stay independent of it:
@@ -287,7 +287,7 @@ def verify_main_identity(order: int) -> bool:
     Since λ = t + O(t^3) is invertible under composition, this also shows
     hook = descent through t^order: the hook-statistic and descent series
     are equidistributed at the full order.  Only their link to `lec`
-    counted by its definition (`lec_series`) stops at t^8 in
+    counted by its definition (`lec_series`) stops at t^12 in
     `typea verify`."""
     lam = tree_series(order + 1)
     # the forest series is e^lambda - 1, whose constant vanishes under d/dt

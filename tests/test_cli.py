@@ -698,8 +698,16 @@ def test_typea_verify_beyond_the_enumerated_orders(capsys):
     assert json.loads(out)["checks"] == {
         "tree-series recurrence through t^12": True,
         "statistic composite identity through t^12": True,
-        "hook/descent equidistribution through t^8": True,
+        "hook/descent equidistribution through t^12": True,
     }
+
+
+def test_typea_verify_counts_the_statistic_through_t12(capsys):
+    # the counted link stops at t^12 however far the series identities go
+    code, out, _ = run(capsys, ["typea", "verify", "--order", "13"])
+    assert code == 0
+    assert "statistic composite identity through t^13: pass" in out
+    assert "hook/descent equidistribution through t^12: pass" in out
 
 
 def test_typea_verify_rejects_order_below_1(capsys):

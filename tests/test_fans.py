@@ -497,9 +497,9 @@ def _counting_restrictions(monkeypatch) -> list:
     restricted = []
     restrict = fans.subfan
 
-    def counted(fan, gamma):
+    def counted(fan, gamma, *moved):
         restricted.append(gamma)
-        return restrict(fan, gamma)
+        return restrict(fan, gamma, *moved)
 
     monkeypatch.setattr(fans, "subfan", counted)
     return restricted

@@ -11,7 +11,7 @@ import pytest
 from arrgen import random_cases
 from hilbert import presentation_hilbert_function
 from smith import smith_basis_in_degree, split_rank
-from wondertoric import presentation
+from wondertoric import fans, presentation
 from wondertoric.cli import EXAMPLES, _model_inputs, reproduction_text
 from wondertoric.errors import MathAssertionError, ValidationError
 from wondertoric.fans import (
@@ -443,6 +443,37 @@ def test_ray_member_products_are_the_rays_off_each_subfan():
         for g, member in enumerate(building.members):
             off = set(range(len(fan.rays))) - set(bases.subfan(member.gamma).parent_rays)
             assert {i for i, h in products if h == g} == off, (label, g)
+            # and they are the rays some basis row pairs to nonzero, by a dot
+            # per ray and row
+            moved = {
+                i
+                for i, ray in enumerate(fan.rays)
+                if any(sum(a * b for a, b in zip(row, ray)) for row in member.gamma.basis)
+            }
+            assert off == moved, (label, g)
+
+
+def test_resolver_pairs_each_lattice_with_the_rays_once(monkeypatch):
+    """`poincare`, class (c) and the member subfans read one moved-ray mask
+    per lattice from the shared resolver: `moved_rays` runs once for each
+    lattice any of them reads."""
+    lattices = []
+    original = fans.moved_rays
+
+    def counted(fan, rows):
+        lattices.append(rows)
+        return original(fan, rows)
+
+    monkeypatch.setattr(fans, "moved_rays", counted)
+    for example in sorted(EXAMPLES):
+        building, bases = _example_inputs(example)
+        lattices.clear()
+        poincare(building, bases.fan, bases)
+        emit_presentation(building, bases.fan, bases)
+        for member in building.members:
+            bases.subfan(member.gamma)
+        assert lattices, example
+        assert len(lattices) == len(set(lattices)), example
 
 
 def _empty_intersections_by_components(building):
