@@ -22,8 +22,8 @@ admissible forests on 7 leaves, and its contribution is, summed over its
 functions f, q^deg(f) times the hook-statistic polynomial of c letters.
 Prints each stage's wall time, the poset closure, the building set and the
 characteristic polynomial apart, then the peak RSS of the process, the
-closure's solver calls (counted by wrapping `wondertoric.layers.intersect`;
-0, since every equal-coordinate lattice has a Hermite basis with unit
+closure's solver calls (counted by wrapping `wondertoric.layers._solve_keys`,
+which the closure calls for the keys of a meet's components; 0, since every equal-coordinate lattice has a Hermite basis with unit
 pivots and every atom has rank 1, so each meet is one reduction modulo
 Gamma_x), the meets
 that reduction answered (5298 at n = 7) and the shortcut hits, whose meet
@@ -39,10 +39,10 @@ holds: lattices found, subfan Betti numbers, subfans and extensions
 a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
 the fan's flag verdict (`Fan.is_flag`, an attribute the fan computes once;
 True), and last the total wall time, counted from before `wondertoric` is
-imported; exits 1 on any mismatch.  Three runs took 0.8 to 0.9 s: the
+imported; exits 1 on any mismatch.  Three runs took 0.6 to 0.8 s: the
 poset closure 0.1 s, the building set under 0.05 s, the characteristic
 polynomial 0.01 s, the well-connectedness check 0.03 s, `validate` 0.2 s,
-`poincare` 0.2 to 0.3 s and the per-support checks 0.1 s (Python 3.11, a
+`poincare` 0.1 s and the per-support checks 0.1 s (Python 3.11, a
 shared 2-core host), too long for the tier-1 tests, which stop at n = 6.  The
 stages are one function, `check`, which `check_eqc8.py` runs at n = 8.
 """
@@ -94,13 +94,13 @@ def check(n, elements, total, support_rows, forests) -> int:
     # names they are looked up under
     solved, reduced, meets, direct, built, saturated = [0], [0], [0], [0], [0], [0]
     closure_s = [0.0]
-    intersect, saturation, closure = layers.intersect, Sublattice.saturation, typea.poset_of_layers
+    solve, saturation, closure = layers._solve_keys, Sublattice.saturation, typea.poset_of_layers
     post_init = layers.Layer.__post_init__
     reduce, meet = layers._RankOneMeets.reduce, layers._RankOneMeets.meet
 
-    def counted(a, b):
+    def counted(*args):
         solved[0] += 1
-        return intersect(a, b)
+        return solve(*args)
 
     def counted_reduce(self, chi):
         reduced[0] += 1
@@ -130,13 +130,13 @@ def check(n, elements, total, support_rows, forests) -> int:
             layers.Layer.__post_init__ = post_init
 
     start = perf_counter()
-    layers.intersect, Sublattice.saturation = counted, counted_saturation
+    layers._solve_keys, Sublattice.saturation = counted, counted_saturation
     layers._RankOneMeets.reduce, layers._RankOneMeets.meet = counted_reduce, counted_meet
     typea.poset_of_layers = timed_closure
     try:
         poset, building = minimal_equal_coordinate_building(n)
     finally:
-        layers.intersect, Sublattice.saturation = intersect, saturation
+        layers._solve_keys, Sublattice.saturation = solve, saturation
         layers._RankOneMeets.reduce, layers._RankOneMeets.meet = reduce, meet
         typea.poset_of_layers = closure
     building_s = perf_counter() - start - closure_s[0]
@@ -167,7 +167,7 @@ def check(n, elements, total, support_rows, forests) -> int:
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak:.1f} MiB")
-    print(f"closure intersect calls: {solved[0]}")
+    print(f"closure solver calls: {solved[0]}")
     print(f"closure direct meets: {direct[0]}")
     # a reduction that reaches no `meet` is a shortcut hit
     print(f"closure shortcut hits: {reduced[0] - meets[0]}")

@@ -16,14 +16,14 @@ modulo Gamma_x (30771) and shortcut hits (60565), the layers it built
 (4112: the torus and its 4111 new elements), the plans that took the
 saturation route (0), the shared resolver's 871 subfan Betti numbers and
 0 subfans, the fan's flag verdict (True) and the total wall time, and
-exits 1 on any mismatch.  Three runs took 10.2 to 11.6 s, median 11.2 s:
-the poset closure 0.7 to 0.8 s, the building set 0.4 to 0.5 s, the
-characteristic polynomial 0.06 to 0.08 s, the well-connectedness check
-0.84 to 1.0 s, `validate` 3.1 to 3.7 s, `poincare` 2.6 to 3.3 s, the
-oracle 0.2 to 0.3 s, the per-support checks 1.3 to 1.5 s (Python 3.11, a
-shared 2-core host, where three runs of the same script with a `Layer`
-built per meet took 9.9 to 11.8 s, the closure 1.1 to 1.5 s); peak RSS
-142 MiB.
+exits 1 on any mismatch.  Three runs took 6.5 to 7.3 s, median 6.7 s:
+the poset closure 0.5 to 0.7 s, the building set 0.4 to 0.5 s, the
+characteristic polynomial 0.05 to 0.06 s, the well-connectedness check
+0.62 to 0.68 s, `validate` 2.2 to 2.5 s, `poincare` 1.2 to 1.3 s, the
+oracle 0.2 s, the per-support checks 0.9 s (Python 3.11, a shared 2-core
+host, where three runs with a dot product per ray in `pairings` and
+`BuildingSet.components` called once per antichain took 7.5 to 8.2 s,
+`poincare` 2.2 to 2.4 s); peak RSS 142 MiB.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 A fan is stored as primitive integer rays plus maximal cones given by 0-based
 ray index tuples; the constructor refuses any other rays.  Simpliciality,
 smoothness and completeness are checked, not assumed.  The tables read off
-one fan (its kinds, faces, ray bitmasks, flag verdict and minimal nonfaces)
-are cached attributes of the `Fan` itself, computed on first use; reading
-one hashes nothing, and an equal fan built separately computes its own.
+one fan (its kinds, faces, ray bitmasks, coordinate columns, flag verdict
+and minimal nonfaces) are cached attributes of the `Fan` itself, computed on
+first use; reading one hashes nothing, and an equal fan built separately
+computes its own.  A character's pairings with the rays are a sum of the
+columns its nonzero coordinates pick, and a flag fan's minimal nonfaces are
+the pairs of rays its neighbour masks leave apart.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
-from operator import and_, mul
+from operator import add, and_, sub
 from typing import Iterable
 
 from .errors import MathAssertionError, ValidationError
@@ -149,6 +152,12 @@ class Fan:
         return tuple(sum(1 << i for i in cone) for cone in self.maximal_cones)
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The rays' coordinate columns: entry i of column j is ray i's
+        coordinate j."""
+        return tuple(tuple(ray[j] for ray in self.rays) for j in range(self.ambient_dim))
+
+    @cached_property
     def neighbours(self) -> tuple[int, ...]:
         """For each ray the mask of the rays that share a maximal cone with
         it, itself included."""
@@ -175,15 +184,19 @@ class Fan:
 
         Each is a nonempty face plus one ray above the face's largest index,
         sorted by size, then as tuples.  A pair is two rays in no common cone
-        (`Fan` puts every ray in a cone).  A larger set has all its pairs in
+        (`Fan` puts every ray in a cone), and on a flag fan those pairs are
+        all of them.  On any other fan a larger set has all its pairs in
         cones, so a face F is grown only by the rays above F's largest index
         that share a cone with every ray of F."""
-        faces, neighbours = self.faces, self.neighbours
+        neighbours = self.neighbours
         found = [
             (a, b)
             for a, b in combinations(range(len(self.rays)), 2)
             if not neighbours[a] >> b & 1
         ]
+        if self.is_flag:
+            return tuple(found)
+        faces = self.faces
         for face in faces:
             if len(face) < 2:
                 continue
@@ -295,10 +308,33 @@ def clique_counts(neighbours: tuple[int, ...], within: int) -> tuple[int, ...]:
 
 def pairings(fan: Fan, chi) -> tuple[int, ...]:
     """The pairings <chi, r> of the character `chi` with the rays r of `fan`,
-    in ray order: the one place a character meets the rays."""
+    in ray order: the one place a character meets the rays.  They are the
+    sum of chi_j times the column j of the rays' coordinates (`Fan.columns`)
+    over the nonzero chi_j, one or two columns for an equal-coordinate
+    character."""
     if len(chi) != fan.ambient_dim:
         raise ValueError(f"character of length {len(chi)} in dimension {fan.ambient_dim}")
-    return tuple(sum(map(mul, chi, ray)) for ray in fan.rays)
+    return _combination(chi, fan.columns, len(fan.rays))
+
+
+def _combination(coeffs, rows, length: int) -> tuple[int, ...]:
+    """The integer combination sum of c * row over the pairs (c, row) of
+    `coeffs` and `rows` whose c is nonzero; rows have `length` entries.  A
+    coefficient +-1, the common one, adds or subtracts the row with no
+    multiplication."""
+    out = None
+    for c, row in zip(coeffs, rows):
+        if not c:
+            continue
+        if out is None:
+            out = row if c == 1 else [c * x for x in row]
+        elif c == 1:
+            out = list(map(add, out, row))
+        elif c == -1:
+            out = list(map(sub, out, row))
+        else:
+            out = [y + c * x for y, x in zip(out, row)]
+    return (0,) * length if out is None else tuple(out)
 
 
 def moved_rays(fan: Fan, rows) -> int:
@@ -330,23 +366,17 @@ def _one_sign_per_cone(neighbours: tuple[int, ...], values) -> bool:
 def _equal_sign_level(fan: Fan, basis: IntMatrix, height: int):
     """Equal-sign integer combinations of the basis rows whose primitive
     coefficient vectors have max |entry| exactly `height` (one sign
-    representative each), with the values on the rays checked incrementally."""
-    s = len(basis)
+    representative each).  A combination's values on the rays are the same
+    combination of the rows' pairings, and its character the same
+    combination of the rows (`_combination`)."""
     ray_values = [pairings(fan, row) for row in basis]
     out = []
-    for coeffs in _coeff_vectors(s, height):
+    for coeffs in _coeff_vectors(len(basis), height):
         if vector_gcd(coeffs) != 1:
             continue
-        values = [
-            sum(coeffs[i] * ray_values[i][j] for i in range(s))
-            for j in range(len(fan.rays))
-        ]
+        values = _combination(coeffs, ray_values, len(fan.rays))
         if _one_sign_per_cone(fan.neighbours, values):
-            chi = tuple(
-                sum(coeffs[i] * basis[i][j] for i in range(s))
-                for j in range(len(basis[0]))
-            )
-            out.append((coeffs, chi))
+            out.append((coeffs, _combination(coeffs, basis, fan.ambient_dim)))
     return tuple(out)
 
 

@@ -20,7 +20,9 @@ closed by intersecting each new element with the input layers only, and
 its containment is read off the edges of that closure: each component of
 cur & a lies in cur.  The closure keys its elements by integers, the
 Hermite basis, the values' common denominator and their numerators over
-it, and builds a `Layer` only for a key it has not seen.  The poset
+it, and builds a `Layer` only for a key it has not seen.  The solver
+yields its components as such keys; `intersect` and
+`Layer.from_generators` build the layers from them.  The poset
 stores the containment once, as bitmasks, so it answers intersections of
 its elements from those bits alone.  When x's Hermite basis has unit
 pivots, the closure meets a rank-1 atom {chi = v} without the solver: one
@@ -103,7 +105,7 @@ class Layer:
         # one component per torsion choice: refuse before building them
         if any(form[i][i] > 1 for i in range(sat.rank)):
             raise ValidationError("layer character lattice must be a split summand")
-        return _components(sat, form, *residues)[0]
+        return _layer(ambient_rank, *_components(sat, form, *residues)[0])
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -151,6 +153,13 @@ def _solve(
 ) -> tuple[Layer, ...]:
     """Connected components of {t : chi(t) = e^(2 pi i v)} over the pairs
     (chi, v) of `rows` and `values`, canonically ordered; () when empty."""
+    return tuple(_layer(n, *key) for key in _solve_keys(n, rows, values))
+
+
+def _solve_keys(
+    n: int, rows: IntMatrix, values: Sequence[Fraction]
+) -> tuple[LayerKey, ...]:
+    """The keys (`_key`) of the components of `_solve`, in its order."""
     sat, form = _plan(n, rows)
     residues = _residues(sat, form, values)
     return () if residues is None else _components(sat, form, *residues)
@@ -211,19 +220,21 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]
 
 def _components(
     sat: Sublattice, form: IntMatrix, den: int, lv: Sequence[int]
-) -> tuple[Layer, ...]:
-    """One layer per phi = z with T z = lv / den mod 1, solved from the last row
-    up, a row with pivot p leaving p values of its z.  z is kept as numerators
-    over den * index, index the product of T's diagonal; p divides index and
-    the later numerators, so dividing by p is exact.  Sorting them sorts layers.
+) -> tuple[LayerKey, ...]:
+    """The key of one layer per phi = z with T z = lv / den mod 1, solved
+    from the last row up, a row with pivot p leaving p values of its z.  z
+    is kept as numerators over den * index, index the product of T's
+    diagonal; p divides index and the later numerators, so dividing by p is
+    exact.  Sorting them sorts layers; each is then reduced by its gcd with
+    the denominator, as `_RankOneMeets.meet` reduces its key.
 
     When index is 1, T = I: Hermite reduction clears the entries above unit
     pivots, and a plan whose rows split builds I.  Then the one layer is
     z = lv / den."""
-    r, n = sat.rank, sat.ambient_rank
+    r = sat.rank
     index = prod(form[i][i] for i in range(r))
     if index == 1:
-        return (_layer(n, sat.basis, den, lv),)
+        return (_reduced_key(sat.basis, den, lv),)
     big, phis = den * index, [()]
     for i in reversed(range(r)):
         p, grown = form[i][i], []
@@ -231,7 +242,14 @@ def _components(
             rest = lv[i] * index - sum(a * z for a, z in zip(form[i][i + 1 : r], zs))
             grown += [((rest % big + t * big) // p, *zs) for t in range(p)]
         phis = grown
-    return tuple(_layer(n, sat.basis, big, z) for z in sorted(phis))
+    return tuple(_reduced_key(sat.basis, big, z) for z in sorted(phis))
+
+
+def _reduced_key(basis: IntMatrix, den: int, nums: Sequence[int]) -> LayerKey:
+    """The key of the layer of Hermite basis `basis` with phi = nums / den,
+    the nums in [0, den): both divided by their gcd with den."""
+    g = gcd(den, *nums)
+    return basis, den // g, tuple(y // g for y in nums)
 
 
 def _layer(n: int, basis: IntMatrix, den: int, nums: Iterable[int]) -> Layer:
@@ -367,8 +385,7 @@ class _RankOneMeets:
             at += p < col
         basis.insert(at, rep)
         phi.insert(at, num)
-        g = gcd(den, *phi)
-        return ((tuple(basis), den // g, tuple(y // g for y in phi)),)
+        return (_reduced_key(tuple(basis), den, phi),)
 
 
 def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
@@ -396,8 +413,8 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
     at once.
 
     Elements are looked up by their integer keys (`_key`): the rank-1 meets
-    return keys, the solver's components are read into keys, and a `Layer`
-    is built from a key (`_layer`) only when it is new: 855 for the 855 new
+    return keys, so does the solver (`_solve_keys`), and a `Layer` is
+    built from a key (`_layer`) only when it is new: 855 for the 855 new
     elements at n = 7 of the equal-coordinate model, against 5,298 meets."""
     for layer in layers:
         if layer.ambient_rank != torus_dim:
@@ -434,7 +451,7 @@ def poset_of_layers(torus_dim: int, layers: Sequence[Layer]) -> LayerPoset:
                         continue
                     comps = meets.meet(chi, a.phi[0], rep, lead)
             if comps is None:
-                comps = tuple(map(_key, intersect(x, a)))
+                comps = _solve_keys(torus_dim, x.gamma.basis + a.gamma.basis, x.phi + a.phi)
             for key in comps:
                 c = index.setdefault(key, len(found))
                 if c == len(found):

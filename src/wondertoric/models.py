@@ -63,13 +63,16 @@ class BuildingSet:
         the members in `subset`, in canonical order."""
         return self.poset.components(self.positions[i] for i in subset)
 
-    def enclosing(self, member: int, above: Iterable[int]) -> int:
+    def enclosing(self, member: int, above: Iterable[int], components=None) -> int:
         """Poset index of the single component of the intersection of the
         members `above` that contains member `member`; the torus for no
-        members above."""
+        members above.  `components` stands in for `self.components`, for a
+        caller that keeps them memoized."""
         position = self.positions[member]
         around = [
-            c for c in self.components(above) if self.poset.contains(c, position)
+            c
+            for c in (components or self.components)(above)
+            if self.poset.contains(c, position)
         ]
         if len(around) != 1:
             raise MathAssertionError("enclosing intersection component is not unique")
@@ -164,8 +167,10 @@ def is_well_connected(building: BuildingSet) -> WellConnectedness:
 def _grow_nested(building: BuildingSet, root, step) -> list:
     """(nested set, state) pairs, the sets grown depth first from () one
     member at a time in increasing index order; the state is `root` for ()
-    and step(current, nxt, state) for a nested current + (nxt,), and a None
-    state drops that set and all grown from it.
+    and step(current, nxt, state, components) for a nested current + (nxt,),
+    and a None state drops that set and all grown from it.  `components` is
+    `building.components` on sorted member tuples, each computed once for
+    this call and shared with the antichain verdicts.
 
     A set is nested iff every antichain in it of size >= 2 has nonempty,
     connected, transversal intersection not belonging to the building set.
@@ -176,14 +181,23 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
         [building.contains(i, j) or building.contains(j, i) for j in range(m)]
         for i in range(m)
     ]
+    comps_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    verdicts: dict[tuple[int, ...], bool] = {}
+
+    def components(indices: tuple[int, ...]) -> tuple[int, ...]:
+        if indices not in comps_of:
+            comps_of[indices] = building.components(indices)
+        return comps_of[indices]
 
     def antichain_ok(indices: tuple[int, ...]) -> bool:
-        comps = building.components(indices)
-        return (
-            len(comps) == 1
-            and comps[0] not in member_at
-            and building.transversal(indices, comps[0])
-        )
+        if indices not in verdicts:
+            comps = components(indices)
+            verdicts[indices] = (
+                len(comps) == 1
+                and comps[0] not in member_at
+                and building.transversal(indices, comps[0])
+            )
+        return verdicts[indices]
 
     def nests(current: tuple[int, ...], nxt: int) -> bool:
         incomparables = [i for i in current if not comparable[i][nxt]]
@@ -201,7 +215,7 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
         out.append((current, state))
         for nxt in range(start, m):
             if nests(current, nxt):
-                grown = step(current, nxt, state)
+                grown = step(current, nxt, state, components)
                 if grown is not None:
                     grow(current + (nxt,), grown, nxt + 1)
 
@@ -211,7 +225,7 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
 
 def enumerate_nested_sets(building: BuildingSet) -> tuple[tuple[int, ...], ...]:
     """All nested sets as sorted member-index tuples, smallest first."""
-    grown = _grow_nested(building, (), lambda current, nxt, state: state)
+    grown = _grow_nested(building, (), lambda current, nxt, state, components: state)
     return tuple(sorted((nested for nested, _ in grown), key=lambda t: (len(t), t)))
 
 
@@ -238,9 +252,9 @@ def enumerate_admissible(building: BuildingSet) -> tuple[AdmissibleFunction, ...
     """
     elements = building.poset.elements
 
-    def step(current, nxt, bounds):
-        supers = [b for b in current if building.contains(b, nxt)]
-        enclosing = elements[building.enclosing(nxt, supers)]
+    def step(current, nxt, bounds, components):
+        supers = tuple(b for b in current if building.contains(b, nxt))
+        enclosing = elements[building.enclosing(nxt, supers, components)]
         bound = building.members[nxt].rank - enclosing.rank
         return bounds + (bound,) if bound >= 2 else None
 

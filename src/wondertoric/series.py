@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ValidationError
-from .typea import eulerian, lec_counts
+from .typea import eulerian, lec_count_table
 
 QPoly = tuple[int, ...]
 
@@ -255,8 +255,9 @@ def lec_series(order: int) -> TruncatedSeries:
     route to `hook_series` by the definition of `lec`.  Coefficient n reads
     `typea.lec_counts(n)`, which counts the permutations of 1..n over the
     relabelled scan states of `typea.hook_factorize`, at most 2^n of
-    them."""
-    return make_series(order, [()] + [lec_counts(n) for n in range(1, order + 1)])
+    them; one table (`typea.lec_count_table`) counts every n <= order
+    from one memo of those states."""
+    return make_series(order, [()] + list(lec_count_table(order)[1:]))
 
 
 def eulerian_series(order: int) -> TruncatedSeries:

@@ -211,9 +211,18 @@ def lec_counts(n: int) -> tuple[int, ...]:
     Padded with run letters to length n these words stay distinct, so there
     are at most 2^n states (exactly 2^n for n <= 10), against n! leaves for
     a walk over the permutations.  Each state's counts are computed once,
-    in a memo that lives for this call only.
+    in a memo that lives for this call only (`lec_count_table`).
     """
-    if n < 0:
+    return lec_count_table(n)[n]
+
+
+def lec_count_table(order: int) -> tuple[tuple[int, ...], ...]:
+    """`lec_counts(n)` for n = 0, 1, ..., order, from one memo of scan
+    states that lives for this call only.  A state does not depend on the
+    word's length, and the start (n, ()) leads to (n - 1, ()) when its top
+    free letter opens the run, so the states of order letters include
+    those of every shorter word."""
+    if order < 0:
         raise ValidationError("need a nonnegative size")
     memo: dict[tuple[int, Word], Word] = {}
 
@@ -237,7 +246,7 @@ def lec_counts(n: int) -> tuple[int, ...]:
             memo[key] = tuple(out)
         return memo[key]
 
-    return count(n, ())
+    return tuple(count(n, ()) for n in range(order + 1))
 
 
 def hook_from_set(labels: Sequence[int], inversion_count: int) -> Word:

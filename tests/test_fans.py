@@ -413,6 +413,32 @@ def test_equal_sign_test_matches_the_cone_walk():
     assert outcomes[True] and outcomes[False], outcomes
 
 
+def test_equal_sign_levels_match_a_per_ray_reference():
+    """Each level's values are one combination of the rows' pairings, and
+    its characters one of the rows: compare both with the character formed
+    entry by entry and paired with each ray by `dot`, on bases of every
+    size up to the dimension, at heights 1 and 2."""
+    rng = random.Random(20261021)
+    kept = Counter()
+    for label, fan in _structure_cases():
+        n = fan.ambient_dim
+        for s in range(1, n + 1):
+            basis = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(s))
+            for height in (1, 2) if s <= 3 else (1,):
+                expected = []
+                for c in fans._coeff_vectors(s, height):
+                    if lattice.vector_gcd(c) != 1:
+                        continue
+                    chi = tuple(sum(x * row[j] for x, row in zip(c, basis)) for j in range(n))
+                    values = [dot(chi, r) for r in fan.rays]
+                    if _one_sign_per_cone_by_cones(fan, values):
+                        expected.append((c, chi))
+                got = fans._equal_sign_level(fan, basis, height)
+                assert got == tuple(expected), (label, basis, height)
+                kept[bool(got)] += 1
+    assert kept[True] and kept[False], kept
+
+
 def _subfan_by_cones(fan, gamma):
     """`subfan` as computed before the ray masks: each maximal cone's rays
     in the annihilator of `gamma`, relabelled, kept when they span its
@@ -486,7 +512,9 @@ def test_flag_verdict_matches_the_minimal_nonfaces():
             # set, which `minimal_nonfaces` does not list
             assert not fan.is_flag, label
             continue
-        pairs = all(len(nonface) == 2 for nonface in fan.minimal_nonfaces)
+        # the test-side nonfaces: on a flag fan `minimal_nonfaces` reads
+        # the neighbour masks that `is_flag` reads too
+        pairs = all(len(nonface) == 2 for nonface in _minimal_nonfaces_by_definition(fan))
         assert fan.is_flag == pairs, label
         verdicts[pairs] += 1
     assert verdicts[True] > 70 and verdicts[False] >= 2, verdicts

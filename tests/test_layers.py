@@ -28,6 +28,7 @@ from wondertoric.layers import (
     _layer,
     _RankOneMeets,
     _solve,
+    _solve_keys,
     goodness_check,
     intersect,
     mod1,
@@ -310,11 +311,16 @@ def test_equal_coordinate_closure_never_saturates(monkeypatch):
         solved.append((a, b))
         return intersect(a, b)
 
+    def counted_solve(*args):
+        solved.append(args)
+        return _solve_keys(*args)
+
     def counted(lattice):
         saturated.append(lattice)
         return saturation(lattice)
 
     monkeypatch.setattr("wondertoric.layers.intersect", counted_intersect)
+    monkeypatch.setattr("wondertoric.layers._solve_keys", counted_solve)
     monkeypatch.setattr(Sublattice, "saturation", counted)
     _plan.cache_clear()
     poset = poset_of_layers(4, equal_coordinate_arrangement(5))
@@ -437,6 +443,37 @@ def test_closure_builds_one_layer_per_new_element(n, monkeypatch):
     poset = poset_of_layers(n - 1, atoms)
     assert len(built) == len(poset.elements) - 1 - len(atoms)
     assert len(built) == {5: 41, 7: 855}[n]
+
+
+def test_arrgen_closure_builds_one_layer_per_new_element(monkeypatch):
+    """On the solver route too the closure builds a `Layer` only for a new
+    key: the solver hands it keys (`_solve_keys`), and it calls no
+    `intersect`, which would build each component's layer first."""
+    built, post_init = [], Layer.__post_init__
+    solved, solve = [], _solve_keys
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_solve(*args):
+        solved.append(args)
+        return solve(*args)
+
+    def refuse(a, b):
+        raise AssertionError("the closure called intersect")
+
+    monkeypatch.setattr(Layer, "__post_init__", counting)
+    monkeypatch.setattr("wondertoric.layers._solve_keys", counted_solve)
+    monkeypatch.setattr("wondertoric.layers.intersect", refuse)
+    new = 0
+    for label, _, n, atoms in random_cases(40, seed=5):
+        Layer.torus(n)
+        built.clear()
+        poset = poset_of_layers(n, atoms)
+        assert len(built) == len(poset.elements) - 1 - len(atoms), label
+        new += len(built)
+    assert solved and new >= 10, (len(solved), new)
 
 
 def test_equal_coordinate_closure_makes_no_smith_form(monkeypatch):

@@ -647,3 +647,24 @@ def test_admissible_supports_grow_without_the_nested_set_list(monkeypatch):
     monkeypatch.setattr(wondertoric.models, "enumerate_nested_sets", refuse)
     for label, building in cases:
         assert enumerate_admissible(building) == expected[label], label
+
+
+def test_admissible_enumeration_intersects_each_member_set_once(monkeypatch):
+    """`_grow_nested` keeps each member set's components, and its verdict
+    as an antichain, for the call: at n = 7 `BuildingSet.components` runs
+    once on each of 4,565 member sets, where it ran 16,771 times without
+    the memo."""
+    building = minimal_equal_coordinate_building(7)[1]
+    expected = enumerate_admissible(building)
+    seen = Counter()
+    components = wondertoric.models.BuildingSet.components
+
+    def counted(self, subset):
+        subset = tuple(subset)
+        seen[subset] += 1
+        return components(self, subset)
+
+    monkeypatch.setattr(wondertoric.models.BuildingSet, "components", counted)
+    assert enumerate_admissible(building) == expected
+    assert max(seen.values()) == 1
+    assert len(seen) == 4565

@@ -24,6 +24,7 @@ from wondertoric.typea import (
     hook_from_set,
     inversions,
     lec,
+    lec_count_table,
     lec_counts,
     make_forest,
     minimal_equal_coordinate_building,
@@ -207,6 +208,19 @@ def test_lec_counts_are_the_eulerian_numbers_through_12_letters():
     the permutations would have 12! = 479001600 leaves."""
     for n in range(1, 13):
         assert lec_counts(n) == eulerian(n)[1:], n
+
+
+def test_lec_count_table_reads_one_memo_for_every_size():
+    """The table's row n is `lec_counts(n)`, counted over a memo of its
+    own, the walk over the permutations through n = 7 and the Eulerian
+    numbers through n = 12."""
+    table = lec_count_table(12)
+    assert table == tuple(lec_counts(n) for n in range(13))
+    assert table[:8] == tuple(_lec_counts_by_walk(n) for n in range(8))
+    assert table[1:] == tuple(eulerian(n)[1:] for n in range(1, 13))
+    assert lec_count_table(0) == ((1,),)
+    with pytest.raises(ValidationError):
+        lec_count_table(-1)
 
 
 @settings(max_examples=60, deadline=None)
