@@ -39,11 +39,14 @@ holds: lattices found, subfan Betti numbers, subfans and extensions
 a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
 the fan's flag verdict (`Fan.is_flag`, an attribute the fan computes once;
 True), and last the total wall time, counted from before `wondertoric` is
-imported; exits 1 on any mismatch.  Three runs took 0.6 to 0.8 s: the
+imported; exits 1 on any mismatch.  Three runs took 0.5 s each: the
 poset closure 0.1 s, the building set under 0.05 s, the characteristic
-polynomial 0.01 s, the well-connectedness check 0.03 s, `validate` 0.2 s,
-`poincare` 0.1 s and the per-support checks 0.1 s (Python 3.11, a
-shared 2-core host), too long for the tier-1 tests, which stop at n = 6.  The
+polynomial 0.01 s, the well-connectedness check 0.03 s, `validate` 0.1 s
+(one walk across the fan's ridges), `poincare` 0.1 s and the per-support
+checks 0.1 s, peak RSS 23 MiB (Python 3.11, a shared 2-core host, where
+three runs with a determinant per maximal cone and the face set took 0.6
+to 0.8 s, `validate` 0.2 s, peak RSS 29 MiB), too long for the tier-1
+tests, which stop at n = 6.  The
 stages are one function, `check`, which `check_eqc8.py` runs at n = 8.
 """
 

@@ -3,23 +3,28 @@
 A fan is stored as primitive integer rays plus maximal cones given by 0-based
 ray index tuples; the constructor refuses any other rays.  Simpliciality,
 smoothness and completeness are checked, not assumed.  The tables read off
-one fan (its kinds, faces, ray bitmasks, coordinate columns, flag verdict
-and minimal nonfaces) are cached attributes of the `Fan` itself, computed on
-first use; reading one hashes nothing, and an equal fan built separately
-computes its own.  A character's pairings with the rays are a sum of the
-columns its nonzero coordinates pick, and a flag fan's minimal nonfaces are
-the pairs of rays its neighbour masks leave apart.
+one fan (its ridge walk, kinds, faces, ray bitmasks, coordinate columns,
+flag verdict and minimal nonfaces) are cached attributes of the `Fan`
+itself, computed on first use; reading one hashes nothing, and an equal fan
+built separately computes its own.  A smooth fan is decided by one walk
+across its ridges, which swaps one ray at a time and updates the cone's
+inverse ray matrix by one pivot; the walk counts the h-vector, which gives
+the Betti numbers and a complete fan's f-vector, so no face set is built.
+A character's pairings with the rays are a sum of the columns its nonzero
+coordinates pick, and a flag fan's minimal nonfaces are the pairs of rays
+its neighbour masks leave apart.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
-from operator import add, and_, sub
-from typing import Iterable
+from operator import add, and_, mul, sub
+from typing import Iterable, NamedTuple
 
 from .errors import MathAssertionError, ValidationError
 from .lattice import (
@@ -35,6 +40,15 @@ from .lattice import (
 )
 
 EQUAL_SIGN_BOUND = 8  # default coefficient height of the equal-sign basis search
+
+
+class RidgeWalk(NamedTuple):
+    """What `Fan.ridge_walk` decides of a smooth fan: whether it is
+    complete, and its h-vector, the count of its maximal cones by their
+    number of negative coordinates of one generic vector."""
+
+    complete: bool
+    h_vector: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,18 +97,37 @@ class Fan:
 
     @cached_property
     def kinds(self) -> tuple[bool, bool, bool]:
-        """(simplicial, smooth, complete) from one walk over the maximal cones.
+        """(simplicial, smooth, complete).
 
-        A cone of n rays in dimension n is simplicial when the rays'
-        determinant is nonzero, and smooth when it is +-1 (Fulton,
-        Introduction to Toric Varieties, 2.1).  Any other cone takes one
-        Hermite form of its ray columns: it is simplicial when the form has a
-        row per ray, and smooth when the form is the identity, that is when
-        the rays also span a split summand.  A simplicial fan is complete when
-        it has a cone, its cones are all full-dimensional, each ridge lies on
-        exactly two of them, and the cones are connected through shared
-        ridges.  Each cone is filed under its ridges once; those pairs serve
-        both tests."""
+        A smooth fan whose cones all have n rays in dimension n >= 1 is
+        decided by `ridge_walk`, which pairs its cones across their ridges.
+        Say each pair lies on opposite sides of its ridge's hyperplane and
+        the walk reaches every cone.  For v off every wall let d(v) be the
+        number of maximal cones containing v.  A path between two such
+        points can avoid the cones of dimension n - 2 and less, which have
+        codimension 2, so it meets the walls only inside ridges; there it
+        leaves one cone of each pair on the ridge and enters the other.  So
+        d is constant along the path: the cones cover the space d >= 1
+        times, and the fan is complete, every point off the walls in exactly
+        one cone, when d = 1.  The walk counts d at its generic vector: the
+        cones where that vector has no negative coordinate.  A ridge on four
+        or more cones pairs them up twice over; if every pair lies on
+        opposite sides, two cones cover each side near the ridge, so d >= 2
+        and the fan is not complete.  A fan that winds twice round the
+        origin has d = 2.
+
+        Any other fan is read cone by cone.  A cone of n rays in dimension n
+        is simplicial when the rays' determinant is nonzero, and smooth when
+        it is +-1 (Fulton, Introduction to Toric Varieties, 2.1).  Any other
+        cone takes one Hermite form of its ray columns: it is simplicial
+        when the form has a row per ray, and smooth when the form is the
+        identity, that is when the rays also span a split summand.  Such a
+        simplicial fan is complete when it has a cone, its cones are all
+        full-dimensional, each ridge lies on exactly two of them, and the
+        cones are connected through shared ridges.  Each cone is filed under
+        its ridges once; those pairs serve both tests."""
+        if self.ridge_walk is not None:
+            return True, True, self.ridge_walk.complete
         cones, n = self.maximal_cones, self.ambient_dim
         smooth = pure = True
         on_ridge: dict[tuple[int, ...], list[int]] = {}
@@ -132,11 +165,109 @@ class Fan:
         return True, smooth, len(seen) == len(cones)
 
     @cached_property
+    def ridge_walk(self) -> RidgeWalk | None:
+        """One walk across the ridges of a smooth fan whose cones all have n
+        rays in dimension n >= 1; None when the walk cannot decide the fan:
+        in dimension 0, with no cone, with a cone of another size, with a
+        ridge on an odd number of cones, with a cone that is not smooth, or
+        with a cone the walk does not reach.
+
+        Slot n*i + k stands for the ridge of cone i opposite its k-th ray,
+        keyed by its ray bitmask `cone_masks[i] ^ 1 << r`; the slots are
+        paired ridge by ridge in cone order, so only the ridges seen once so
+        far are held.  The walk starts at cone 0, whose ray matrix R (the
+        rays as columns) must have determinant +-1; R's inverse is read off
+        the Hermite form [I | R^-1] of [R | I].  Crossing the ridge opposite
+        ray r_k to the paired cone swaps r_k for that cone's ray r', and
+        a = R^-1 r' decides two things: the cone is smooth exactly when
+        a_k = +-1, its determinant being a_k det R, and lies across the
+        ridge exactly when a_k < 0.  The first crossing into a cone updates
+        the inverse by one pivot, a rank-one step of n^2 integers (the basis
+        swap of the simplex method; Chvatal, Linear Programming); a crossing
+        into a cone already queued needs only the sign of a_k, one dot
+        product; a ridge back into a cone already left was read from that
+        side.  Cones are visited breadth first, and only the queue holds
+        inverses.
+
+        The generic vector is v = t e_1 + t^2 e_2 + ... + t^n e_n for small
+        t > 0.  Any nonzero normal w has <w, v> != 0 once t is small enough,
+        so v lies on no wall, and its coordinate i in a cone's ray basis,
+        the sum over j of (R^-1)_ij t^j, has the sign of the first nonzero
+        entry of row i of R^-1, which is never zero.  The cones counted by
+        their number of negative coordinates give the h-vector (Fulton,
+        Introduction to Toric Varieties, 5.2); the cones with none contain
+        v, and `kinds` reads completeness off their number."""
+        n, cones, rays = self.ambient_dim, self.maximal_cones, self.rays
+        if not n or not cones or any(len(cone) != n for cone in cones):
+            return None
+        across = array("q", [-1]) * (len(cones) * n)
+        seen_once: dict[int, int] = {}
+        slot = 0
+        for mask, cone in zip(self.cone_masks, cones):
+            for r in cone:
+                other = seen_once.pop(mask ^ 1 << r, None)
+                if other is None:
+                    seen_once[mask ^ 1 << r] = slot
+                else:
+                    across[slot], across[other] = other, slot
+                slot += 1
+        if seen_once:
+            return None
+        first = [rays[i] for i in cones[0]]
+        if abs(determinant(first)) != 1:
+            return None
+        eye = identity_matrix(n)
+        reduced = hermite_form([col + eye[j] for j, col in enumerate(zip(*first))], 2 * n)
+        # state 0: not met; 1: queued; 2: left
+        state = bytearray(len(cones))
+        state[0] = 1
+        queue = deque([(0, [row[n:] for row in reduced])])
+        h = [0] * (n + 1)
+        opposite = True
+        while queue:
+            idx, inverse = queue.popleft()
+            for k, pair in enumerate(across[idx * n : idx * n + n]):
+                other, j = divmod(pair, n)
+                if state[other] == 2:
+                    continue
+                ray = rays[cones[other][j]]
+                pivot = inverse[k]
+                a_k = sum(map(mul, pivot, ray))
+                opposite = opposite and a_k < 0
+                if state[other]:
+                    continue
+                if a_k != 1 and a_k != -1:
+                    return None
+                if a_k < 0:
+                    pivot = tuple([-x for x in pivot])
+                swapped = []
+                for row in inverse[:k] + inverse[k + 1 :]:
+                    a = sum(map(mul, row, ray))
+                    if a:
+                        row = tuple([x - a * y for x, y in zip(row, pivot)])
+                    swapped.append(row)
+                swapped.insert(j, pivot)
+                state[other] = 1
+                queue.append((other, swapped))
+            state[idx] = 2
+            h[sum(next(filter(None, row)) < 0 for row in inverse)] += 1
+        if sum(h) != len(cones):  # a cone not reached
+            return None
+        complete = opposite and h[0] == 1
+        if complete and h != h[::-1]:
+            raise MathAssertionError(
+                f"h-vector {tuple(h)} of a complete fan is not palindromic"
+            )
+        return RidgeWalk(complete, tuple(h))
+
+    @cached_property
     def faces(self) -> frozenset[tuple[int, ...]]:
         """Every face of every maximal cone, as sorted ray index tuples.
 
         Includes the zero cone ().  Requires the fan to be simplicial so that
-        faces are exactly the subsets of each maximal cone's ray set.
+        faces are exactly the subsets of each maximal cone's ray set.  Read
+        only by `f_vector` on a fan the ridge walk does not find complete and
+        by `minimal_nonfaces` on a fan that is not flag.
         """
         if not self.kinds[0]:
             raise ValidationError("fan is not simplicial; face lattice unsupported")
@@ -174,7 +305,8 @@ class Fan:
         pairs (Stanley, Combinatorics and Commutative Algebra).  Every face
         is a clique, so this holds when both have the same count in each
         size.  Then every subfan on a set of rays is flag too, and its faces
-        are the cliques among those rays."""
+        are the cliques among those rays.  On a complete fan the f-vector
+        comes from the walk's h-vector, so no face set is built."""
         everything = (1 << len(self.rays)) - 1
         return clique_counts(self.neighbours, everything) == f_vector(self)
 
@@ -234,7 +366,16 @@ def f_vector(fan: Fan) -> tuple[int, ...]:
     """(f_0, f_1, ..., f_d): number of cones of each dimension.
 
     f_0 = 1 counts the zero cone, a face of every maximal cone; a fan with
-    no maximal cones has no zero cone either, and its f-vector is (0,)."""
+    no maximal cones has no zero cone either, and its f-vector is (0,).  On
+    a complete fan that `Fan.ridge_walk` decides, f_k is the sum over i of
+    h_i C(n - i, k - i), from its h-vector (Stanley, Combinatorics and
+    Commutative Algebra); any other fan's faces are counted."""
+    walk = fan.ridge_walk
+    if walk is not None and walk.complete:
+        n, h = fan.ambient_dim, walk.h_vector
+        return tuple(
+            sum(h[i] * comb(n - i, k - i) for i in range(k + 1)) for k in range(n + 1)
+        )
     counts = Counter(len(c) for c in fan.faces)
     top = max(counts) if counts else 0
     return tuple(counts.get(k, 0) for k in range(top + 1))
@@ -252,9 +393,11 @@ def _require_smooth_complete(fan: Fan, what: str) -> None:
 @lru_cache(maxsize=None)
 def betti_numbers(fan: Fan) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_2n) of the smooth complete toric
-    variety of the fan; odd ones vanish."""
+    variety of the fan; odd ones vanish.  They are the fan's h-vector
+    (Fulton, Introduction to Toric Varieties, 5.2), which `Fan.ridge_walk`
+    counts; in dimension 0 the variety is a point."""
     _require_smooth_complete(fan, "Betti numbers")
-    return _betti_of_f_vector(f_vector(fan), fan.ambient_dim)
+    return fan.ridge_walk.h_vector if fan.ambient_dim else (1,)
 
 
 def _betti_of_f_vector(f: tuple[int, ...], n: int) -> tuple[int, ...]:

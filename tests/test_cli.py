@@ -229,6 +229,42 @@ def test_incomplete_fan_exits_3(tmp_path, capsys):
     assert "complete: no" in out
 
 
+def test_a_fan_winding_twice_is_not_complete(tmp_path, capsys):
+    # twelve smooth cones {i, i + 1 mod 12} that wind twice round the origin
+    rays = [
+        [1, 0], [-3, 1], [-1, 0], [-3, -1], [-2, -1], [-3, -2],
+        [-1, -1], [-2, -3], [1, 1], [0, 1], [-1, -3], [0, -1],
+    ]
+    fan = tmp_path / "winding.json"
+    fan.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "ambientDim": 2,
+                "rays": rays,
+                "maximalCones": [[i, (i + 1) % 12] for i in range(12)],
+            }
+        )
+    )
+    code, out, _ = run(capsys, ["fan", "check", str(fan)])
+    assert code == 3
+    assert "smooth: yes" in out and "complete: no" in out
+    # the curve t1 = 1
+    arr = tmp_path / "line.json"
+    arr.write_text(
+        json.dumps(
+            {
+                "formatVersion": 1,
+                "torusDim": 2,
+                "layers": [{"gamma": [[1, 0]], "phi": ["0"]}],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["model", "poincare", str(arr), str(fan)])
+    assert (code, out) == (3, "")
+    assert "require a complete fan" in err
+
+
 def test_nonsplit_layer_exits_3(tmp_path, capsys):
     # 10**9 torsion components: refused without enumerating them
     path = tmp_path / "nonsplit.json"

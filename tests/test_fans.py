@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -97,8 +98,9 @@ def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
     det_calls = _count_calls(monkeypatch, "determinant", determinant)
     smith_calls = _count_calls(monkeypatch, "smith_normal_form", smith_normal_form)
-    # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3;
-    # every cone is full-dimensional, so each takes a determinant
+    # complete and simplicial, but the cone on (1, 0), (1, 3) has index 3:
+    # the ridge walk stops at the determinant of cone 0, that cone, and the
+    # per-cone route takes a determinant of each full-dimensional cone
     fan = Fan.make(
         2, ((1, 0), (1, 3), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
     )
@@ -106,8 +108,18 @@ def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     assert report.simplicial and report.complete and not report.smooth
     with pytest.raises(ValidationError, match="require a smooth fan"):
         betti_numbers(fan)
-    assert len(det_calls) == len(fan.maximal_cones)
+    assert det_calls == ["ridge_walk"] + ["kinds"] * len(fan.maximal_cones)
     assert calls == []
+    # the same cones with cone 0 smooth: the walk meets the index-3 cones as
+    # a pivot of 3, after the one determinant and Hermite form of its start
+    det_calls.clear()
+    later = Fan.make(
+        2, ((1, 0), (0, -1), (-1, 0), (1, 3)), ((0, 1), (1, 2), (2, 3), (0, 3))
+    )
+    assert validate(later) == FanReport(True, False, True, (1, 4, 4))
+    assert det_calls == ["ridge_walk"] + ["kinds"] * len(later.maximal_cones)
+    assert calls == ["ridge_walk"]
+    calls.clear()
     # three rays in one plane cone: neither simplicial nor smooth, which the
     # first cone, read off its one Hermite form, already shows
     det_calls.clear()
@@ -124,14 +136,21 @@ def test_simplicial_and_smooth_from_one_hermite_form_per_cone(monkeypatch):
     assert smith_calls == []
 
 
-def test_kinds_of_a_full_dimensional_fan_make_no_hermite_form(monkeypatch):
-    # one determinant per cone of weyl_fan_A(5) (120 Hermite forms before)
+def test_kinds_of_a_smooth_complete_fan_make_one_determinant_and_one_hermite_form(
+    monkeypatch,
+):
+    # the ridge walk's start, cone 0: its determinant and the Hermite form
+    # of [R | I] that holds its inverse; every other cone is one pivot
     calls = _count_calls(monkeypatch, "hermite_form", hermite_form)
     det_calls = _count_calls(monkeypatch, "determinant", determinant)
     fan = weyl_fan_A(5)
     assert fan.kinds == (True, True, True)
-    assert len(det_calls) == len(fan.maximal_cones) == 120
-    assert calls == []
+    assert len(fan.maximal_cones) == 120
+    assert det_calls == calls == ["ridge_walk"]
+    assert f_vector(fan) == (1, 30, 150, 240, 120)
+    assert fan.is_flag and betti_numbers(fan) == (1, 26, 66, 26, 1)
+    assert det_calls == calls == ["ridge_walk"]
+    assert "faces" not in fan.__dict__
 
 
 def test_validation_split_search_and_subfan_make_no_smith_form(monkeypatch):
@@ -272,6 +291,13 @@ def _structure_cases():
     yield "hollow triangle and a ray", Fan.make(
         3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), ((0, 1), (0, 3), (1, 3), (2,))
     )
+    # the ray (1, 0) lies on four cones, of two fans of P^2 and P^1 x P^1
+    # glued along it
+    yield "ridge on four cones", Fan.make(
+        2,
+        ((1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)),
+        ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (0, 5)),
+    )
     yield "point", Fan.make(0, (), ((),))
     yield "point without its cone", Fan.make(0, (), ())
 
@@ -328,6 +354,99 @@ def test_betti_numbers_match_the_generic_vector_count():
     # the fixture fans, Weyl A2..A6, the orthant fans and the smooth
     # complete arrgen fans
     assert checked >= 70, checked
+
+
+# twelve rays round the origin twice, each cone {i, i + 1 mod 12} smooth
+# and every ridge on two cones on opposite sides
+WINDING_RAYS = (
+    (1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2),
+    (-1, -1), (-2, -3), (1, 1), (0, 1), (-1, -3), (0, -1),
+)
+WINDING_CONES = tuple((i, (i + 1) % 12) for i in range(12))
+
+
+def test_fans_that_wind_twice_or_fold_back_are_not_complete():
+    fan = Fan.make(2, WINDING_RAYS, WINDING_CONES)
+    # the generic vector lies in two cones: the fan covers the plane twice
+    assert _negatives_per_cone(fan) == (2, 8, 2)
+    assert fan.ridge_walk == (False, (2, 8, 2))
+    assert validate(fan) == FanReport(True, True, False, (1, 12, 12))
+    with pytest.raises(ValidationError, match="require a complete fan"):
+        betti_numbers(fan)
+    # smooth cones at 0, 90, 180, back to 135, then on to 270 degrees: the
+    # cones on the ridges (-1, 0) and (-1, 1) lie on one side of them, so
+    # the angles from 135 to 180 are covered three times, although the
+    # generic vector lies in one cone
+    folded = Fan.make(
+        2, ((1, 0), (0, 1), (-1, 0), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    )
+    assert _negatives_per_cone(folded) == (1, 3, 1)
+    assert folded.ridge_walk == (False, (1, 3, 1))
+    assert validate(folded) == FanReport(True, True, False, (1, 5, 5))
+    with pytest.raises(ValidationError, match="require a complete fan"):
+        betti_numbers(folded)
+
+
+def test_betti_numbers_with_the_leading_direction_of_v_on_a_wall():
+    # the walk's v = t e_1 + t^2 e_2 + ... leads with e_1, which here is a
+    # ray and so lies on a wall; in orthant_fan(3) e_1 and e_2 span the
+    # ridge z = 0, and only t^3 e_3 takes v off it
+    hirzebruch = Fan.make(
+        2, ((1, 0), (0, 1), (-1, 3), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))
+    )
+    for fan in (hirzebruch, orthant_fan(2), orthant_fan(3), weyl_fan_A(4), P2):
+        assert (1,) + (0,) * (fan.ambient_dim - 1) in fan.rays
+        assert fan.ridge_walk.complete
+        assert betti_numbers(fan) == _negatives_per_cone(fan), fan
+
+
+def _face_route(fan):
+    """The f-vector counted over every face of the maximal cones, and the
+    Betti numbers from it, b_2k = sum over i >= k of (-1)^(i-k) C(i, k)
+    f_(n-i) (Fulton, Introduction to Toric Varieties, 5.2), as the library
+    computed both before its ridge walk."""
+    n = fan.ambient_dim
+    counts = Counter(
+        map(
+            len,
+            {
+                face
+                for cone in fan.maximal_cones
+                for k in range(len(cone) + 1)
+                for face in combinations(cone, k)
+            },
+        )
+    )
+    f = tuple(counts[k] for k in range(n + 1))
+    betti = tuple(
+        sum((-1) ** (i - k) * comb(i, k) * f[n - i] for i in range(k, n + 1))
+        for k in range(n + 1)
+    )
+    return f, betti
+
+
+def test_f_vector_and_betti_numbers_match_the_face_route():
+    checked = 0
+    cases = [*_structure_cases(), ("weyl A7", weyl_fan_A(7))]
+    for label, fan in cases:
+        if not all(fan.kinds):
+            continue
+        f, betti = _face_route(fan)
+        assert f_vector(fan) == f, label
+        assert betti_numbers(fan) == betti, label
+        if fan.ambient_dim:
+            assert "faces" not in fan.__dict__, label
+        checked += 1
+    assert checked >= 75, checked
+
+
+def test_model_ranks_build_no_face_set():
+    _, building = minimal_equal_coordinate_building(5)
+    fan = weyl_fan_A(5)
+    bases = EqualSignBases(fan)
+    total = poincare(building, fan, bases).total
+    assert rank_via_blowup_recursion(building, fan, bases) == total == (1, 42, 127, 42, 1)
+    assert "is_flag" in fan.__dict__ and "faces" not in fan.__dict__
 
 
 def dot(u, v):
