@@ -39,7 +39,7 @@ holds: lattices found, subfan Betti numbers, subfans and extensions
 a flag fan no lattice is restricted: 205 Betti numbers and 0 subfans),
 the fan's flag verdict (`Fan.is_flag`, an attribute the fan computes once;
 True), and last the total wall time, counted from before `wondertoric` is
-imported; exits 1 on any mismatch.  Three runs took 0.5 s each: the
+imported; exits 1 on any mismatch.  Three runs took 0.5 to 0.6 s: the
 poset closure 0.1 s, the building set under 0.05 s, the characteristic
 polynomial 0.01 s, the well-connectedness check 0.03 s, `validate` 0.1 s
 (one walk across the fan's ridges), `poincare` 0.1 s and the per-support

@@ -16,14 +16,15 @@ modulo Gamma_x (30771) and shortcut hits (60565), the layers it built
 (4112: the torus and its 4111 new elements), the plans that took the
 saturation route (0), the shared resolver's 871 subfan Betti numbers and
 0 subfans, the fan's flag verdict (True) and the total wall time, and
-exits 1 on any mismatch.  Three runs took 4.6 to 6.3 s, median 5.1 s:
-the poset closure 0.5 to 0.9 s, the building set 0.3 to 0.5 s, the
-characteristic polynomial 0.05 to 0.10 s, the well-connectedness check
-0.64 to 0.86 s, `validate` 0.6 to 1.0 s (one walk across the fan's
-ridges), `poincare` 1.1 to 1.6 s, the oracle 0.2 s, the per-support
-checks 0.8 s; peak RSS 62 MiB (Python 3.11, a shared 2-core host, where
-three runs with a determinant per maximal cone and the face set took 7.7
-to 8.3 s, `validate` 2.3 to 3.2 s, peak RSS 142 MiB).
+exits 1 on any mismatch.  Three runs took 4.6 to 5.3 s, median 5.2 s:
+the poset closure 0.6 s, the building set 0.1 s (the members above each
+element read off one transpose of the members' masks), the
+characteristic polynomial 0.06 to 0.11 s, the well-connectedness check
+0.81 to 0.87 s, `validate` 0.7 to 1.0 s (one walk across the fan's
+ridges), `poincare` 0.9 to 1.1 s, the oracle 0.2 s, the per-support
+checks 0.9 to 1.2 s; peak RSS 62 MiB (Python 3.11, a shared 2-core host,
+where three runs that asked member containment pair by pair took 5.3 to
+5.7 s, the building set 0.4 to 0.6 s and `poincare` 1.1 to 1.5 s).
 """
 
 from __future__ import annotations

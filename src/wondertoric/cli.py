@@ -631,15 +631,14 @@ def reproduction_text(example_id: str) -> str:
     lines.extend(
         _nested_text(building, is_well_connected(building), enumerate_nested_sets(building))
     )
+    # the rows hold the admissible functions in enumeration order, grouped
+    # by support, so they are walked once
+    result = poincare(building, fan, bases)
     lines.extend(["", "== admissible functions =="])
-    lines.extend(_admissible_text(enumerate_admissible(building)))
+    lines.extend(_admissible_text([f for row in result.rows for f in row.functions]))
     lines.extend(["", "== poincare =="])
-    lines.extend(
-        _poincare_text(
-            poincare(building, fan, bases),
-            rank_via_blowup_recursion(building, fan, bases),
-        )
-    )
+    oracle = rank_via_blowup_recursion(building, fan, bases)
+    lines.extend(_poincare_text(result, oracle))
     lines.extend(["", "== presentation =="])
     ideal = emit_presentation(building, fan, bases)
     lines.extend(_presentation_text(ideal, False))

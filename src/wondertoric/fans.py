@@ -334,7 +334,7 @@ class Fan:
                 continue
             # -(2 << k) clears bits 0..k: the common neighbours above face[-1]
             above = reduce(and_, (neighbours[i] for i in face)) & -(2 << face[-1])
-            for r in ray_indices(above):
+            for r in bit_indices(above):
                 grown = face + (r,)
                 if grown not in faces and all(
                     grown[:k] + grown[k + 1 :] in faces for k in range(len(face))
@@ -417,8 +417,9 @@ def _betti_of_f_vector(f: tuple[int, ...], n: int) -> tuple[int, ...]:
     return betti
 
 
-def ray_indices(mask: int):
-    """The rays of a ray bitmask, in increasing order."""
+def bit_indices(mask: int):
+    """The indices of the set bits of a bitmask, such as the rays of a ray
+    bitmask, in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -617,7 +618,7 @@ def subfan(fan: Fan, gamma: Sublattice, moved: int | None = None) -> Subfan:
     if moved is None:
         moved = moved_rays(fan, gamma.basis)
     on_flagged = ~moved & ((1 << len(fan.rays)) - 1)
-    flagged = list(ray_indices(on_flagged))
+    flagged = list(bit_indices(on_flagged))
     new_rays = []
     for i in flagged:
         coords = kernel.solve(fan.rays[i])
@@ -629,7 +630,7 @@ def subfan(fan: Fan, gamma: Sublattice, moved: int | None = None) -> Subfan:
     reindex = {old: new for new, old in enumerate(flagged)}
     restricted = {cone & on_flagged for cone in fan.cone_masks}
     cones = [
-        tuple(reindex[i] for i in ray_indices(cone))
+        tuple(reindex[i] for i in bit_indices(cone))
         for cone in restricted
         if cone.bit_count() == m
     ]

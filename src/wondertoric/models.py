@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby, product
+from itertools import groupby, product
 from typing import Iterable, Sequence
 
 from .errors import MathAssertionError, ValidationError
-from .fans import EqualSignBases, Fan, complete_bases
+from .fans import EqualSignBases, Fan, bit_indices, complete_bases
 from .lattice import Sublattice
 from .layers import Layer, LayerPoset, poset_of_layers
 
@@ -40,7 +40,10 @@ def _padded_add(a: GradedCount, b: GradedCount, shift: int = 0) -> GradedCount:
 class BuildingSet:
     """Building set inside a layer poset; members canonically ordered, so the
     1-based member index is the stable human label.  `positions[i]` is the
-    poset index of member i, and `member_positions` their set."""
+    poset index of member i, and `member_positions` their set.  Bit j of
+    `below[i]` is set when member i contains member j (i included), and
+    `above` is its transpose: the poset's containment read on the members,
+    once per building set."""
 
     poset: LayerPoset
     members: tuple[Layer, ...]
@@ -50,13 +53,36 @@ class BuildingSet:
     def member_positions(self) -> frozenset[int]:
         return frozenset(self.positions)
 
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        index = {p: i for i, p in enumerate(self.positions)}
+        members = sum(1 << p for p in self.positions)
+        return tuple(
+            sum(1 << index[q] for q in bit_indices(self.poset.below[p] & members))
+            for p in self.positions
+        )
+
+    @cached_property
+    def members_above(self) -> tuple[int, ...]:
+        """Bit i of `members_above[e]` is set when member i contains poset
+        element e."""
+        out = [0] * len(self.poset.elements)
+        for i, p in enumerate(self.positions):
+            for e in bit_indices(self.poset.below[p]):
+                out[e] |= 1 << i
+        return tuple(out)
+
+    @cached_property
+    def above(self) -> tuple[int, ...]:
+        return tuple(self.members_above[p] for p in self.positions)
+
     @property
     def torus_dim(self) -> int:
         return self.poset.torus_dim
 
     def contains(self, i: int, j: int) -> bool:
         """Member i contains member j as a subvariety."""
-        return self.poset.contains(self.positions[i], self.positions[j])
+        return bool(self.below[i] >> j & 1)
 
     def components(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Poset indices of the connected components of the intersection of
@@ -119,17 +145,14 @@ def build_building_set(
 
 
 def _building_defect(building: BuildingSet):
-    poset = building.poset
+    poset, below = building.poset, building.below
+    members_above = building.members_above
     # element 0 is the torus
     for e in range(1, len(poset.elements)):
         if e in building.member_positions:
             continue
-        above = [i for i, p in enumerate(building.positions) if poset.contains(p, e)]
-        minimal = [
-            i
-            for i in above
-            if not any(o != i and building.contains(i, o) for o in above)
-        ]
+        above = members_above[e]
+        minimal = [i for i in bit_indices(above) if below[i] & above == 1 << i]
         # no members above leave the torus, which e is not
         if e not in building.components(minimal) or not building.transversal(minimal, e):
             return False, poset.elements[e]
@@ -174,13 +197,18 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
 
     A set is nested iff every antichain in it of size >= 2 has nonempty,
     connected, transversal intersection not belonging to the building set.
+    The walk carries the nonempty antichains of each grown set, as (member
+    mask, sorted tuple) pairs.  The antichains of current + (nxt,) that are
+    new hold nxt: (nxt,) and chain + (nxt,) for each carried chain that
+    misses the members comparable to nxt, `above[nxt] | below[nxt]`.  So
+    current + (nxt,) is nested iff each such chain + (nxt,) passes, and the
+    grown set carries the old antichains, then (nxt,), then those.  Members
+    join in increasing index, so chain + (nxt,) is sorted as it stands, and
+    the carried chains are ordered by their largest member.
     """
     m = len(building.members)
     member_at = building.member_positions
-    comparable = [
-        [building.contains(i, j) or building.contains(j, i) for j in range(m)]
-        for i in range(m)
-    ]
+    below, above = building.below, building.above
     comps_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     verdicts: dict[tuple[int, ...], bool] = {}
 
@@ -199,27 +227,25 @@ def _grow_nested(building: BuildingSet, root, step) -> list:
             )
         return verdicts[indices]
 
-    def nests(current: tuple[int, ...], nxt: int) -> bool:
-        incomparables = [i for i in current if not comparable[i][nxt]]
-        for size in range(1, len(incomparables) + 1):
-            for sub in combinations(incomparables, size):
-                if any(comparable[a][b] for a, b in combinations(sub, 2)):
-                    continue
-                if not antichain_ok(sub + (nxt,)):
-                    return False
-        return True
-
     out = []
 
-    def grow(current: tuple[int, ...], state, start: int) -> None:
+    def grow(current: tuple[int, ...], chains: list, state, start: int) -> None:
         out.append((current, state))
         for nxt in range(start, m):
-            if nests(current, nxt):
+            comparable = above[nxt] | below[nxt]
+            extended = [(1 << nxt, (nxt,))]
+            for mask, chain in chains:
+                if not mask & comparable:
+                    chain += (nxt,)
+                    if not antichain_ok(chain):
+                        break
+                    extended.append((mask | 1 << nxt, chain))
+            else:
                 grown = step(current, nxt, state, components)
                 if grown is not None:
-                    grow(current + (nxt,), grown, nxt + 1)
+                    grow(current + (nxt,), chains + extended, grown, nxt + 1)
 
-    grow((), root, 0)
+    grow((), [], root, 0)
     return out
 
 
@@ -250,10 +276,10 @@ def enumerate_admissible(building: BuildingSet) -> tuple[AdmissibleFunction, ...
     support.  Supers have lower rank, so they join first and the bound is
     final when a joins: a support grows only by members with bound >= 2.
     """
-    elements = building.poset.elements
+    elements, above = building.poset.elements, building.above
 
     def step(current, nxt, bounds, components):
-        supers = tuple(b for b in current if building.contains(b, nxt))
+        supers = tuple(b for b in current if above[nxt] >> b & 1)
         enclosing = elements[building.enclosing(nxt, supers, components)]
         bound = building.members[nxt].rank - enclosing.rank
         return bounds + (bound,) if bound >= 2 else None

@@ -24,9 +24,9 @@ from .fans import (
     Fan,
     Subfan,
     betti_numbers,
+    bit_indices,
     complete_bases,
     pairings,
-    ray_indices,
 )
 from .lattice import first_split_basis, image_and_kernel, splits
 from .models import AdmissibleFunction, BuildingSet, enumerate_admissible, support_lattice
@@ -343,19 +343,18 @@ def emit_presentation(
     ray_products = [
         (i, g)
         for g, layer in enumerate(members)
-        for i in ray_indices(bases.moved(layer.gamma))
+        for i in bit_indices(bases.moved(layer.gamma))
     ]
 
     strictly_above = [
-        tuple(h for h in range(m) if h != g and building.contains(h, g))
-        for g in range(m)
+        tuple(bit_indices(building.above[g] ^ 1 << g)) for g in range(m)
     ]
 
     poset = building.poset
     relations = []
     directions_of: dict[tuple[int, ...], PolyTerms] = {}
     for g in range(m):
-        z = tuple(((("T", h),), -1) for h in range(m) if building.contains(g, h))
+        z = tuple(((("T", h),), -1) for h in bit_indices(building.below[g]))
         for size in range(len(strictly_above[g]) + 1):
             for above in combinations(strictly_above[g], size):
                 enclosing = poset.elements[building.enclosing(g, above)]

@@ -668,3 +668,119 @@ def test_admissible_enumeration_intersects_each_member_set_once(monkeypatch):
     assert enumerate_admissible(building) == expected
     assert max(seen.values()) == 1
     assert len(seen) == 4565
+
+
+def _nested_by_definition(building):
+    """Every member subset whose antichains of size >= 2 all meet in one
+    component that is not a member and meets transversally, read off
+    `components` and `transversal` and Layer containment directly, sorted
+    as `enumerate_nested_sets` sorts."""
+    members = building.members
+    m = len(members)
+    comparable = [
+        [
+            members[i].contains(members[j]) or members[j].contains(members[i])
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    failing = []
+    for size in range(2, m + 1):
+        for chain in combinations(range(m), size):
+            if any(comparable[a][b] for a, b in combinations(chain, 2)):
+                continue
+            comps = building.components(chain)
+            if not (
+                len(comps) == 1
+                and comps[0] not in building.member_positions
+                and building.transversal(chain, comps[0])
+            ):
+                failing.append(set(chain))
+    return tuple(
+        subset
+        for size in range(m + 1)
+        for subset in combinations(range(m), size)
+        if not any(chain <= set(subset) for chain in failing)
+    )
+
+
+def _definition_cases():
+    for name, _, building in _example_models():
+        yield name, building
+    for n in (3, 4):
+        yield f"eqc{n}", minimal_equal_coordinate_building(n)[1]
+    for label, _, n, layers in random_cases(240, seed=3):
+        building = build_building_set(poset_of_layers(n, layers))
+        if len(building.members) <= 12:
+            yield label, building
+
+
+def test_nested_sets_and_member_masks_match_the_definition():
+    """The walk that carries each nested set's antichains lists the nested
+    sets of the definition, and `below` and `above` are the members'
+    pairwise containment."""
+    for label, building in _definition_cases():
+        members = building.members
+        m = len(members)
+        for i in range(m):
+            for j in range(m):
+                inside = members[i].contains(members[j])
+                assert bool(building.below[i] >> j & 1) == inside, (label, i, j)
+                assert bool(building.above[j] >> i & 1) == inside, (label, i, j)
+        assert enumerate_nested_sets(building) == _nested_by_definition(building), label
+
+
+def test_model_walks_ask_no_pairwise_containment(monkeypatch):
+    """Nested sets, admissible functions, the building-set check and the
+    presentation read member containment from `BuildingSet.below` and
+    `above` alone.  emit_presentation runs on eqc4, not eqc5: the member
+    of eqc5 with 25 members above has 2^25 class (d) relations."""
+    a2 = load_arrangement(fixture_path("example_a2.arrangement.json"))
+    a2_fan = load_fan(fixture_path("weyl_a3_fan.json"))
+
+    def models():
+        """Fresh building sets, so that no table was cached before a patch;
+        each built from explicit members, so the building check runs."""
+        poset = poset_of_layers(a2.torus_dim, a2.layers)
+        yield "example_a2", build_building_set(poset, poset.elements[1:]), a2_fan
+        for n in (4, 5):
+            poset, building = minimal_equal_coordinate_building(n)
+            fan = weyl_fan_A(n) if n == 4 else None
+            yield f"eqc{n}", build_building_set(poset, building.members), fan
+
+    def computed():
+        out = {}
+        for label, building, fan in models():
+            out[label] = (
+                building.members,
+                enumerate_nested_sets(building),
+                enumerate_admissible(building),
+            )
+            if fan is not None:
+                ideal = emit_presentation(building, fan)
+                out[label] += (
+                    ideal.class_sizes(),
+                    [
+                        (r.member, r.above, r.z, r.directions)
+                        for r in ideal.member_relations
+                    ],
+                    ideal.empty_intersection_products,
+                )
+        return out
+
+    expected = computed()
+
+    def refuse(self, i, j):
+        raise AssertionError("asked BuildingSet.contains")
+
+    monkeypatch.setattr(wondertoric.models.BuildingSet, "contains", refuse)
+    assert computed() == expected
+    sizes = {
+        label: (len(got[1]), len(got[2])) + tuple(got[3:4])
+        for label, got in expected.items()
+    }
+    assert sizes == {
+        "example_a2": (8, 2, (9, 2, 18, 11, 0)),
+        "eqc4": (52, 7, (55, 3, 110, 1062, 0)),
+        "eqc5": (472, 34),
+    }
